@@ -18,6 +18,8 @@ byte-identical.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import BinaryIO
 
@@ -62,6 +64,7 @@ def _read_u32(fh: BinaryIO, what: str) -> int:
 def load_archive(path: str) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -85,10 +88,12 @@ def load_archive(path: str) -> dict[str, np.ndarray]:
             if rank > _MAX_RANK:
                 raise CheckpointError(f"implausible rank {rank} for {name!r}")
             dims = tuple(_read_u32(fh, f"dims of {name!r}") for _ in range(rank))
-            count = 1
-            for dim in dims:
-                count *= dim
-            data = _read_exact(fh, 4 * count, f"data of {name!r}")
+            # Checked first: corrupt dims must neither overflow nor allocate.
+            nbytes, left = 4 * math.prod(dims), size - fh.tell()
+            if nbytes > left:
+                raise CheckpointError(
+                    f"truncated checkpoint: {name!r} needs {nbytes} bytes, {left} left")
+            data = fh.read(nbytes)
             if name in arrays:
                 raise CheckpointError(f"duplicate array {name!r}")
             arrays[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()

@@ -1,6 +1,7 @@
 """Dynamic loss network: logits statistics -> GRU summary -> scalar weight.
 
-Five per-position statistics are read off the student's softmax (averaged
+Five per-position statistics are read off the student's softmax, the same
+``hyena.softmax_xent`` result the training loss then consumes (averaged
 over the batch so each training step yields one (L, 5) sequence), z-scored
 against running moments, summarized by a GRU, and mapped through a 4-layer
 ReLU MLP and a sigmoid to the regularization weight in (0, 1).
@@ -22,18 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from . import hyena
 from .errors import ShapeError
 
 NORM_EPS = 1e-5
-
-GRU_FIELDS = (
-    "gru.w_z", "gru.u_z", "gru.b_z",
-    "gru.w_r", "gru.u_r", "gru.b_r",
-    "gru.w_h", "gru.u_h", "gru.b_h",
-)
 
 
 @dataclass
@@ -46,27 +43,14 @@ class FeatureNormState:
     count: int = 0
 
 
-def extract_features(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Batch-averaged (L, 5) difficulty statistics of the student's logits."""
-    if logits.shape[:2] != targets.shape:
-        raise ShapeError(f"logits {logits.shape} vs targets {targets.shape}")
-    V = logits.shape[-1]
-    z = logits - logits.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    sum_p = p.sum(axis=-1, keepdims=True)
-    p /= sum_p
-    lse = np.log(sum_p[..., 0])
-    idx = targets[..., None].astype(np.int64)
-    zt = np.take_along_axis(z, idx, axis=-1)[..., 0]
-    pt = np.take_along_axis(p, idx, axis=-1)[..., 0]
-
-    conf = p.max(axis=-1)
+def extract_features(sx: hyena.SoftmaxXent) -> np.ndarray:
+    """Batch-averaged (L, 5) difficulty statistics of the student's softmax."""
+    pt = sx.pt[..., 0]
+    conf = sx.p.max(axis=-1)
     margin = conf - pt
     # H = lse - E_p[z]; avoids p*log(p) underflow for saturated rows.
-    entropy = (lse - (p * z).sum(axis=-1)) / math.log(V)
-    ce = lse - zt
-
-    feats = np.stack([conf, pt, margin, entropy, ce], axis=-1)  # (B, L, 5)
+    entropy = (sx.lse - (sx.p * sx.z).sum(axis=-1)) / math.log(sx.p.shape[-1])
+    feats = np.stack([conf, pt, margin, entropy, sx.ce], axis=-1)  # (B, L, 5)
     return feats.mean(axis=0)
 
 
@@ -92,19 +76,14 @@ def init_dln(
 ) -> dict[str, np.ndarray]:
     """GRU (in_dim -> hidden) plus a 4-layer MLP ending in one raw weight."""
     rng = np.random.default_rng(seed)
-
-    def glorot(shape):
-        bound = math.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-bound, bound, shape).astype(dtype)
-
     params: dict[str, np.ndarray] = {}
     for gate in ("z", "r", "h"):
-        params[f"gru.w_{gate}"] = glorot((in_dim, hidden))
-        params[f"gru.u_{gate}"] = glorot((hidden, hidden))
+        params[f"gru.w_{gate}"] = hyena.glorot(rng, (in_dim, hidden), dtype)
+        params[f"gru.u_{gate}"] = hyena.glorot(rng, (hidden, hidden), dtype)
         params[f"gru.b_{gate}"] = np.zeros(hidden, dtype)
     widths = [hidden, *mlp_widths, 1]
     for i in range(4):
-        params[f"mlp.w{i + 1}"] = glorot((widths[i], widths[i + 1]))
+        params[f"mlp.w{i + 1}"] = hyena.glorot(rng, (widths[i], widths[i + 1]), dtype)
         params[f"mlp.b{i + 1}"] = np.zeros(widths[i + 1], dtype)
     return params
 
@@ -140,10 +119,17 @@ def _mlp_forward(summary: np.ndarray, params: dict[str, np.ndarray]):
     return float(y[0]), acts
 
 
-def dln_forward(
-    f_norm: np.ndarray, params: dict[str, np.ndarray]
-) -> tuple[float, np.ndarray]:
-    """Consume normalized features; return (weight in (0,1), GRU summary).
+class DLNTape(NamedTuple):
+    """One ``dln_forward``: its weight and what ``dln_grads`` runs back through."""
+
+    lam: float
+    summary: np.ndarray  # the GRU's final state, which is also acts[0]
+    steps: list          # per position: (x, h_prev, z, r, candidate)
+    acts: list           # MLP input, then each layer's output
+
+
+def dln_forward(f_norm: np.ndarray, params: dict[str, np.ndarray]) -> DLNTape:
+    """Consume normalized features; the tape holds the weight in (0,1) and summary.
 
     GRU gating: z and r are sigmoid gates, the candidate is
     tanh(x W_h + (r * h) U_h + b_h), and h' = (1 - z) * h + z * candidate,
@@ -151,27 +137,25 @@ def dln_forward(
     """
     if f_norm.ndim != 2 or f_norm.shape[0] < 1:
         raise ShapeError(f"feature sequence must be (L, n_features), got {f_norm.shape}")
-    summary, _ = _gru_forward(f_norm, params)
-    raw, _ = _mlp_forward(summary, params)
-    return float(_sigmoid(raw)), summary
+    summary, steps = _gru_forward(f_norm, params)
+    raw, acts = _mlp_forward(summary, params)
+    return DLNTape(float(_sigmoid(raw)), summary, steps, acts)
 
 
 def dln_grads(
-    f_norm: np.ndarray,
+    tape: DLNTape,
     params: dict[str, np.ndarray],
     upstream: float,
 ) -> dict[str, np.ndarray]:
     """Exact gradients of (upstream * weight) w.r.t. every DLN array.
 
     ``upstream`` is d(objective)/d(weight); the chain runs back through the
-    sigmoid, the MLP, and the GRU across all L steps.
+    sigmoid, the MLP, and the GRU across all L steps of ``tape``, which
+    ``dln_forward`` must have recorded with these same ``params``.
     """
-    summary, steps = _gru_forward(f_norm, params)
-    raw, acts = _mlp_forward(summary, params)
-    lam = _sigmoid(raw)
-
+    lam, _, steps, acts = tape
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    dy = np.array([upstream * lam * (1.0 - lam)], dtype=f_norm.dtype)
+    dy = np.array([upstream * lam * (1.0 - lam)], dtype=acts[-1].dtype)
     for i in range(4, 0, -1):
         if i < 4:
             # acts[i] is post-ReLU; its positive entries mark active units.

@@ -16,7 +16,8 @@ filter taps, which are then windowed by per-channel exponential decay.
 
 Parameters live in a flat ``dict[str, np.ndarray]`` (see ``init_model``),
 which is also the checkpoint schema. All gradients are computed analytically
-by the ``student_loss_and_grads`` reverse pass; there is no autograd.
+by the ``loss_and_grads_from_logits`` reverse pass, which starts from the
+step's one ``softmax_xent`` (the DLN reads the same softmax); no autograd.
 
 Parameter count (``param_count``) with V=vocab, D=dim, L=max_seq_len,
 N=order, k=short_kernel, P=filter_pos_dim, F=filter_hidden, e=mlp_expansion:
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -134,7 +136,8 @@ def param_shapes(cfg: HyenaConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, int], dtype) -> np.ndarray:
+def glorot(rng: np.random.Generator, shape: tuple[int, int], dtype) -> np.ndarray:
+    """Glorot-uniform matrix; the initializer of every projection in the package."""
     bound = math.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-bound, bound, shape).astype(dtype)
 
@@ -161,25 +164,25 @@ def init_model(cfg: HyenaConfig, seed: int, dtype=np.float32) -> dict[str, np.nd
     )
     for i in range(cfg.n_blocks):
         p = f"block{i}."
-        params[p + "w_in"] = _glorot(rng, (D, C), dtype)
+        params[p + "w_in"] = glorot(rng, (D, C), dtype)
         params[p + "b_in"] = np.zeros(C, dtype)
         params[p + "short_kernels"] = rng.uniform(
             -math.sqrt(1.0 / k), math.sqrt(1.0 / k), (C, k)
         ).astype(dtype)
         params[p + "filt_w1"] = rng.uniform(-1.0 / P, 1.0 / P, (P, F)).astype(dtype)
         params[p + "filt_b1"] = np.zeros(F, dtype)
-        params[p + "filt_w2"] = _glorot(rng, (F, N * D), dtype)
+        params[p + "filt_w2"] = glorot(rng, (F, N * D), dtype)
         params[p + "filt_b2"] = np.zeros(N * D, dtype)
         params[p + "decay"] = np.tile(decay_row, (N, 1)).astype(dtype)
-        params[p + "w_out"] = _glorot(rng, (D, D), dtype)
+        params[p + "w_out"] = glorot(rng, (D, D), dtype)
         params[p + "b_out"] = np.zeros(D, dtype)
         params[p + "norm1_g"] = np.ones(D, dtype)
         params[p + "norm1_b"] = np.zeros(D, dtype)
         params[p + "norm2_g"] = np.ones(D, dtype)
         params[p + "norm2_b"] = np.zeros(D, dtype)
-        params[p + "mlp_w1"] = _glorot(rng, (D, E), dtype)
+        params[p + "mlp_w1"] = glorot(rng, (D, E), dtype)
         params[p + "mlp_b1"] = np.zeros(E, dtype)
-        params[p + "mlp_w2"] = _glorot(rng, (E, D), dtype)
+        params[p + "mlp_w2"] = glorot(rng, (E, D), dtype)
         params[p + "mlp_b2"] = np.zeros(D, dtype)
     params["final_norm_g"] = np.ones(D, dtype)
     params["final_norm_b"] = np.zeros(D, dtype)
@@ -504,14 +507,34 @@ def _backward(
 # losses
 # ---------------------------------------------------------------------------
 
-def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean next-token cross-entropy, stabilized by max subtraction."""
+class SoftmaxXent(NamedTuple):
+    """The row softmax of (B, L, V) logits and its per-position terms."""
+
+    z: np.ndarray    # (B, L, V) logits minus their row max
+    p: np.ndarray    # (B, L, V) softmax; the training loss turns it into dlogits
+    lse: np.ndarray  # (B, L) log-sum-exp of z
+    ce: np.ndarray   # (B, L) cross-entropy lse - z[target]
+    idx: np.ndarray  # (B, L, 1) targets as int64
+    pt: np.ndarray   # (B, L, 1) p[target]
+
+
+def softmax_xent(logits: np.ndarray, targets: np.ndarray) -> SoftmaxXent:
+    """Max-shifted softmax and next-token cross-entropy, computed once."""
     if logits.shape[:2] != targets.shape:
         raise ShapeError(f"logits {logits.shape} vs targets {targets.shape}")
     z = logits - logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1))
-    zt = np.take_along_axis(z, targets[..., None].astype(np.int64), axis=-1)[..., 0]
-    return float((lse - zt).mean())
+    p = np.exp(z)
+    sum_p = p.sum(axis=-1, keepdims=True)
+    p /= sum_p
+    lse = np.log(sum_p[..., 0])
+    idx = targets[..., None].astype(np.int64)
+    ce = lse - np.take_along_axis(z, idx, axis=-1)[..., 0]
+    return SoftmaxXent(z, p, lse, ce, idx, np.take_along_axis(p, idx, axis=-1))
+
+
+def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
+    """Mean next-token cross-entropy, stabilized by max subtraction."""
+    return float(softmax_xent(logits, targets).ce.mean())
 
 
 def logit_l2(logits: np.ndarray) -> float:
@@ -522,33 +545,24 @@ def logit_l2(logits: np.ndarray) -> float:
 def loss_and_grads_from_logits(
     logits: np.ndarray,
     cache,
-    targets: np.ndarray,
+    sx: SoftmaxXent,
     params: dict[str, np.ndarray],
     cfg: HyenaConfig,
     lam: float | None,
     beta: float,
 ):
-    """Same as ``student_loss_and_grads`` given an existing cached forward."""
+    """``student_loss_and_grads`` from a cached forward; overwrites ``sx.p`` with dlogits."""
     B, L, V = logits.shape
-
-    z = logits - logits.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    sum_p = p.sum(axis=-1, keepdims=True)
-    lse = np.log(sum_p[..., 0])
-    idx = targets[..., None].astype(np.int64)
-    zt = np.take_along_axis(z, idx, axis=-1)[..., 0]
-    ce = float((lse - zt).mean())
-    l2 = float(np.mean(np.square(logits)))
+    ce = float(sx.ce.mean())
+    l2 = logit_l2(logits)
 
     lam_beta = 0.0 if lam is None else float(lam) * float(beta)
     loss = ce + lam_beta * l2
     if not math.isfinite(loss):
         raise NumericalError(f"non-finite student loss (ce={ce}, l2={l2})")
 
-    dlogits = np.divide(p, sum_p, out=p)  # softmax, reusing p's storage
-    np.put_along_axis(
-        dlogits, idx, np.take_along_axis(dlogits, idx, axis=-1) - 1.0, axis=-1
-    )
+    dlogits = sx.p
+    np.put_along_axis(dlogits, sx.idx, sx.pt - 1.0, axis=-1)
     dlogits /= B * L
     if lam_beta != 0.0:
         dlogits += (2.0 * lam_beta / (B * L * V)) * logits
@@ -572,4 +586,5 @@ def student_loss_and_grads(
     Returns (loss, ce, l2, grads) with grads keyed exactly like ``params``.
     """
     logits, cache = forward(tokens, params, cfg, want_cache=True)
-    return loss_and_grads_from_logits(logits, cache, targets, params, cfg, lam, beta)
+    sx = softmax_xent(logits, targets)
+    return loss_and_grads_from_logits(logits, cache, sx, params, cfg, lam, beta)

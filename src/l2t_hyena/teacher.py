@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hyena
 from .errors import EmptyBuffer, InvalidExperience
 
 PRIORITY_FLOOR = 1e-6
@@ -78,17 +79,12 @@ def init_teacher(
 ) -> dict[str, np.ndarray]:
     """3-layer ReLU MLP over [summary, weight] -> predicted student loss."""
     rng = np.random.default_rng(seed)
-
-    def glorot(shape):
-        bound = math.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-bound, bound, shape).astype(dtype)
-
     return {
-        "w1": glorot((summary_dim + 1, hidden)),
+        "w1": hyena.glorot(rng, (summary_dim + 1, hidden), dtype),
         "b1": np.zeros(hidden, dtype),
-        "w2": glorot((hidden, hidden)),
+        "w2": hyena.glorot(rng, (hidden, hidden), dtype),
         "b2": np.zeros(hidden, dtype),
-        "w3": glorot((hidden, 1)),
+        "w3": hyena.glorot(rng, (hidden, 1), dtype),
         "b3": np.zeros(1, dtype),
     }
 

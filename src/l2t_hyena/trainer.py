@@ -2,11 +2,12 @@
 
 Each of the three components (student, teacher, DLN) has its own AdamW
 optimizer and cosine-annealed learning rate with linear warmup. One
-training step runs, in order: student forward; feature extraction and the
-DLN's weight proposal; the student update; experience storage; and, once
-the buffer holds enough history, one teacher update and one DLN update.
-Baseline mode runs the student on plain cross-entropy and leaves the other
-two components untouched.
+training step runs, in order: student forward and its one row softmax;
+features from that softmax and the DLN's weight proposal; the student update,
+whose loss overwrites the softmax; experience storage; and, once the buffer
+holds enough history, one teacher update and one DLN update from the tape of
+the DLN forward. Baseline mode runs the student on plain cross-entropy and
+leaves the other two components untouched.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .config import RunConfig
 from .errors import NumericalError
 
 DECAY_FLOOR = 1e-6
+_MAX_EXP_ARG = 709.78  # math.exp overflows above log(float max) = 709.7827...
 
 
 @dataclass
@@ -112,6 +114,8 @@ def evaluate(
         total_ce += hyena.cross_entropy(logits, b.targets) * n
         total_tokens += n
     val_loss = total_ce / total_tokens
+    if not val_loss < _MAX_EXP_ARG:  # also catches nan
+        raise NumericalError(f"validation loss {val_loss} has no finite perplexity")
     return val_loss, math.exp(val_loss)
 
 
@@ -167,6 +171,7 @@ def init_train_state(
     run_cfg: RunConfig, vocab_size: int, batches_per_epoch: int
 ) -> TrainState:
     model_cfg = model_config_from_run(run_cfg, vocab_size)
+    adam = (run_cfg.adam_beta1, run_cfg.adam_beta2, run_cfg.adam_eps)
     s_student, s_dln, s_teacher, s_sample = _component_seeds(run_cfg.seed)
     student = hyena.init_model(model_cfg, s_student)
     dln_params = dln.init_dln(s_dln, hidden=run_cfg.dln_hidden)
@@ -184,18 +189,9 @@ def init_train_state(
         opt_student=AdamWState(student),
         opt_dln=AdamWState(dln_params),
         opt_teacher=AdamWState(teacher_params),
-        cfg_student=OptimizerConfig(
-            run_cfg.lr_student, run_cfg.wd_student,
-            run_cfg.adam_beta1, run_cfg.adam_beta2, run_cfg.adam_eps,
-        ),
-        cfg_dln=OptimizerConfig(
-            run_cfg.lr_dln, run_cfg.wd_dln,
-            run_cfg.adam_beta1, run_cfg.adam_beta2, run_cfg.adam_eps,
-        ),
-        cfg_teacher=OptimizerConfig(
-            run_cfg.lr_teacher, run_cfg.wd_teacher,
-            run_cfg.adam_beta1, run_cfg.adam_beta2, run_cfg.adam_eps,
-        ),
+        cfg_student=OptimizerConfig(run_cfg.lr_student, run_cfg.wd_student, *adam),
+        cfg_dln=OptimizerConfig(run_cfg.lr_dln, run_cfg.wd_dln, *adam),
+        cfg_teacher=OptimizerConfig(run_cfg.lr_teacher, run_cfg.wd_teacher, *adam),
         sample_rng=np.random.default_rng(s_sample),
         total_steps=run_cfg.epochs * batches_per_epoch,
         warmup_steps=run_cfg.warmup_epochs * batches_per_epoch,
@@ -229,19 +225,19 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
         logits, cache = hyena.forward(batch.inputs, state.student, state.model_cfg,
                                       want_cache=True)
 
-        lam = None
-        summary = None
-        f_norm = None
+        sx = hyena.softmax_xent(logits, batch.targets)
+        tape = None
         if l2t:
-            feats = dln.extract_features(logits, batch.targets)
+            # Features first: the loss below overwrites sx.p with dlogits.
+            feats = dln.extract_features(sx)
             f_norm = dln.normalize_features(feats, state.norm_state, training=True)
-            lam, summary = dln.dln_forward(f_norm, state.dln_params)
+            tape = dln.dln_forward(f_norm, state.dln_params)
+        lam = tape.lam if l2t else None
 
         loss, ce, l2, sgrads = hyena.loss_and_grads_from_logits(
-            logits, cache, batch.targets, state.student, state.model_cfg,
-            lam, rc.beta,
+            logits, cache, sx, state.student, state.model_cfg, lam, rc.beta,
         )
-        del logits, cache
+        del logits, cache, sx
         _, snorm = clip_grad_norm(sgrads, rc.clip_norm)
         if not math.isfinite(snorm):
             raise NumericalError(f"non-finite student gradient norm {snorm}")
@@ -269,7 +265,7 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
         if l2t:
             teacher.push_experience(
                 state.buffer,
-                teacher.Experience(summary=summary.copy(), lam_used=lam,
+                teacher.Experience(summary=tape.summary.copy(), lam_used=lam,
                                    student_loss=loss, step=state.step),
             )
             if len(state.buffer) >= rc.activation_threshold:
@@ -283,8 +279,8 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
                     state.cfg_teacher, metrics["lr_teacher"],
                 )
 
-                upstream = teacher.dln_feedback(summary, lam, state.teacher_params)
-                dgrads = dln.dln_grads(f_norm, state.dln_params, upstream)
+                upstream = teacher.dln_feedback(tape.summary, lam, state.teacher_params)
+                dgrads = dln.dln_grads(tape, state.dln_params, upstream)
                 _, dnorm = clip_grad_norm(dgrads, rc.clip_norm)
                 adamw_step(
                     state.dln_params, dgrads, state.opt_dln, state.cfg_dln,
@@ -303,12 +299,9 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
 
 def archive_arrays(state: TrainState) -> dict[str, np.ndarray]:
     arrays = {}
-    for k, v in state.student.items():
-        arrays["student/" + k] = v
-    for k, v in state.dln_params.items():
-        arrays["dln/" + k] = v
-    for k, v in state.teacher_params.items():
-        arrays["teacher/" + k] = v
+    for prefix, params in (("student/", state.student), ("dln/", state.dln_params),
+                           ("teacher/", state.teacher_params)):
+        arrays.update((prefix + k, v) for k, v in params.items())
     arrays["norm/mean"] = state.norm_state.mean
     arrays["norm/var"] = state.norm_state.var
     arrays["norm/count"] = np.array(float(state.norm_state.count))

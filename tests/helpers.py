@@ -8,6 +8,8 @@ whose bigram structure a tiny model can learn quickly.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from l2t_hyena import hyena
@@ -61,6 +63,12 @@ def finite_diff_failures(params, grads, loss_fn, eps=1e-6, abs_tol=1e-4, rel_tol
             if err > abs_tol and err > rel_tol * abs(fd):
                 failures.append((name, ix, fd, float(g[ix])))
     return failures
+
+
+def overflowing_checkpoint_header() -> bytes:
+    """33-byte archive: one array "x" of rank 4 claiming dims 0xFFFFFFFF, no data."""
+    return (b"L2TH" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"x"
+            + struct.pack("<5I", 4, *[0xFFFFFFFF] * 4))
 
 
 def tiny_student_config(**overrides) -> hyena.HyenaConfig:

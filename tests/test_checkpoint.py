@@ -3,6 +3,8 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import overflowing_checkpoint_header
+
 from l2t_hyena import checkpoint
 from l2t_hyena.errors import CheckpointError
 
@@ -72,3 +74,16 @@ def test_float64_inputs_are_stored_as_float32(tmp_path):
     out = checkpoint.load_archive(path)["x"]
     assert out.dtype == np.float32
     assert out.tolist() == [1.0, 2.5]
+
+
+def test_dims_larger_than_file(tmp_path):
+    path = tmp_path / "a.l2th"
+    path.write_bytes(overflowing_checkpoint_header())
+    assert path.stat().st_size == 33
+    with pytest.raises(CheckpointError, match="truncated"):
+        checkpoint.load_archive(path)
+    # Plausible dims that still exceed the bytes left are caught the same way.
+    blob = b"L2TH" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"x"
+    path.write_bytes(blob + struct.pack("<2I", 1, 1000) + b"\x00" * 8)
+    with pytest.raises(CheckpointError, match="needs 4000 bytes, 8 left"):
+        checkpoint.load_archive(path)

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import overflowing_checkpoint_header
+
 from l2t_hyena import checkpoint, cli, config, corpus, hyena, trainer
 from l2t_hyena.errors import ConfigError
 
@@ -188,6 +190,41 @@ class TestEvalCommand:
         a = json.loads((eval_a / "eval.json").read_text())
         b = json.loads((eval_b / "eval.json").read_text())
         assert a["val_ppl"] == pytest.approx(b["val_ppl"], rel=1e-6)
+
+    @staticmethod
+    def _eval_in_new_process(cfg_path, ckpt, out):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "l2t_hyena", "eval", "--checkpoint", str(ckpt),
+             "--config", str(cfg_path), "--out-dir", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+
+    def test_overflowing_header_exits_checkpoint(self, synth_corpus, tmp_path):
+        cfg_path = tmp_path / "smoke.cfg"
+        _write_smoke_cfg(cfg_path, synth_corpus)
+        bad = tmp_path / "overflow.l2th"
+        bad.write_bytes(overflowing_checkpoint_header())
+        proc = self._eval_in_new_process(cfg_path, bad, tmp_path / "e")
+        assert proc.returncode == cli.EXIT_CHECKPOINT, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("checkpoint error:")
+
+    def test_diverged_model_exits_numerical(self, synth_corpus, tmp_path):
+        cfg_path = tmp_path / "smoke.cfg"
+        _write_smoke_cfg(cfg_path, synth_corpus)
+        cfg = config.parse_config(str(cfg_path), {})
+        vocab = corpus.build_vocab(corpus.read_lines(cfg.train_path), cfg.max_vocab)
+        params = hyena.init_model(trainer.model_config_from_run(cfg, len(vocab)), seed=0)
+        params["tok_emb"] *= 1e5
+        ckpt = tmp_path / "diverged.l2th"
+        checkpoint.save_archive({"student/" + k: v for k, v in params.items()}, ckpt)
+        proc = self._eval_in_new_process(cfg_path, ckpt, tmp_path / "e")
+        assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("numerical error:")
 
     def test_truncated_checkpoint(self, synth_corpus, tmp_path, capsys):
         cfg_path = tmp_path / "smoke.cfg"

@@ -182,6 +182,22 @@ class TestLosses:
         ).mean()
         assert hyena.cross_entropy(logits, targets) == pytest.approx(naive, abs=1e-12)
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            hyena.softmax_xent(np.zeros((2, 3, 4)), np.zeros((2, 4), dtype=int))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_ce_equals_training_ce(self, dtype):
+        cfg = tiny_student_config()
+        params = hyena.init_model(cfg, seed=11, dtype=dtype)
+        rng = np.random.default_rng(7)
+        tokens = rng.integers(0, 7, (3, 6))
+        targets = rng.integers(0, 7, (3, 6))
+        logits = hyena.forward(tokens, params, cfg)
+        _, ce, _, _ = hyena.student_loss_and_grads(tokens, targets, params, cfg,
+                                                   0.4, 0.01)
+        assert hyena.cross_entropy(logits, targets) == ce
+
     def test_logit_l2(self):
         assert hyena.logit_l2(np.zeros((2, 3, 4))) == 0.0
         assert hyena.logit_l2(np.full((2, 3, 4), 2.0)) == 4.0

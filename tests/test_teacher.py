@@ -261,10 +261,11 @@ class TestDlnFeedback:
 
         dln_params = dln_mod.init_dln(seed=6, dtype=np.float64)
         f = rng.standard_normal((4, 5))
-        lam0, summary = dln_mod.dln_forward(f, dln_params)
-        upstream = teacher.dln_feedback(summary, lam0, params)
-        grads = dln_mod.dln_grads(f, dln_params, upstream)
+        tape = dln_mod.dln_forward(f, dln_params)
+        lam0 = tape.lam
+        upstream = teacher.dln_feedback(tape.summary, lam0, params)
+        grads = dln_mod.dln_grads(tape, dln_params, upstream)
         for k in dln_params:
             dln_params[k] -= 1e-2 * grads[k]
-        lam1, _ = dln_mod.dln_forward(f, dln_params)
+        lam1 = dln_mod.dln_forward(f, dln_params).lam
         assert lam1 < lam0

@@ -153,6 +153,22 @@ class TestEvaluate:
         val_loss, ppl = trainer.evaluate(params, cfg, batches)
         assert ppl == math.exp(val_loss)  # identity, exact to fp
 
+    def test_diverged_model_raises_numerical_error(self):
+        cfg = hyena.HyenaConfig(vocab_size=10, dim=4, n_blocks=1, max_seq_len=4,
+                                filter_pos_dim=5, filter_hidden=4, mlp_expansion=2)
+        params = hyena.init_model(cfg, seed=0)
+        params["tok_emb"] *= 1e5  # validation loss far above math.exp's range
+        ids = np.random.default_rng(2).integers(0, 10, 100).astype(np.int32)
+        with pytest.raises(NumericalError, match="no finite perplexity"):
+            trainer.evaluate(params, cfg, corpus.make_batches(ids, 2, 4))
+
+    def test_non_finite_loss_raises_numerical_error(self):
+        cfg, params = self._uniform_model()
+        params["tok_emb"][0, 0] = np.nan
+        ids = np.random.default_rng(5).integers(0, 10, 100).astype(np.int32)
+        with pytest.raises(NumericalError):
+            trainer.evaluate(params, cfg, corpus.make_batches(ids, 2, 4))
+
     def test_side_effect_free(self):
         cfg, params = self._uniform_model()
         ids = np.random.default_rng(4).integers(0, 10, 120).astype(np.int32)
