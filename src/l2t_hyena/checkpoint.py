@@ -13,7 +13,7 @@ C order):
         data     prod(dims) * float32
 
 Arrays are written in sorted-name order, so save -> load -> save is
-byte-identical.
+byte-identical. Loading rejects any array that holds nan or inf.
 """
 
 from __future__ import annotations
@@ -96,5 +96,8 @@ def load_archive(path: str) -> dict[str, np.ndarray]:
             data = fh.read(nbytes)
             if name in arrays:
                 raise CheckpointError(f"duplicate array {name!r}")
-            arrays[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
+            arr = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"non-finite values in {name!r}")
+            arrays[name] = arr
     return arrays

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from . import checkpoint, config, corpus, hyena, trainer
+from . import config, corpus, trainer
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -129,23 +129,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _student_params_from_archive(path: str, model_cfg: hyena.HyenaConfig):
-    archive = checkpoint.load_archive(path)
-    params = {}
-    for name, shape in hyena.param_shapes(model_cfg).items():
-        key = "student/" + name
-        if key not in archive:
-            raise CheckpointError(f"checkpoint is missing array {key!r}")
-        arr = archive[key]
-        if arr.shape != shape:
-            raise CheckpointError(
-                f"shape mismatch for {key!r}: checkpoint {arr.shape}, "
-                f"config implies {shape}"
-            )
-        params[name] = arr
-    return params
-
-
 def cmd_eval(args) -> int:
     cfg = _resolved_config(args)
     train_lines = corpus.read_lines(cfg.train_path)
@@ -155,7 +138,7 @@ def cmd_eval(args) -> int:
         corpus.encode(valid_lines, vocab), cfg.batch_size, cfg.seq_len
     )
     model_cfg = trainer.model_config_from_run(cfg, len(vocab))
-    params = _student_params_from_archive(args.checkpoint, model_cfg)
+    params = trainer.student_params_from_archive(args.checkpoint, model_cfg)
     val_loss, val_ppl = trainer.evaluate(params, model_cfg, val_batches)
     print(f"val_loss {val_loss:.6f} val_ppl {val_ppl:.4f}")
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -60,20 +60,6 @@ class HyenaConfig:
     decay_fastest: float = 0.3
     decay_slowest: float = 30.0
 
-    def validate(self) -> None:
-        if self.vocab_size < 1 or self.dim < 1 or self.n_blocks < 1:
-            raise ValueError("vocab_size, dim, n_blocks must be positive")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if self.short_kernel < 1 or self.short_kernel % 2 == 0:
-            raise ValueError("short_kernel must be odd and >= 1")
-        if self.max_seq_len < 1:
-            raise ValueError("max_seq_len must be positive")
-        if self.filter_pos_dim < 1 or self.filter_pos_dim % 2 == 0:
-            raise ValueError("filter_pos_dim must be odd (1 linear + sin/cos pairs)")
-        if self.decay_fastest <= 0 or self.decay_slowest < self.decay_fastest:
-            raise ValueError("need 0 < decay_fastest <= decay_slowest")
-
 
 BLOCK_FIELDS = (
     "w_in", "b_in", "short_kernels",
@@ -149,7 +135,6 @@ def init_model(cfg: HyenaConfig, seed: int, dtype=np.float32) -> dict[str, np.nd
     filter layer uniform(+-1/pos_dim) to suit the sine activation, and decay
     rates log-spaced across channels in [decay_fastest, decay_slowest].
     """
-    cfg.validate()
     rng = np.random.default_rng(seed)
     D, N, k = cfg.dim, cfg.order, cfg.short_kernel
     P, F = cfg.filter_pos_dim, cfg.filter_hidden
@@ -518,23 +503,30 @@ class SoftmaxXent(NamedTuple):
     pt: np.ndarray   # (B, L, 1) p[target]
 
 
-def softmax_xent(logits: np.ndarray, targets: np.ndarray) -> SoftmaxXent:
-    """Max-shifted softmax and next-token cross-entropy, computed once."""
+def _shifted_xent(logits: np.ndarray, targets: np.ndarray):
+    """Max-shifted logits z, exp(z), its row sums, log-sum-exp, target ids and CE."""
     if logits.shape[:2] != targets.shape:
         raise ShapeError(f"logits {logits.shape} vs targets {targets.shape}")
     z = logits - logits.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    sum_p = p.sum(axis=-1, keepdims=True)
-    p /= sum_p
-    lse = np.log(sum_p[..., 0])
+    e = np.exp(z)
+    sum_e = e.sum(axis=-1, keepdims=True)
+    lse = np.log(sum_e[..., 0])
     idx = targets[..., None].astype(np.int64)
     ce = lse - np.take_along_axis(z, idx, axis=-1)[..., 0]
+    return z, e, sum_e, lse, idx, ce
+
+
+def softmax_xent(logits: np.ndarray, targets: np.ndarray) -> SoftmaxXent:
+    """Max-shifted softmax and next-token cross-entropy, computed once."""
+    z, p, sum_p, lse, idx, ce = _shifted_xent(logits, targets)
+    p /= sum_p
     return SoftmaxXent(z, p, lse, ce, idx, np.take_along_axis(p, idx, axis=-1))
 
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean next-token cross-entropy, stabilized by max subtraction."""
-    return float(softmax_xent(logits, targets).ce.mean())
+    """Mean next-token cross-entropy; eval needs no normalized softmax."""
+    *_, ce = _shifted_xent(logits, targets)
+    return float(ce.mean())
 
 
 def logit_l2(logits: np.ndarray) -> float:

@@ -1,11 +1,11 @@
 """Memory-augmented teacher: replay buffer plus a loss-predicting MLP.
 
-The buffer keeps the most recent experiences (FIFO once full), each pairing
-a DLN summary vector and the weight it proposed with the student loss that
-actually resulted. Training draws from the buffer with probability
-proportional to stored loss, fits the MLP prediction under Huber loss, and
-the trained predictor's sensitivity to the weight input is what the DLN
-descends.
+The buffer, a deque bounded by ``buffer_capacity``, keeps the latest
+experiences, each pairing a DLN summary vector and the weight it proposed
+with the student loss that actually resulted. Training draws from it with
+probability proportional to stored loss, fits the MLP prediction under Huber
+loss, and the trained predictor's sensitivity to the weight input is what
+the DLN descends.
 """
 
 from __future__ import annotations
@@ -30,23 +30,7 @@ class Experience:
     step: int
 
 
-class MemoryBuffer:
-    """FIFO ring of experiences with a hard capacity."""
-
-    def __init__(self, capacity: int = 500):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._items: deque[Experience] = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        return iter(self._items)
-
-
-def push_experience(buffer: MemoryBuffer, exp: Experience) -> None:
+def push_experience(buffer: deque[Experience], exp: Experience) -> None:
     """Append, evicting the oldest entry when full. Rejects non-finite data."""
     if (
         not np.all(np.isfinite(exp.summary))
@@ -55,11 +39,11 @@ def push_experience(buffer: MemoryBuffer, exp: Experience) -> None:
         or exp.student_loss < 0.0
     ):
         raise InvalidExperience(f"rejected experience at step {exp.step}")
-    buffer._items.append(exp)
+    buffer.append(exp)
 
 
 def sample_prioritized(
-    buffer: MemoryBuffer, k: int, rng: np.random.Generator
+    buffer: deque[Experience], k: int, rng: np.random.Generator
 ) -> list[Experience]:
     """k draws with replacement, P(i) proportional to max(loss_i, floor)."""
     n = len(buffer)
@@ -113,7 +97,7 @@ def huber(pred, target, delta: float = 1.0):
 
 
 def teacher_step(
-    buffer: MemoryBuffer,
+    buffer: deque[Experience],
     params: dict[str, np.ndarray],
     k: int,
     rng: np.random.Generator,

@@ -1,13 +1,13 @@
 """Training orchestration: AdamW, cosine schedule, the adaptive-loss loop.
 
-Each of the three components (student, teacher, DLN) has its own AdamW
-optimizer and cosine-annealed learning rate with linear warmup. One
-training step runs, in order: student forward and its one row softmax;
-features from that softmax and the DLN's weight proposal; the student update,
-whose loss overwrites the softmax; experience storage; and, once the buffer
-holds enough history, one teacher update and one DLN update from the tape of
-the DLN forward. Baseline mode runs the student on plain cross-entropy and
-leaves the other two components untouched.
+Each component (student, teacher, DLN) has an AdamW state holding its own
+weight decay and Adam settings, and a cosine-annealed learning rate with
+linear warmup; ``_update`` clips, checks and steps every one of them. A
+training step runs: student forward and its one row softmax; features from
+that softmax and the DLN's weight proposal; the student update, whose loss
+overwrites the softmax; experience storage in the replay deque; and, once it
+holds enough history, one teacher and one DLN update from the DLN's tape.
+Baseline mode trains only the student, on plain cross-entropy.
 """
 
 from __future__ import annotations
@@ -15,31 +15,28 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import checkpoint, corpus, dln, hyena, teacher
 from .config import RunConfig
-from .errors import NumericalError
+from .errors import CheckpointError, NumericalError
 
 DECAY_FLOOR = 1e-6
 _MAX_EXP_ARG = 709.78  # math.exp overflows above log(float max) = 709.7827...
 
 
-@dataclass
-class OptimizerConfig:
-    learning_rate: float
-    weight_decay: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
 class AdamWState:
-    """First/second moments per array plus the shared step counter."""
+    """One component's AdamW settings, moments per array and step counter."""
 
-    def __init__(self, params: dict[str, np.ndarray]):
+    def __init__(self, params: dict[str, np.ndarray], weight_decay: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.weight_decay = weight_decay
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -48,8 +45,7 @@ class AdamWState:
 def adamw_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
-    state: AdamWState,
-    cfg: OptimizerConfig,
+    opt: AdamWState,
     lr_now: float,
 ) -> None:
     """Decoupled-weight-decay Adam update, in place.
@@ -57,21 +53,21 @@ def adamw_step(
     p <- p - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p), with the
     usual bias-corrected moment estimates.
     """
-    state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    opt.t += 1
+    bc1 = 1.0 - opt.beta1 ** opt.t
+    bc2 = 1.0 - opt.beta2 ** opt.t
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * np.square(g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        p -= lr_now * (update + cfg.weight_decay * p)
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * np.square(g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        p -= lr_now * (update + opt.weight_decay * p)
 
 
 def cosine_warmup_lr(
@@ -85,9 +81,7 @@ def cosine_warmup_lr(
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * progress))
 
 
-def clip_grad_norm(
-    grads: dict[str, np.ndarray], max_norm: float
-) -> tuple[dict[str, np.ndarray], float]:
+def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Global-norm clipping across all arrays, in place. Returns the pre-clip norm."""
     sq = 0.0
     for g in grads.values():
@@ -97,7 +91,7 @@ def clip_grad_norm(
         scale = max_norm / total
         for g in grads.values():
             g *= scale
-    return grads, total
+    return total
 
 
 def evaluate(
@@ -133,13 +127,10 @@ class TrainState:
     dln_params: dict[str, np.ndarray]
     teacher_params: dict[str, np.ndarray]
     norm_state: dln.FeatureNormState
-    buffer: teacher.MemoryBuffer
+    buffer: deque[teacher.Experience]
     opt_student: AdamWState
     opt_dln: AdamWState
     opt_teacher: AdamWState
-    cfg_student: OptimizerConfig
-    cfg_dln: OptimizerConfig
-    cfg_teacher: OptimizerConfig
     sample_rng: np.random.Generator
     total_steps: int
     warmup_steps: int
@@ -185,13 +176,10 @@ def init_train_state(
         dln_params=dln_params,
         teacher_params=teacher_params,
         norm_state=dln.FeatureNormState(),
-        buffer=teacher.MemoryBuffer(run_cfg.buffer_capacity),
-        opt_student=AdamWState(student),
-        opt_dln=AdamWState(dln_params),
-        opt_teacher=AdamWState(teacher_params),
-        cfg_student=OptimizerConfig(run_cfg.lr_student, run_cfg.wd_student, *adam),
-        cfg_dln=OptimizerConfig(run_cfg.lr_dln, run_cfg.wd_dln, *adam),
-        cfg_teacher=OptimizerConfig(run_cfg.lr_teacher, run_cfg.wd_teacher, *adam),
+        buffer=deque(maxlen=run_cfg.buffer_capacity),
+        opt_student=AdamWState(student, run_cfg.wd_student, *adam),
+        opt_dln=AdamWState(dln_params, run_cfg.wd_dln, *adam),
+        opt_teacher=AdamWState(teacher_params, run_cfg.wd_teacher, *adam),
         sample_rng=np.random.default_rng(s_sample),
         total_steps=run_cfg.epochs * batches_per_epoch,
         warmup_steps=run_cfg.warmup_epochs * batches_per_epoch,
@@ -204,6 +192,16 @@ def _lr(state: TrainState, lr_max: float, scheduled: bool) -> float:
     return cosine_warmup_lr(
         state.step, state.total_steps, state.warmup_steps, lr_max, lr_max / 100.0
     )
+
+
+def _update(state: TrainState, params: dict[str, np.ndarray],
+            grads: dict[str, np.ndarray], opt: AdamWState, lr_now: float) -> float:
+    """Clip, reject a non-finite norm, AdamW step. Returns the pre-clip norm."""
+    norm = clip_grad_norm(grads, state.run_cfg.clip_norm)
+    if not math.isfinite(norm):
+        raise NumericalError(f"non-finite gradient norm {norm}")
+    adamw_step(params, grads, opt, lr_now)
+    return norm
 
 
 def _clamp_decay(state: TrainState) -> None:
@@ -238,12 +236,8 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
             logits, cache, sx, state.student, state.model_cfg, lam, rc.beta,
         )
         del logits, cache, sx
-        _, snorm = clip_grad_norm(sgrads, rc.clip_norm)
-        if not math.isfinite(snorm):
-            raise NumericalError(f"non-finite student gradient norm {snorm}")
         lr_student = _lr(state, rc.lr_student, scheduled=True)
-        adamw_step(state.student, sgrads, state.opt_student, state.cfg_student,
-                   lr_student)
+        snorm = _update(state, state.student, sgrads, state.opt_student, lr_student)
         _clamp_decay(state)
 
         metrics = {
@@ -273,23 +267,16 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
                     state.buffer, state.teacher_params, rc.teacher_k,
                     state.sample_rng, rc.huber_delta,
                 )
-                _, tnorm = clip_grad_norm(tgrads, rc.clip_norm)
-                adamw_step(
-                    state.teacher_params, tgrads, state.opt_teacher,
-                    state.cfg_teacher, metrics["lr_teacher"],
-                )
+                metrics["grad_norm_teacher"] = _update(
+                    state, state.teacher_params, tgrads, state.opt_teacher,
+                    metrics["lr_teacher"])
 
                 upstream = teacher.dln_feedback(tape.summary, lam, state.teacher_params)
                 dgrads = dln.dln_grads(tape, state.dln_params, upstream)
-                _, dnorm = clip_grad_norm(dgrads, rc.clip_norm)
-                adamw_step(
-                    state.dln_params, dgrads, state.opt_dln, state.cfg_dln,
-                    metrics["lr_dln"],
-                )
+                metrics["grad_norm_dln"] = _update(
+                    state, state.dln_params, dgrads, state.opt_dln, metrics["lr_dln"])
                 metrics["teacher_huber"] = huber_loss
                 metrics["teacher_active"] = True
-                metrics["grad_norm_teacher"] = tnorm
-                metrics["grad_norm_dln"] = dnorm
     except NumericalError as exc:
         raise NumericalError(f"step {state.step}: {exc}") from None
 
@@ -306,6 +293,24 @@ def archive_arrays(state: TrainState) -> dict[str, np.ndarray]:
     arrays["norm/var"] = state.norm_state.var
     arrays["norm/count"] = np.array(float(state.norm_state.count))
     return arrays
+
+
+def student_params_from_archive(path: str, model_cfg: hyena.HyenaConfig):
+    """The ``student/`` arrays of an archive (see ``archive_arrays``), checked."""
+    archive = checkpoint.load_archive(path)
+    params = {}
+    for name, shape in hyena.param_shapes(model_cfg).items():
+        key = "student/" + name
+        if key not in archive:
+            raise CheckpointError(f"checkpoint is missing array {key!r}")
+        arr = archive[key]
+        if arr.shape != shape:
+            raise CheckpointError(
+                f"shape mismatch for {key!r}: checkpoint {arr.shape}, "
+                f"config implies {shape}"
+            )
+        params[name] = arr
+    return params
 
 
 def train(run_cfg: RunConfig, quiet: bool = False):

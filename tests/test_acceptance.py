@@ -9,6 +9,7 @@ otherwise.
 import json
 import math
 import os
+from collections import deque
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ def test_gradient_checks():
 
     # Teacher MLP, plus its derivative w.r.t. the weight input.
     tparams = teacher.init_teacher(seed=9, summary_dim=4, hidden=8, dtype=np.float64)
-    buf = teacher.MemoryBuffer(10)
+    buf = deque(maxlen=10)
     for i in range(6):
         teacher.push_experience(
             buf,
@@ -224,14 +225,13 @@ def test_gradient_checks():
 
 def test_optimizer_and_schedule_laws():
     # AdamW decoupled decay with zero gradients, per-step exactness.
-    ocfg = trainer.OptimizerConfig(learning_rate=2e-4, weight_decay=0.15)
     params = {"w": np.array([1.0, -0.5, 2.0])}
-    state = trainer.AdamWState(params)
+    state = trainer.AdamWState(params, weight_decay=0.15)
     zero = {"w": np.zeros(3)}
     decay_ok = True
     for _ in range(100):
         prev = params["w"].copy()
-        trainer.adamw_step(params, zero, state, ocfg, lr_now=2e-4)
+        trainer.adamw_step(params, zero, state, lr_now=2e-4)
         if np.abs(params["w"] - prev * (1.0 - 2e-4 * 0.15)).max() > 1e-12:
             decay_ok = False
 
@@ -252,7 +252,7 @@ def test_optimizer_and_schedule_laws():
         grads = {f"g{i}": rng.standard_normal(int(rng.integers(1, 30)))
                  for i in range(int(rng.integers(1, 4)))}
         max_norm = float(rng.uniform(0.05, 4.0))
-        _, total_norm = trainer.clip_grad_norm(grads, max_norm)
+        total_norm = trainer.clip_grad_norm(grads, max_norm)
         after = math.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
         target = min(total_norm, max_norm)
         clip_ok &= abs(after - target) <= 1e-6 * target
@@ -265,7 +265,7 @@ def test_optimizer_and_schedule_laws():
 
 
 def test_prioritized_sampling():
-    buf = teacher.MemoryBuffer(10)
+    buf = deque(maxlen=10)
     for step, loss in enumerate((1.0, 3.0)):
         teacher.push_experience(
             buf, teacher.Experience(np.zeros(4), 0.5, loss, step)
@@ -274,7 +274,7 @@ def test_prioritized_sampling():
     rate = float(np.mean([e.step == 1 for e in draws]))
     rate_ok = abs(rate - 0.75) <= 0.01
 
-    buf = teacher.MemoryBuffer(16)
+    buf = deque(maxlen=16)
     for step in range(10):
         teacher.push_experience(
             buf, teacher.Experience(np.zeros(4), 0.5, 2.0, step)
@@ -285,7 +285,7 @@ def test_prioritized_sampling():
     chi_ok = pvalue > 0.001
 
     fifo_ok = True
-    buf = teacher.MemoryBuffer(3)
+    buf = deque(maxlen=3)
     for i in range(10):
         teacher.push_experience(
             buf, teacher.Experience(np.zeros(2), 0.5, 1.0, i)

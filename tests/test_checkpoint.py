@@ -87,3 +87,13 @@ def test_dims_larger_than_file(tmp_path):
     path.write_bytes(blob + struct.pack("<2I", 1, 1000) + b"\x00" * 8)
     with pytest.raises(CheckpointError, match="needs 4000 bytes, 8 left"):
         checkpoint.load_archive(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_array_rejected(tmp_path, bad):
+    arrays = _sample_arrays()
+    arrays["student/block0.w_in"][1, 4] = bad
+    path = tmp_path / "a.l2th"
+    checkpoint.save_archive(arrays, path)
+    with pytest.raises(CheckpointError, match="non-finite values in 'student/block0.w_in'"):
+        checkpoint.load_archive(path)

@@ -226,6 +226,19 @@ class TestEvalCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("numerical error:")
 
+    def test_nan_weight_exits_checkpoint(self, synth_corpus, tmp_path):
+        cfg_path = tmp_path / "smoke.cfg"
+        _write_smoke_cfg(cfg_path, synth_corpus)
+        cfg = config.parse_config(str(cfg_path), {})
+        vocab = corpus.build_vocab(corpus.read_lines(cfg.train_path), cfg.max_vocab)
+        params = hyena.init_model(trainer.model_config_from_run(cfg, len(vocab)), seed=0)
+        params["block0.w_out"][2, 3] = np.nan
+        ckpt = tmp_path / "nan.l2th"
+        checkpoint.save_archive({"student/" + k: v for k, v in params.items()}, ckpt)
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path),
+                       "--out-dir", str(tmp_path / "e")])
+        assert rc == cli.EXIT_CHECKPOINT
+
     def test_truncated_checkpoint(self, synth_corpus, tmp_path, capsys):
         cfg_path = tmp_path / "smoke.cfg"
         _write_smoke_cfg(cfg_path, synth_corpus)

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -17,12 +19,12 @@ def _exp(loss, step=0, dim=4, seed=0, lam=0.5):
 
 class TestBuffer:
     def test_single_push(self):
-        buf = teacher.MemoryBuffer(500)
+        buf = deque(maxlen=500)
         teacher.push_experience(buf, _exp(1.0))
         assert len(buf) == 1
 
     def test_fifo_at_full_capacity(self):
-        buf = teacher.MemoryBuffer(500)
+        buf = deque(maxlen=500)
         for i in range(501):
             teacher.push_experience(buf, _exp(1.0, step=i))
         assert len(buf) == 500
@@ -30,7 +32,7 @@ class TestBuffer:
         assert steps == list(range(1, 501))  # experience #1 (step 0) evicted
 
     def test_fifo_exhaustive_capacity_three(self):
-        buf = teacher.MemoryBuffer(3)
+        buf = deque(maxlen=3)
         for i in range(10):
             teacher.push_experience(buf, _exp(1.0, step=i))
             expected = list(range(max(0, i - 2), i + 1))
@@ -38,7 +40,7 @@ class TestBuffer:
             assert len(buf) <= 3
 
     def test_non_finite_rejected(self):
-        buf = teacher.MemoryBuffer(5)
+        buf = deque(maxlen=5)
         with pytest.raises(InvalidExperience):
             teacher.push_experience(buf, _exp(float("nan")))
         with pytest.raises(InvalidExperience):
@@ -54,7 +56,7 @@ class TestBuffer:
 
 class TestPrioritizedSampling:
     def test_loss_proportional_rates(self):
-        buf = teacher.MemoryBuffer(10)
+        buf = deque(maxlen=10)
         teacher.push_experience(buf, _exp(1.0, step=0))
         teacher.push_experience(buf, _exp(3.0, step=1))
         rng = np.random.default_rng(123)
@@ -63,7 +65,7 @@ class TestPrioritizedSampling:
         assert abs(rate - 0.75) < 0.01
 
     def test_uniform_when_losses_equal(self):
-        buf = teacher.MemoryBuffer(10)
+        buf = deque(maxlen=10)
         for i in range(10):
             teacher.push_experience(buf, _exp(2.0, step=i))
         rng = np.random.default_rng(7)
@@ -72,14 +74,14 @@ class TestPrioritizedSampling:
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_single_experience_always_returned(self):
-        buf = teacher.MemoryBuffer(10)
+        buf = deque(maxlen=10)
         teacher.push_experience(buf, _exp(0.5, step=9))
         rng = np.random.default_rng(8)
         draws = teacher.sample_prioritized(buf, 50, rng)
         assert all(e.step == 9 for e in draws)
 
     def test_zero_loss_uses_floor(self):
-        buf = teacher.MemoryBuffer(10)
+        buf = deque(maxlen=10)
         teacher.push_experience(buf, _exp(0.0, step=0))
         teacher.push_experience(buf, _exp(0.0, step=1))
         rng = np.random.default_rng(9)
@@ -89,11 +91,11 @@ class TestPrioritizedSampling:
 
     def test_empty_buffer(self):
         with pytest.raises(EmptyBuffer):
-            teacher.sample_prioritized(teacher.MemoryBuffer(3), 1,
+            teacher.sample_prioritized(deque(maxlen=3), 1,
                                        np.random.default_rng(0))
 
     def test_deterministic_given_rng_state(self):
-        buf = teacher.MemoryBuffer(10)
+        buf = deque(maxlen=10)
         for i in range(5):
             teacher.push_experience(buf, _exp(float(i + 1), step=i))
         d1 = teacher.sample_prioritized(buf, 20, np.random.default_rng(5))
@@ -158,7 +160,7 @@ class TestTeacherStep:
         params = teacher.init_teacher(seed=0, summary_dim=4, hidden=8)
         for v in params.values():
             v[:] = 0.0
-        buf = teacher.MemoryBuffer(5)
+        buf = deque(maxlen=5)
         teacher.push_experience(buf, _exp(2.0))
         _, hub = teacher.teacher_step(buf, params, k=1,
                                       rng=np.random.default_rng(0), delta=1.0)
@@ -166,7 +168,7 @@ class TestTeacherStep:
 
     def test_deterministic_given_rng(self):
         params = teacher.init_teacher(seed=1, summary_dim=4, hidden=8)
-        buf = teacher.MemoryBuffer(5)
+        buf = deque(maxlen=5)
         for i in range(4):
             teacher.push_experience(buf, _exp(1.0 + i, step=i, seed=i))
         g1, h1 = teacher.teacher_step(buf, params, 8, np.random.default_rng(3))
@@ -178,7 +180,7 @@ class TestTeacherStep:
     def test_finite_difference_agreement(self):
         params = teacher.init_teacher(seed=2, summary_dim=4, hidden=8,
                                       dtype=np.float64)
-        buf = teacher.MemoryBuffer(10)
+        buf = deque(maxlen=10)
         rng = np.random.default_rng(5)
         for i in range(6):
             teacher.push_experience(
@@ -241,7 +243,7 @@ class TestDlnFeedback:
         rng = np.random.default_rng(10)
         params = teacher.init_teacher(seed=5, summary_dim=32, hidden=16,
                                       dtype=np.float64)
-        buf = teacher.MemoryBuffer(200)
+        buf = deque(maxlen=200)
         for i in range(200):
             lam = float(rng.uniform(0.05, 0.95))
             summary = rng.standard_normal(32) * 0.1

@@ -18,53 +18,48 @@ def _params_checksum(params):
 
 class TestAdamW:
     def test_zero_gradient_decay_factor(self):
-        cfg = trainer.OptimizerConfig(learning_rate=2e-4, weight_decay=0.15)
         params = {"w": np.array([1.0, -2.0, 0.5])}
-        state = trainer.AdamWState(params)
+        state = trainer.AdamWState(params, weight_decay=0.15)
         grads = {"w": np.zeros(3)}
         expected = params["w"].copy()
         for _ in range(100):
             prev = params["w"].copy()
-            trainer.adamw_step(params, grads, state, cfg, lr_now=2e-4)
+            trainer.adamw_step(params, grads, state, lr_now=2e-4)
             step_expected = prev * (1.0 - 2e-4 * 0.15)
             assert np.abs(params["w"] - step_expected).max() <= 1e-12
             expected *= 1.0 - 2e-4 * 0.15
         assert np.allclose(params["w"], expected, rtol=1e-10)
 
     def test_first_step_unit_gradient(self):
-        cfg = trainer.OptimizerConfig(learning_rate=1e-3, weight_decay=0.0)
         params = {"w": np.array([0.0])}
-        state = trainer.AdamWState(params)
-        trainer.adamw_step(params, {"w": np.array([1.0])}, state, cfg, lr_now=1e-3)
+        state = trainer.AdamWState(params, weight_decay=0.0)
+        trainer.adamw_step(params, {"w": np.array([1.0])}, state, lr_now=1e-3)
         assert params["w"][0] == pytest.approx(-1e-3 / (1.0 + 1e-8), rel=1e-12)
 
     def test_constant_gradient_sign_limit(self):
-        cfg = trainer.OptimizerConfig(learning_rate=1e-3, weight_decay=0.0)
         params = {"w": np.array([0.0])}
-        state = trainer.AdamWState(params)
+        state = trainer.AdamWState(params, weight_decay=0.0)
         g = {"w": np.array([0.37])}
         prev = 0.0
         for t in range(10_000):
-            trainer.adamw_step(params, g, state, cfg, lr_now=1e-3)
+            trainer.adamw_step(params, g, state, lr_now=1e-3)
             if t == 9_999:
                 delta = params["w"][0] - prev
             prev = params["w"][0]
         assert abs(delta / 1e-3 + 1.0) < 1e-3  # update -> -lr * sign(g)
 
     def test_non_finite_gradient_rejected(self):
-        cfg = trainer.OptimizerConfig(learning_rate=1e-3, weight_decay=0.0)
         params = {"w": np.zeros(2)}
-        state = trainer.AdamWState(params)
+        state = trainer.AdamWState(params, weight_decay=0.0)
         with pytest.raises(NumericalError):
-            trainer.adamw_step(params, {"w": np.array([1.0, np.nan])}, state, cfg, 1e-3)
+            trainer.adamw_step(params, {"w": np.array([1.0, np.nan])}, state, 1e-3)
 
     def test_weight_tying_survives_update(self):
         params = {"tok_emb": np.ones((3, 2), np.float32)}
         view = params["tok_emb"]
-        cfg = trainer.OptimizerConfig(learning_rate=1e-2, weight_decay=0.1)
-        state = trainer.AdamWState(params)
+        state = trainer.AdamWState(params, weight_decay=0.1)
         trainer.adamw_step(params, {"tok_emb": np.ones((3, 2), np.float32)},
-                           state, cfg, 1e-2)
+                           state, 1e-2)
         assert params["tok_emb"] is view  # updated in place, storage shared
 
 
@@ -97,13 +92,13 @@ class TestCosineWarmup:
 class TestClip:
     def test_under_limit_unchanged(self):
         grads = {"a": np.array([3.0, 4.0])}
-        _, norm = trainer.clip_grad_norm(grads, 10.0)
+        norm = trainer.clip_grad_norm(grads, 10.0)
         assert norm == pytest.approx(5.0, abs=1e-12)
         assert np.array_equal(grads["a"], [3.0, 4.0])
 
     def test_over_limit_scaled(self):
         grads = {"a": np.array([3.0, 4.0])}
-        _, norm = trainer.clip_grad_norm(grads, 1.0)
+        norm = trainer.clip_grad_norm(grads, 1.0)
         assert norm == pytest.approx(5.0, abs=1e-12)
         assert np.allclose(grads["a"], [0.6, 0.8], rtol=1e-12)
 
@@ -121,7 +116,7 @@ class TestClip:
                 for i in range(int(rng.integers(1, 5)))
             }
             max_norm = float(rng.uniform(0.1, 5.0))
-            _, total = trainer.clip_grad_norm(grads, max_norm)
+            total = trainer.clip_grad_norm(grads, max_norm)
             after = math.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
             assert after <= total + 1e-12
             assert after == pytest.approx(min(total, max_norm), rel=1e-6)
@@ -204,6 +199,21 @@ def _tiny_run_config(synth, out_dir, **overrides):
     return config.resolve_config(flag_values=flags)
 
 
+def test_each_component_gets_its_own_optimizer_settings(synth_corpus, tmp_path):
+    cfg = _tiny_run_config(synth_corpus, tmp_path, wd_student=0.2, wd_teacher=0.03,
+                           wd_dln=0.07, adam_beta1=0.8, adam_beta2=0.95,
+                           adam_eps=1e-6, buffer_capacity=40)
+    state = trainer.init_train_state(cfg, vocab_size=50, batches_per_epoch=3)
+    for opt, params, wd in ((state.opt_student, state.student, 0.2),
+                            (state.opt_teacher, state.teacher_params, 0.03),
+                            (state.opt_dln, state.dln_params, 0.07)):
+        assert opt.weight_decay == wd
+        assert (opt.beta1, opt.beta2, opt.eps) == (0.8, 0.95, 1e-6)
+        assert opt.t == 0
+        assert set(opt.m) == set(opt.v) == set(params)
+    assert state.buffer.maxlen == 40 and len(state.buffer) == 0
+
+
 class TestTrainStep:
     def _state_and_batch(self, synth_corpus, tmp_path, **overrides):
         cfg = _tiny_run_config(synth_corpus, tmp_path, **overrides)
@@ -251,6 +261,13 @@ class TestTrainStep:
         assert state.norm_state.count == norm_count
         assert _params_checksum(state.dln_params) == dln_before
         assert _params_checksum(state.teacher_params) == teacher_before
+
+    def test_non_finite_teacher_gradient_raises(self, synth_corpus, tmp_path):
+        state, batches = self._state_and_batch(synth_corpus, tmp_path,
+                                               activation_threshold=1)
+        state.teacher_params["w3"][0, 0] = np.nan
+        with pytest.raises(NumericalError, match="step 0: non-finite gradient norm"):
+            trainer.train_step(state, batches[0])
 
     def test_numerical_error_carries_step_index(self, synth_corpus, tmp_path):
         state, batches = self._state_and_batch(synth_corpus, tmp_path)
