@@ -13,7 +13,9 @@ C order):
         data     prod(dims) * float32
 
 Arrays are written in sorted-name order, so save -> load -> save is
-byte-identical. Loading rejects any array that holds nan or inf.
+byte-identical. Saving writes ``path + ".tmp"`` and renames it over ``path``,
+so a failed or killed write leaves the previous archive intact. Loading
+rejects any array that holds nan or inf.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ _MAX_RANK = 32
 
 
 def save_archive(arrays: dict[str, np.ndarray], path: str) -> None:
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         for name in sorted(arrays):
@@ -48,6 +51,7 @@ def save_archive(arrays: dict[str, np.ndarray], path: str) -> None:
             for dim in arr.shape:
                 fh.write(struct.pack("<I", dim))
             fh.write(arr.tobytes())
+    os.replace(tmp, path)
 
 
 def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:

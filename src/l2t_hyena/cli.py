@@ -16,6 +16,7 @@ every shared value.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -92,7 +93,7 @@ def write_metrics(out_dir: str, cfg: config.RunConfig, history, info) -> None:
     _write_csv(os.path.join(out_dir, "metrics_epoch.csv"), EPOCH_COLUMNS, epoch_rows)
     doc = {
         "mode": cfg.mode,
-        "config": config.config_as_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "corpus": info["corpus"],
         "steps": step_rows,
         "epochs": epoch_rows,

@@ -186,7 +186,3 @@ def echo_config(cfg: RunConfig) -> str:
         for f in dataclasses.fields(RunConfig)
     ]
     return "\n".join(lines) + "\n"
-
-
-def config_as_dict(cfg: RunConfig) -> dict:
-    return dataclasses.asdict(cfg)

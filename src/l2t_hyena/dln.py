@@ -4,7 +4,8 @@ Five per-position statistics are read off the student's softmax, the same
 ``hyena.softmax_xent`` result the training loss then consumes (averaged
 over the batch so each training step yields one (L, 5) sequence), z-scored
 against running moments, summarized by a GRU, and mapped through a 4-layer
-ReLU MLP and a sigmoid to the regularization weight in (0, 1).
+ReLU MLP (``hyena.mlp_forward``, whose reverse pass is ``hyena.mlp_backward``)
+and a sigmoid to the regularization weight in (0, 1).
 
 Feature columns, in order:
 
@@ -81,10 +82,7 @@ def init_dln(
         params[f"gru.w_{gate}"] = hyena.glorot(rng, (in_dim, hidden), dtype)
         params[f"gru.u_{gate}"] = hyena.glorot(rng, (hidden, hidden), dtype)
         params[f"gru.b_{gate}"] = np.zeros(hidden, dtype)
-    widths = [hidden, *mlp_widths, 1]
-    for i in range(4):
-        params[f"mlp.w{i + 1}"] = hyena.glorot(rng, (widths[i], widths[i + 1]), dtype)
-        params[f"mlp.b{i + 1}"] = np.zeros(widths[i + 1], dtype)
+    params.update(hyena.init_mlp(rng, (hidden, *mlp_widths, 1), dtype, "mlp."))
     return params
 
 
@@ -108,17 +106,6 @@ def _gru_forward(f: np.ndarray, params: dict[str, np.ndarray]):
     return h, steps
 
 
-def _mlp_forward(summary: np.ndarray, params: dict[str, np.ndarray]):
-    acts = [summary]
-    y = summary
-    for i in range(1, 5):
-        y = y @ params[f"mlp.w{i}"] + params[f"mlp.b{i}"]
-        if i < 4:
-            y = np.maximum(y, 0.0)
-        acts.append(y)
-    return float(y[0]), acts
-
-
 class DLNTape(NamedTuple):
     """One ``dln_forward``: its weight and what ``dln_grads`` runs back through."""
 
@@ -138,8 +125,8 @@ def dln_forward(f_norm: np.ndarray, params: dict[str, np.ndarray]) -> DLNTape:
     if f_norm.ndim != 2 or f_norm.shape[0] < 1:
         raise ShapeError(f"feature sequence must be (L, n_features), got {f_norm.shape}")
     summary, steps = _gru_forward(f_norm, params)
-    raw, acts = _mlp_forward(summary, params)
-    return DLNTape(float(_sigmoid(raw)), summary, steps, acts)
+    acts = hyena.mlp_forward(summary, params, 4, "mlp.")
+    return DLNTape(float(_sigmoid(float(acts[-1][0]))), summary, steps, acts)
 
 
 def dln_grads(
@@ -154,17 +141,11 @@ def dln_grads(
     ``dln_forward`` must have recorded with these same ``params``.
     """
     lam, _, steps, acts = tape
+    # Zeros in parameter order first: clip_grad_norm sums in dict order.
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     dy = np.array([upstream * lam * (1.0 - lam)], dtype=acts[-1].dtype)
-    for i in range(4, 0, -1):
-        if i < 4:
-            # acts[i] is post-ReLU; its positive entries mark active units.
-            dy = dy * (acts[i] > 0)
-        grads[f"mlp.w{i}"] += np.outer(acts[i - 1], dy)
-        grads[f"mlp.b{i}"] += dy
-        dy = dy @ params[f"mlp.w{i}"].T
-
-    dh = dy
+    dh, mlp_grads = hyena.mlp_backward(dy, acts, params, "mlp.")
+    grads.update(mlp_grads)
     for t in range(len(steps) - 1, -1, -1):
         x, h_prev, z, r, n = steps[t]
         dz = dh * (n - h_prev)

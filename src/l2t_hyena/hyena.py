@@ -18,6 +18,9 @@ Parameters live in a flat ``dict[str, np.ndarray]`` (see ``init_model``),
 which is also the checkpoint schema. All gradients are computed analytically
 by the ``loss_and_grads_from_logits`` reverse pass, which starts from the
 step's one ``softmax_xent`` (the DLN reads the same softmax); no autograd.
+The dense-layer reverse pass ``linear_backward`` and the ReLU MLP helpers
+(``init_mlp``, ``mlp_forward``, ``mlp_backward``) also serve the DLN and the
+teacher.
 
 Parameter count (``param_count``) with V=vocab, D=dim, L=max_seq_len,
 N=order, k=short_kernel, P=filter_pos_dim, F=filter_hidden, e=mlp_expansion:
@@ -77,20 +80,8 @@ def block_params(params: dict[str, np.ndarray], i: int) -> dict[str, np.ndarray]
 
 
 def param_count(cfg: HyenaConfig) -> int:
-    """Closed-form total parameter count (matches the docstring formula)."""
-    D, N, k = cfg.dim, cfg.order, cfg.short_kernel
-    P, F, e = cfg.filter_pos_dim, cfg.filter_hidden, cfg.mlp_expansion
-    C = (N + 1) * D
-    per_block = (
-        D * C + C
-        + C * k
-        + P * F + F + F * N * D + N * D
-        + N * D
-        + D * D + D
-        + 4 * D
-        + 2 * e * D * D + e * D + D
-    )
-    return cfg.vocab_size * D + cfg.max_seq_len * D + 2 * D + cfg.n_blocks * per_block
+    """Total parameter count (equals the docstring formula)."""
+    return sum(math.prod(shape) for shape in param_shapes(cfg).values())
 
 
 def param_shapes(cfg: HyenaConfig) -> dict[str, tuple[int, ...]]:
@@ -126,6 +117,43 @@ def glorot(rng: np.random.Generator, shape: tuple[int, int], dtype) -> np.ndarra
     """Glorot-uniform matrix; the initializer of every projection in the package."""
     bound = math.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-bound, bound, shape).astype(dtype)
+
+
+def linear_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """(dx, dw, db) of y = x @ w + b, with the leading axes of x and dy as the batch."""
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    return dy @ w.T, x.reshape(-1, x.shape[-1]).T @ dy2, dy2.sum(axis=0)
+
+
+def init_mlp(rng: np.random.Generator, widths, dtype, prefix: str = "") -> dict[str, np.ndarray]:
+    """Glorot ``{prefix}w{i}`` and zero ``{prefix}b{i}`` for i = 1..len(widths)-1."""
+    params: dict[str, np.ndarray] = {}
+    for i in range(1, len(widths)):
+        params[f"{prefix}w{i}"] = glorot(rng, (widths[i - 1], widths[i]), dtype)
+        params[f"{prefix}b{i}"] = np.zeros(widths[i], dtype)
+    return params
+
+
+def mlp_forward(x: np.ndarray, params: dict[str, np.ndarray], n_layers: int, prefix: str = ""):
+    """Activations of a ReLU MLP: its input, each hidden layer, then the linear output."""
+    acts = [x]
+    for i in range(1, n_layers + 1):
+        y = acts[-1] @ params[f"{prefix}w{i}"] + params[f"{prefix}b{i}"]
+        acts.append(y if i == n_layers else np.maximum(y, 0.0))
+    return acts
+
+
+def mlp_backward(dy: np.ndarray, acts: list, params: dict[str, np.ndarray], prefix: str = ""):
+    """(dx, grads) of ``mlp_forward`` given d(output); grads run from the last layer back."""
+    grads: dict[str, np.ndarray] = {}
+    for i in range(len(acts) - 1, 0, -1):
+        if i < len(acts) - 1:
+            # acts[i] is post-ReLU; its positive entries mark active units.
+            dy = dy * (acts[i] > 0)
+        dy, grads[f"{prefix}w{i}"], grads[f"{prefix}b{i}"] = linear_backward(
+            dy, acts[i - 1], params[f"{prefix}w{i}"]
+        )
+    return dy, grads
 
 
 def init_model(cfg: HyenaConfig, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
@@ -328,11 +356,6 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
 
 
-def _mm_acc(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """x^T dy with leading axes flattened: the weight gradient of y = x @ w."""
-    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
-
-
 # ---------------------------------------------------------------------------
 # the gated-convolution operator
 # ---------------------------------------------------------------------------
@@ -356,18 +379,10 @@ def _hyena_op_forward(a: np.ndarray, bp: dict[str, np.ndarray], order: int):
     return y, cache
 
 
-def hyena_operator(u: np.ndarray, bp: dict[str, np.ndarray], order: int) -> np.ndarray:
-    """Order-N gated long convolution of (B, L, D) input ``u``."""
-    y, _ = _hyena_op_forward(u, bp, order)
-    return y
-
-
 def _hyena_op_backward(dy: np.ndarray, cache, bp: dict[str, np.ndarray], order: int):
     a, z, streams, h, filt_cache, zs, convs = cache
     g: dict[str, np.ndarray] = {}
-    g["w_out"] = _mm_acc(zs[-1], dy)
-    g["b_out"] = dy.sum(axis=(0, 1))
-    dcur = dy @ bp["w_out"].T
+    dcur, g["w_out"], g["b_out"] = linear_backward(dy, zs[-1], bp["w_out"])
 
     D = a.shape[2]
     dstreams = [None] * (order + 1)
@@ -384,9 +399,7 @@ def _hyena_op_backward(dy: np.ndarray, cache, bp: dict[str, np.ndarray], order: 
 
     dzc = np.concatenate(dstreams, axis=2)
     dz, g["short_kernels"] = _short_conv_backward(dzc, z, bp["short_kernels"])
-    g["w_in"] = _mm_acc(a, dz)
-    g["b_in"] = dz.sum(axis=(0, 1))
-    da = dz @ bp["w_in"].T
+    da, g["w_in"], g["b_in"] = linear_backward(dz, a, bp["w_in"])
     return da, g
 
 
@@ -449,7 +462,7 @@ def _backward(
     grads: dict[str, np.ndarray] = {}
     # Tied projection: the embedding matrix collects gradient from the
     # output side here and from the input lookup at the end.
-    dtok = _mm_acc(dlogits, xf)  # (V, D)
+    dtok = dlogits.reshape(-1, V).T @ xf.reshape(-1, xf.shape[-1])  # (V, D), no bias
     dxf = dlogits @ tok_emb
     dx, grads["final_norm_g"], grads["final_norm_b"] = _layer_norm_backward(
         dxf, lnf_cache, params["final_norm_g"]
@@ -460,13 +473,10 @@ def _backward(
         ln1_cache, op_cache, ln2_cache, c, u1, g1 = block_caches[i]
         p = f"block{i}."
 
-        dm = dx
-        grads[p + "mlp_w2"] = _mm_acc(g1, dm)
-        grads[p + "mlp_b2"] = dm.sum(axis=(0, 1))
-        du1 = (dm @ bp["mlp_w2"].T) * _gelu_grad(u1)
-        grads[p + "mlp_w1"] = _mm_acc(c, du1)
-        grads[p + "mlp_b1"] = du1.sum(axis=(0, 1))
-        dc = du1 @ bp["mlp_w1"].T
+        dg1, grads[p + "mlp_w2"], grads[p + "mlp_b2"] = linear_backward(dx, g1, bp["mlp_w2"])
+        dc, grads[p + "mlp_w1"], grads[p + "mlp_b1"] = linear_backward(
+            dg1 * _gelu_grad(u1), c, bp["mlp_w1"]
+        )
         dln2, grads[p + "norm2_g"], grads[p + "norm2_b"] = _layer_norm_backward(
             dc, ln2_cache, bp["norm2_g"]
         )
@@ -543,7 +553,14 @@ def loss_and_grads_from_logits(
     lam: float | None,
     beta: float,
 ):
-    """``student_loss_and_grads`` from a cached forward; overwrites ``sx.p`` with dlogits."""
+    """Loss = CE + lam * beta * logit_l2 and its exact parameter gradients.
+
+    Starts from a cached ``forward`` and its ``softmax_xent``, and overwrites
+    ``sx.p`` with dlogits. ``lam=None`` is baseline mode: the loss is plain
+    cross-entropy and no regularization gradient flows (``lam * beta == 0``
+    behaves identically). Returns (loss, ce, l2, grads) with grads keyed
+    exactly like ``params``.
+    """
     B, L, V = logits.shape
     ce = float(sx.ce.mean())
     l2 = logit_l2(logits)
@@ -561,22 +578,3 @@ def loss_and_grads_from_logits(
 
     grads = _backward(dlogits.astype(logits.dtype, copy=False), cache, params, cfg)
     return loss, ce, l2, grads
-
-
-def student_loss_and_grads(
-    tokens: np.ndarray,
-    targets: np.ndarray,
-    params: dict[str, np.ndarray],
-    cfg: HyenaConfig,
-    lam: float | None,
-    beta: float,
-):
-    """Loss = CE + lam * beta * logit_l2 and its exact parameter gradients.
-
-    ``lam=None`` is baseline mode: the loss is plain cross-entropy and no
-    regularization gradient flows (``lam * beta == 0`` behaves identically).
-    Returns (loss, ce, l2, grads) with grads keyed exactly like ``params``.
-    """
-    logits, cache = forward(tokens, params, cfg, want_cache=True)
-    sx = softmax_xent(logits, targets)
-    return loss_and_grads_from_logits(logits, cache, sx, params, cfg, lam, beta)

@@ -5,7 +5,8 @@ experiences, each pairing a DLN summary vector and the weight it proposed
 with the student loss that actually resulted. Training draws from it with
 probability proportional to stored loss, fits the MLP prediction under Huber
 loss, and the trained predictor's sensitivity to the weight input is what
-the DLN descends.
+the DLN descends. The predictor is a ReLU MLP built, run and differentiated
+by ``hyena.init_mlp``, ``hyena.mlp_forward`` and ``hyena.mlp_backward``.
 """
 
 from __future__ import annotations
@@ -63,21 +64,7 @@ def init_teacher(
 ) -> dict[str, np.ndarray]:
     """3-layer ReLU MLP over [summary, weight] -> predicted student loss."""
     rng = np.random.default_rng(seed)
-    return {
-        "w1": hyena.glorot(rng, (summary_dim + 1, hidden), dtype),
-        "b1": np.zeros(hidden, dtype),
-        "w2": hyena.glorot(rng, (hidden, hidden), dtype),
-        "b2": np.zeros(hidden, dtype),
-        "w3": hyena.glorot(rng, (hidden, 1), dtype),
-        "b3": np.zeros(1, dtype),
-    }
-
-
-def _mlp_forward(x: np.ndarray, params: dict[str, np.ndarray]):
-    a1 = np.maximum(x @ params["w1"] + params["b1"], 0.0)
-    a2 = np.maximum(a1 @ params["w2"] + params["b2"], 0.0)
-    y = a2 @ params["w3"] + params["b3"]
-    return y[..., 0], (x, a1, a2)
+    return hyena.init_mlp(rng, (summary_dim + 1, hidden, hidden, 1), dtype)
 
 
 def teacher_predict(
@@ -85,8 +72,7 @@ def teacher_predict(
 ) -> float:
     """Predicted student loss for a summary and a proposed weight (unbounded)."""
     x = np.concatenate([summary, [lam]]).astype(params["w1"].dtype)
-    pred, _ = _mlp_forward(x, params)
-    return float(pred)
+    return float(hyena.mlp_forward(x, params, 3)[-1][0])
 
 
 def huber(pred, target, delta: float = 1.0):
@@ -111,21 +97,14 @@ def teacher_step(
     ).astype(dtype)
     targets = np.array([e.student_loss for e in batch], dtype=dtype)
 
-    pred, (xin, a1, a2) = _mlp_forward(x, params)
+    acts = hyena.mlp_forward(x, params, 3)
+    pred = acts[-1][:, 0]
     diff = pred - targets
     loss = float(np.mean(huber(pred, targets, delta)))
 
     # dHuber/dpred = clip(diff, -delta, delta); mean over the minibatch.
     dpred = (np.clip(diff, -delta, delta) / k).astype(dtype)[:, None]
-    grads = {}
-    grads["w3"] = a2.T @ dpred
-    grads["b3"] = dpred.sum(axis=0)
-    da2 = (dpred @ params["w3"].T) * (a2 > 0)
-    grads["w2"] = a1.T @ da2
-    grads["b2"] = da2.sum(axis=0)
-    da1 = (da2 @ params["w2"].T) * (a1 > 0)
-    grads["w1"] = xin.T @ da1
-    grads["b1"] = da1.sum(axis=0)
+    _, grads = hyena.mlp_backward(dpred, acts, params)
     return grads, loss
 
 
@@ -138,8 +117,5 @@ def dln_feedback(
     DLN then moves its weight downhill on the teacher's predicted loss.
     """
     x = np.concatenate([summary, [lam]]).astype(params["w1"].dtype)
-    _, (xin, a1, a2) = _mlp_forward(x, params)
-    da2 = params["w3"][:, 0] * (a2 > 0)
-    da1 = (da2 @ params["w2"].T) * (a1 > 0)
-    dx = da1 @ params["w1"].T
+    dx, _ = hyena.mlp_backward(np.ones(1, x.dtype), hyena.mlp_forward(x, params, 3), params)
     return float(dx[-1])

@@ -3,7 +3,9 @@
 Everything here is deliberately simple and separate from the library code:
 the direct convolution is a visible O(L^2) sum, gradients come from central
 finite differences, and the synthetic corpus is a first-order Markov chain
-whose bigram structure a tiny model can learn quickly.
+whose bigram structure a tiny model can learn quickly. ``hyena_operator`` and
+``student_loss_and_grads`` are one-call entry points into the student's
+forward and reverse passes, for tests only.
 """
 
 from __future__ import annotations
@@ -63,6 +65,19 @@ def finite_diff_failures(params, grads, loss_fn, eps=1e-6, abs_tol=1e-4, rel_tol
             if err > abs_tol and err > rel_tol * abs(fd):
                 failures.append((name, ix, fd, float(g[ix])))
     return failures
+
+
+def hyena_operator(u: np.ndarray, bp: dict[str, np.ndarray], order: int) -> np.ndarray:
+    """Order-N gated long convolution of (B, L, D) input ``u``."""
+    y, _ = hyena._hyena_op_forward(u, bp, order)
+    return y
+
+
+def student_loss_and_grads(tokens, targets, params, cfg, lam, beta):
+    """(loss, ce, l2, grads) of ``hyena.loss_and_grads_from_logits`` from fresh tokens."""
+    logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
+    sx = hyena.softmax_xent(logits, targets)
+    return hyena.loss_and_grads_from_logits(logits, cache, sx, params, cfg, lam, beta)
 
 
 def overflowing_checkpoint_header() -> bytes:

@@ -18,6 +18,7 @@ from scipy import stats
 from helpers import (
     direct_causal_conv,
     finite_diff_failures,
+    student_loss_and_grads,
     tiny_student_config,
     write_markov_corpus,
 )
@@ -153,8 +154,7 @@ def test_gradient_checks():
     tokens = rng.integers(0, cfg.vocab_size, (2, 6))
     targets = rng.integers(0, cfg.vocab_size, (2, 6))
     lam, beta = 0.37, 0.01
-    _, _, _, grads = hyena.student_loss_and_grads(tokens, targets, params, cfg,
-                                                  lam, beta)
+    _, _, _, grads = student_loss_and_grads(tokens, targets, params, cfg, lam, beta)
 
     def student_loss():
         logits = hyena.forward(tokens, params, cfg)

@@ -68,6 +68,17 @@ def test_truncated_archive(tmp_path):
             checkpoint.load_archive(bad)
 
 
+def test_failed_write_leaves_previous_archive_intact(tmp_path):
+    path = tmp_path / "a.l2th"
+    checkpoint.save_archive(_sample_arrays(), path)
+    before = path.read_bytes()
+    # Sorted first, "a" is written before "z" fails to convert to float32.
+    with pytest.raises(ValueError):
+        checkpoint.save_archive({"a": np.ones(3, np.float32), "z": "not an array"}, path)
+    assert (tmp_path / "a.l2th.tmp").read_bytes()[:4] == b"L2TH"
+    assert path.read_bytes() == before
+
+
 def test_float64_inputs_are_stored_as_float32(tmp_path):
     path = tmp_path / "a.l2th"
     checkpoint.save_archive({"x": np.array([1.0, 2.5], dtype=np.float64)}, path)

@@ -180,12 +180,7 @@ class TestEvalCommand:
                          "--config", str(cfg_path),
                          "--out-dir", str(eval_a)]) == 0
         eval_b = tmp_path / "eval_b"
-        proc = subprocess.run(
-            [sys.executable, "-m", "l2t_hyena", "eval",
-             "--checkpoint", str(out / "best.l2th"),
-             "--config", str(cfg_path), "--out-dir", str(eval_b)],
-            capture_output=True, text=True,
-        )
+        proc = self._eval_in_new_process(cfg_path, out / "best.l2th", eval_b)
         assert proc.returncode == 0, proc.stderr
         a = json.loads((eval_a / "eval.json").read_text())
         b = json.loads((eval_b / "eval.json").read_text())

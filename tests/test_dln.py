@@ -185,7 +185,7 @@ class TestDlnGrads:
             raise AssertionError("dln_grads re-ran a forward pass")
 
         monkeypatch.setattr(dln, "_gru_forward", no_forward)
-        monkeypatch.setattr(dln, "_mlp_forward", no_forward)
+        monkeypatch.setattr(hyena, "mlp_forward", no_forward)
         grads = dln.dln_grads(tape, params, 0.9)
         for k in expected:
             assert np.array_equal(grads[k], expected[k]), k

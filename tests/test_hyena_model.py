@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import tiny_student_config
+from helpers import hyena_operator, student_loss_and_grads, tiny_student_config
 
 from l2t_hyena import hyena
 from l2t_hyena.errors import NumericalError, ShapeError, VocabError
@@ -61,7 +61,7 @@ class TestOperator:
         params = hyena.init_model(cfg, seed=2)
         bp = hyena.block_params(params, 0)
         u = np.zeros((2, 6, 4), np.float32)
-        y = hyena.hyena_operator(u, bp, cfg.order)
+        y = hyena_operator(u, bp, cfg.order)
         assert np.abs(y).max() == 0.0
 
     def test_order_one_collapses_to_plain_convolution(self):
@@ -77,7 +77,7 @@ class TestOperator:
         bp["short_kernels"][:, 0] = 1.0
         rng = np.random.default_rng(4)
         u = rng.standard_normal((2, 6, D))
-        y = hyena.hyena_operator(u, bp, cfg.order)
+        y = hyena_operator(u, bp, cfg.order)
         h, _ = hyena.generate_filters(
             bp["filt_w1"], bp["filt_b1"], bp["filt_w2"], bp["filt_b2"],
             bp["decay"], 6,
@@ -194,8 +194,7 @@ class TestLosses:
         tokens = rng.integers(0, 7, (3, 6))
         targets = rng.integers(0, 7, (3, 6))
         logits = hyena.forward(tokens, params, cfg)
-        _, ce, _, _ = hyena.student_loss_and_grads(tokens, targets, params, cfg,
-                                                   0.4, 0.01)
+        _, ce, _, _ = student_loss_and_grads(tokens, targets, params, cfg, 0.4, 0.01)
         assert hyena.cross_entropy(logits, targets) == ce
 
     def test_logit_l2(self):
@@ -217,25 +216,25 @@ class TestStudentLoss:
 
     def test_baseline_reduction(self):
         cfg, params, tokens, targets = self._setup()
-        loss, ce, l2, _ = hyena.student_loss_and_grads(
+        loss, ce, l2, _ = student_loss_and_grads(
             tokens, targets, params, cfg, lam=None, beta=0.01
         )
         assert loss == ce
-        loss0, ce0, _, _ = hyena.student_loss_and_grads(
+        loss0, ce0, _, _ = student_loss_and_grads(
             tokens, targets, params, cfg, lam=0.5, beta=0.0
         )
         assert loss0 == ce0
 
     def test_beta_linearity(self):
         cfg, params, tokens, targets = self._setup()
-        _, ce1, _, _ = hyena.student_loss_and_grads(tokens, targets, params, cfg, 0.5, 0.02)
-        l1, _, _, _ = hyena.student_loss_and_grads(tokens, targets, params, cfg, 0.5, 0.02)
-        l2_, _, _, _ = hyena.student_loss_and_grads(tokens, targets, params, cfg, 0.5, 0.04)
+        _, ce1, _, _ = student_loss_and_grads(tokens, targets, params, cfg, 0.5, 0.02)
+        l1, _, _, _ = student_loss_and_grads(tokens, targets, params, cfg, 0.5, 0.02)
+        l2_, _, _, _ = student_loss_and_grads(tokens, targets, params, cfg, 0.5, 0.04)
         assert (l2_ - ce1) == pytest.approx(2.0 * (l1 - ce1), rel=1e-12)
 
     def test_grads_keyed_like_params(self):
         cfg, params, tokens, targets = self._setup()
-        _, _, _, grads = hyena.student_loss_and_grads(
+        _, _, _, grads = student_loss_and_grads(
             tokens, targets, params, cfg, 0.3, 0.01
         )
         assert set(grads) == set(params)
@@ -246,7 +245,7 @@ class TestStudentLoss:
         cfg, params, tokens, targets = self._setup()
         params["tok_emb"][0, 0] = np.nan
         with pytest.raises(NumericalError):
-            hyena.student_loss_and_grads(tokens, targets, params, cfg, 0.3, 0.01)
+            student_loss_and_grads(tokens, targets, params, cfg, 0.3, 0.01)
 
 
 class TestWeightTying:
