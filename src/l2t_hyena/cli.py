@@ -25,6 +25,7 @@ from . import config, corpus, trainer
 from .errors import (
     CheckpointError,
     ConfigError,
+    CorpusEncodingError,
     CorpusTooSmall,
     EmptyCorpus,
     NumericalError,
@@ -156,7 +157,7 @@ def _load_run_metrics(run_dir: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        return {
+        metrics = {
             "best_val_ppl": float(doc["best"]["val_ppl"]),
             "best_val_loss": float(doc["best"]["val_loss"]),
             "best_epoch": int(doc["best"]["epoch"]),
@@ -165,6 +166,10 @@ def _load_run_metrics(run_dir: str) -> dict:
         }
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ReportError(f"malformed metrics.json in {run_dir!r}: {exc}")
+    for key in ("best_val_ppl", "final_train_loss"):  # compare_runs divides by both
+        if not 0.0 < metrics[key] < float("inf"):  # also rejects nan
+            raise ReportError(f"{key} in {path!r} must be finite and > 0, got {metrics[key]}")
+    return metrics
 
 
 def compare_runs(run_dir_baseline: str, run_dir_l2t: str) -> dict:
@@ -260,10 +265,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EmptyCorpus, CorpusTooSmall, VocabError, ReportError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (EmptyCorpus, CorpusEncodingError, CorpusTooSmall, VocabError, ReportError,
+            OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

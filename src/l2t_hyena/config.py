@@ -98,7 +98,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}")
     values = {}
     for lineno, line in enumerate(lines, start=1):

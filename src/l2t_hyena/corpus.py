@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CorpusTooSmall, EmptyCorpus, VocabError
+from .errors import CorpusEncodingError, CorpusTooSmall, EmptyCorpus, VocabError
 
 UNK_TOKEN = "<unk>"
 EOS_TOKEN = "<eos>"
@@ -41,8 +41,11 @@ class TokenBatch:
 
 
 def read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CorpusEncodingError(f"corpus file {path!r} is not UTF-8 text: {exc}")
 
 
 def build_vocab(lines: Iterable[str], max_size: int) -> Vocab:

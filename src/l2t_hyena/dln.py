@@ -3,9 +3,11 @@
 Five per-position statistics are read off the student's softmax, the same
 ``hyena.softmax_xent`` result the training loss then consumes (averaged
 over the batch so each training step yields one (L, 5) sequence), z-scored
-against running moments, summarized by a GRU, and mapped through a 4-layer
-ReLU MLP (``hyena.mlp_forward``, whose reverse pass is ``hyena.mlp_backward``)
-and a sigmoid to the regularization weight in (0, 1).
+against running moments, summarized by a GRU whose input projections and
+weight gradients are whole-sequence products (only the hidden-state
+recurrence runs per position), and mapped through a 4-layer ReLU MLP
+(``hyena.mlp_forward``, whose reverse pass is ``hyena.mlp_backward``) and a
+sigmoid to the regularization weight in (0, 1).
 
 Feature columns, in order:
 
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import expit
 
 from . import hyena
 from .errors import ShapeError
@@ -86,32 +89,33 @@ def init_dln(
     return params
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _gru_forward(f: np.ndarray, params: dict[str, np.ndarray]):
-    H = params["gru.b_z"].shape[0]
-    h = np.zeros(H, dtype=f.dtype)
-    steps = []
-    for t in range(f.shape[0]):
-        x = f[t]
-        z = _sigmoid(x @ params["gru.w_z"] + h @ params["gru.u_z"] + params["gru.b_z"])
-        r = _sigmoid(x @ params["gru.w_r"] + h @ params["gru.u_r"] + params["gru.b_r"])
-        n = np.tanh(
-            x @ params["gru.w_h"] + (r * h) @ params["gru.u_h"] + params["gru.b_h"]
-        )
-        steps.append((x, h, z, r, n))
-        h = (1.0 - z) * h + z * n
-    return h, steps
+    L, H = f.shape[0], params["gru.b_z"].shape[0]
+    # Input projections of every position in one product, columns [z | r | h].
+    w, b = (np.hstack([params[f"gru.{k}_{g}"] for g in "zrh"]) for k in "wb")
+    a_zr, a_n = np.hsplit(f @ w + b, [2 * H])
+    u_zr, u_h = np.hstack([params["gru.u_z"], params["gru.u_r"]]), params["gru.u_h"]
+    hs = np.zeros((L + 1, H), dtype=f.dtype)
+    zr, n = np.empty((L, 2 * H), dtype=f.dtype), np.empty((L, H), dtype=f.dtype)
+    z, r = np.hsplit(zr, 2)
+    for t in range(L):
+        h = hs[t]
+        expit(a_zr[t] + h @ u_zr, out=zr[t])
+        np.tanh(a_n[t] + (r[t] * h) @ u_h, out=n[t])
+        hs[t + 1] = (1.0 - z[t]) * h + z[t] * n[t]
+    return hs, z, r, n
 
 
 class DLNTape(NamedTuple):
     """One ``dln_forward``: its weight and what ``dln_grads`` runs back through."""
 
     lam: float
-    summary: np.ndarray  # the GRU's final state, which is also acts[0]
-    steps: list          # per position: (x, h_prev, z, r, candidate)
+    summary: np.ndarray  # the GRU's final state hs[L], which is also acts[0]
+    f: np.ndarray        # (L, in_dim) normalized features, the GRU's input
+    hs: np.ndarray       # (L+1, H) GRU states, hs[0] = 0
+    z: np.ndarray        # (L, H) update gate of each position
+    r: np.ndarray        # (L, H) reset gate
+    n: np.ndarray        # (L, H) candidate state
     acts: list           # MLP input, then each layer's output
 
 
@@ -124,9 +128,9 @@ def dln_forward(f_norm: np.ndarray, params: dict[str, np.ndarray]) -> DLNTape:
     """
     if f_norm.ndim != 2 or f_norm.shape[0] < 1:
         raise ShapeError(f"feature sequence must be (L, n_features), got {f_norm.shape}")
-    summary, steps = _gru_forward(f_norm, params)
-    acts = hyena.mlp_forward(summary, params, 4, "mlp.")
-    return DLNTape(float(_sigmoid(float(acts[-1][0]))), summary, steps, acts)
+    hs, z, r, n = _gru_forward(f_norm, params)
+    acts = hyena.mlp_forward(hs[-1], params, 4, "mlp.")
+    return DLNTape(float(expit(float(acts[-1][0]))), hs[-1], f_norm, hs, z, r, n, acts)
 
 
 def dln_grads(
@@ -140,37 +144,29 @@ def dln_grads(
     sigmoid, the MLP, and the GRU across all L steps of ``tape``, which
     ``dln_forward`` must have recorded with these same ``params``.
     """
-    lam, _, steps, acts = tape
-    # Zeros in parameter order first: clip_grad_norm sums in dict order.
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    lam, _, f, hs, z, r, n, acts = tape
+    h_prev = hs[:-1]
     dy = np.array([upstream * lam * (1.0 - lam)], dtype=acts[-1].dtype)
     dh, mlp_grads = hyena.mlp_backward(dy, acts, params, "mlp.")
+    # Per-position factors of the gate pre-activation gradients, all positions at once.
+    dz_dh = (n - h_prev) * z * (1.0 - z)
+    dn_dh = z * (1.0 - n * n)
+    dr_drh = h_prev * r * (1.0 - r)
+    keep = 1.0 - z
+    u_zr_t = np.hstack([params["gru.u_z"], params["gru.u_r"]]).T
+    da_zr = np.empty((len(z), 2 * z.shape[1]), dtype=dh.dtype)
+    da_z, da_r = np.hsplit(da_zr, 2)
+    da_n = np.empty_like(da_z)
+    for t in range(len(z) - 1, -1, -1):
+        da_n[t] = dh * dn_dh[t]
+        drh = da_n[t] @ params["gru.u_h"].T
+        da_z[t] = dh * dz_dh[t]
+        da_r[t] = drh * dr_drh[t]
+        dh = dh * keep[t] + drh * r[t] + da_zr[t] @ u_zr_t
+    grads = dict.fromkeys(params)  # parameter order: clip_grad_norm sums in dict order
     grads.update(mlp_grads)
-    for t in range(len(steps) - 1, -1, -1):
-        x, h_prev, z, r, n = steps[t]
-        dz = dh * (n - h_prev)
-        dn = dh * z
-        dh_prev = dh * (1.0 - z)
-
-        da_n = dn * (1.0 - n * n)
-        grads["gru.w_h"] += np.outer(x, da_n)
-        grads["gru.u_h"] += np.outer(r * h_prev, da_n)
-        grads["gru.b_h"] += da_n
-        drh = da_n @ params["gru.u_h"].T
-        dr = drh * h_prev
-        dh_prev = dh_prev + drh * r
-
-        da_z = dz * z * (1.0 - z)
-        grads["gru.w_z"] += np.outer(x, da_z)
-        grads["gru.u_z"] += np.outer(h_prev, da_z)
-        grads["gru.b_z"] += da_z
-        dh_prev = dh_prev + da_z @ params["gru.u_z"].T
-
-        da_r = dr * r * (1.0 - r)
-        grads["gru.w_r"] += np.outer(x, da_r)
-        grads["gru.u_r"] += np.outer(h_prev, da_r)
-        grads["gru.b_r"] += da_r
-        dh_prev = dh_prev + da_r @ params["gru.u_r"].T
-
-        dh = dh_prev
+    for g, da_g, x_g in (("z", da_z, h_prev), ("r", da_r, h_prev), ("h", da_n, r * h_prev)):
+        grads[f"gru.w_{g}"] = f.T @ da_g
+        grads[f"gru.u_{g}"] = x_g.T @ da_g
+        grads[f"gru.b_{g}"] = da_g.sum(axis=0)
     return grads

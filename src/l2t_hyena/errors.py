@@ -13,6 +13,10 @@ class EmptyCorpus(L2THyenaError):
     """The input text contained no tokens."""
 
 
+class CorpusEncodingError(L2THyenaError):
+    """A corpus file is not UTF-8 text."""
+
+
 class CorpusTooSmall(L2THyenaError):
     """Not enough tokens to form a single (batch_size, seq_len) batch."""
 

@@ -18,9 +18,9 @@ Parameters live in a flat ``dict[str, np.ndarray]`` (see ``init_model``),
 which is also the checkpoint schema. All gradients are computed analytically
 by the ``loss_and_grads_from_logits`` reverse pass, which starts from the
 step's one ``softmax_xent`` (the DLN reads the same softmax); no autograd.
-The dense-layer reverse pass ``linear_backward`` and the ReLU MLP helpers
-(``init_mlp``, ``mlp_forward``, ``mlp_backward``) also serve the DLN and the
-teacher.
+Each block caches its GELU's normal CDF for the reverse pass. The dense-layer
+reverse pass ``linear_backward`` and the ReLU MLP helpers (``init_mlp``,
+``mlp_forward``, ``mlp_backward``) also serve the DLN and the teacher.
 
 Parameter count (``param_count``) with V=vocab, D=dim, L=max_seq_len,
 N=order, k=short_kernel, P=filter_pos_dim, F=filter_hidden, e=mlp_expansion:
@@ -348,14 +348,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
-
-
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
-
-
 # ---------------------------------------------------------------------------
 # the gated-convolution operator
 # ---------------------------------------------------------------------------
@@ -438,10 +430,10 @@ def forward(
         x = x + hy
         c, ln2_cache = _layer_norm(x, bp["norm2_g"], bp["norm2_b"])
         u1 = c @ bp["mlp_w1"] + bp["mlp_b1"]
-        g1 = _gelu(u1)
-        x = x + (g1 @ bp["mlp_w2"] + bp["mlp_b2"])
+        phi = 0.5 * (1.0 + erf(u1 * _INV_SQRT2))
+        x = x + ((u1 * phi) @ bp["mlp_w2"] + bp["mlp_b2"])
         if want_cache:
-            block_caches.append((ln1_cache, op_cache, ln2_cache, c, u1, g1))
+            block_caches.append((ln1_cache, op_cache, ln2_cache, c, u1, phi))
     xf, lnf_cache = _layer_norm(x, params["final_norm_g"], params["final_norm_b"])
     logits = xf @ tok_emb.T
     if not want_cache:
@@ -470,12 +462,14 @@ def _backward(
 
     for i in range(cfg.n_blocks - 1, -1, -1):
         bp = block_params(params, i)
-        ln1_cache, op_cache, ln2_cache, c, u1, g1 = block_caches[i]
+        ln1_cache, op_cache, ln2_cache, c, u1, phi = block_caches[i]
         p = f"block{i}."
 
-        dg1, grads[p + "mlp_w2"], grads[p + "mlp_b2"] = linear_backward(dx, g1, bp["mlp_w2"])
+        dg1, grads[p + "mlp_w2"], grads[p + "mlp_b2"] = linear_backward(
+            dx, u1 * phi, bp["mlp_w2"]
+        )
         dc, grads[p + "mlp_w1"], grads[p + "mlp_b1"] = linear_backward(
-            dg1 * _gelu_grad(u1), c, bp["mlp_w1"]
+            dg1 * (phi + u1 * np.exp(-0.5 * u1 * u1) * _INV_SQRT2PI), c, bp["mlp_w1"]
         )
         dln2, grads[p + "norm2_g"], grads[p + "norm2_b"] = _layer_norm_backward(
             dc, ln2_cache, bp["norm2_g"]

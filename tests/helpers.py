@@ -6,13 +6,20 @@ finite differences, and the synthetic corpus is a first-order Markov chain
 whose bigram structure a tiny model can learn quickly. ``hyena_operator`` and
 ``student_loss_and_grads`` are one-call entry points into the student's
 forward and reverse passes, for tests only.
+
+Two references keep the formulas the library replaced with faster ones: the
+student passes with GELU and its derivative each computed from scratch
+(``reference_forward``/``reference_backward``), and the per-position GRU with
+its ``np.outer`` BPTT (``gru_reference``/``gru_reference_grads``).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
+from scipy.special import erf
 
 from l2t_hyena import hyena
 
@@ -78,6 +85,128 @@ def student_loss_and_grads(tokens, targets, params, cfg, lam, beta):
     logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
     sx = hyena.softmax_xent(logits, targets)
     return hyena.loss_and_grads_from_logits(logits, cache, sx, params, cfg, lam, beta)
+
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def gelu_reference(x: np.ndarray) -> np.ndarray:
+    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+
+
+def gelu_grad_reference(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
+
+
+def reference_forward(tokens, params, cfg):
+    """(logits, cache) of ``hyena.forward``; the cache keeps each block's GELU output."""
+    L = tokens.shape[1]
+    x = params["tok_emb"][tokens] + params["pos_emb"][:L]
+    block_caches = []
+    for i in range(cfg.n_blocks):
+        bp = hyena.block_params(params, i)
+        a, ln1_cache = hyena._layer_norm(x, bp["norm1_g"], bp["norm1_b"])
+        hy, op_cache = hyena._hyena_op_forward(a, bp, cfg.order)
+        x = x + hy
+        c, ln2_cache = hyena._layer_norm(x, bp["norm2_g"], bp["norm2_b"])
+        u1 = c @ bp["mlp_w1"] + bp["mlp_b1"]
+        g1 = gelu_reference(u1)
+        x = x + (g1 @ bp["mlp_w2"] + bp["mlp_b2"])
+        block_caches.append((ln1_cache, op_cache, ln2_cache, c, u1, g1))
+    xf, lnf_cache = hyena._layer_norm(x, params["final_norm_g"], params["final_norm_b"])
+    return xf @ params["tok_emb"].T, (tokens, block_caches, lnf_cache, xf)
+
+
+def reference_backward(dlogits, cache, params, cfg):
+    """Gradients from ``reference_forward``'s cache, GELU' recomputed from u1."""
+    tokens, block_caches, lnf_cache, xf = cache
+    V = dlogits.shape[-1]
+    grads = {}
+    dtok = dlogits.reshape(-1, V).T @ xf.reshape(-1, xf.shape[-1])
+    dx, grads["final_norm_g"], grads["final_norm_b"] = hyena._layer_norm_backward(
+        dlogits @ params["tok_emb"], lnf_cache, params["final_norm_g"]
+    )
+    for i in range(cfg.n_blocks - 1, -1, -1):
+        bp = hyena.block_params(params, i)
+        ln1_cache, op_cache, ln2_cache, c, u1, g1 = block_caches[i]
+        p = f"block{i}."
+        dg1, grads[p + "mlp_w2"], grads[p + "mlp_b2"] = hyena.linear_backward(
+            dx, g1, bp["mlp_w2"]
+        )
+        dc, grads[p + "mlp_w1"], grads[p + "mlp_b1"] = hyena.linear_backward(
+            dg1 * gelu_grad_reference(u1), c, bp["mlp_w1"]
+        )
+        dln2, grads[p + "norm2_g"], grads[p + "norm2_b"] = hyena._layer_norm_backward(
+            dc, ln2_cache, bp["norm2_g"]
+        )
+        dx = dx + dln2
+        da, op_grads = hyena._hyena_op_backward(dx, op_cache, bp, cfg.order)
+        for name, val in op_grads.items():
+            grads[p + name] = val
+        dln1, grads[p + "norm1_g"], grads[p + "norm1_b"] = hyena._layer_norm_backward(
+            da, ln1_cache, bp["norm1_g"]
+        )
+        dx = dx + dln1
+    np.add.at(dtok, tokens, dx)
+    grads["tok_emb"] = dtok
+    dpos = np.zeros_like(params["pos_emb"])
+    dpos[: tokens.shape[1]] = dx.sum(axis=0)
+    grads["pos_emb"] = dpos
+    return grads
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def gru_reference(f: np.ndarray, params: dict[str, np.ndarray]):
+    """The DLN's GRU one position at a time: (final state, per-position steps)."""
+    H = params["gru.b_z"].shape[0]
+    h = np.zeros(H, dtype=f.dtype)
+    steps = []
+    for t in range(f.shape[0]):
+        x = f[t]
+        z = _sigmoid(x @ params["gru.w_z"] + h @ params["gru.u_z"] + params["gru.b_z"])
+        r = _sigmoid(x @ params["gru.w_r"] + h @ params["gru.u_r"] + params["gru.b_r"])
+        n = np.tanh(
+            x @ params["gru.w_h"] + (r * h) @ params["gru.u_h"] + params["gru.b_h"]
+        )
+        steps.append((x, h, z, r, n))
+        h = (1.0 - z) * h + z * n
+    return h, steps
+
+
+def gru_reference_grads(steps, params: dict[str, np.ndarray], dh: np.ndarray):
+    """The nine GRU gradients given d(objective)/d(final state), by per-position BPTT."""
+    grads = {k: np.zeros_like(v) for k, v in params.items() if k.startswith("gru.")}
+    for x, h_prev, z, r, n in reversed(steps):
+        dz = dh * (n - h_prev)
+        dn = dh * z
+        dh_prev = dh * (1.0 - z)
+
+        da_n = dn * (1.0 - n * n)
+        grads["gru.w_h"] += np.outer(x, da_n)
+        grads["gru.u_h"] += np.outer(r * h_prev, da_n)
+        grads["gru.b_h"] += da_n
+        drh = da_n @ params["gru.u_h"].T
+        dr = drh * h_prev
+        dh_prev = dh_prev + drh * r
+
+        da_z = dz * z * (1.0 - z)
+        grads["gru.w_z"] += np.outer(x, da_z)
+        grads["gru.u_z"] += np.outer(h_prev, da_z)
+        grads["gru.b_z"] += da_z
+        dh_prev = dh_prev + da_z @ params["gru.u_z"].T
+
+        da_r = dr * r * (1.0 - r)
+        grads["gru.w_r"] += np.outer(x, da_r)
+        grads["gru.u_r"] += np.outer(h_prev, da_r)
+        grads["gru.b_r"] += da_r
+        dh_prev = dh_prev + da_r @ params["gru.u_r"].T
+
+        dh = dh_prev
+    return grads
 
 
 def overflowing_checkpoint_header() -> bytes:

@@ -65,6 +65,13 @@ class TestConfigParsing:
         path.write_text("# a comment\n\nepochs: 3\n")
         assert config.parse_config(str(path)).epochs == 3
 
+    def test_non_utf8_file_exits_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "latin1.cfg"
+        cfg_path.write_bytes(b"dim: 8\n\xff\n")
+        rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+        assert rc == cli.EXIT_CONFIG
+        assert "latin1.cfg" in capsys.readouterr().err
+
     def test_echo_round_trip(self, tmp_path):
         cfg = config.resolve_config(flag_values={
             "mode": "baseline", "epochs": 3, "lr_student": 1.5e-4,
@@ -114,6 +121,14 @@ class TestTrainCommand:
         ])
         assert rc == cli.EXIT_DATA
         assert "absent.txt" in capsys.readouterr().err
+
+    def test_non_utf8_corpus_exits_data(self, synth_corpus, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"w001 w002\n\xe9t\xe9\n")
+        rc = cli.main(["train", "--train-path", str(bad), "--valid-path", synth_corpus["valid"],
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == cli.EXIT_DATA
+        assert "latin1.txt" in capsys.readouterr().err
 
     def test_bad_flag_value_exits_config(self, synth_corpus, tmp_path, capsys):
         rc = cli.main([
@@ -234,6 +249,15 @@ class TestEvalCommand:
                        "--out-dir", str(tmp_path / "e")])
         assert rc == cli.EXIT_CHECKPOINT
 
+    def test_non_utf8_corpus_exits_data(self, synth_corpus, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"w001 w002\n\xe9t\xe9\n")
+        rc = cli.main(["eval", "--checkpoint", str(tmp_path / "absent.l2th"),
+                       "--train-path", synth_corpus["train"], "--valid-path", str(bad),
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == cli.EXIT_DATA
+        assert "latin1.txt" in capsys.readouterr().err
+
     def test_truncated_checkpoint(self, synth_corpus, tmp_path, capsys):
         cfg_path = tmp_path / "smoke.cfg"
         _write_smoke_cfg(cfg_path, synth_corpus)
@@ -332,6 +356,18 @@ class TestCompareCommand:
         assert report["deltas"]["ppl_reduction_abs"] == 0.0
         assert report["deltas"]["ppl_reduction_rel"] == 0.0
         assert report["deltas"]["time_ratio"] == 1.0
+
+    @pytest.mark.parametrize("ppl, train_loss", [
+        (50.0, 0.0), (50.0, -1.0), (0.0, 3.0), (float("nan"), 3.0), (50.0, float("inf")),
+    ])
+    def test_degenerate_metrics_are_report_errors(self, tmp_path, capsys, ppl, train_loss):
+        base, l2t = tmp_path / "base", tmp_path / "l2t"
+        self._fake_run(base, ppl, 3.9, 2, train_loss, 10.0)
+        self._fake_run(l2t, 50.0, 3.9, 2, 3.0, 10.0)
+        rc = cli.main(["compare", str(base), str(l2t), "--out", str(tmp_path)])
+        assert rc == cli.EXIT_DATA
+        assert "must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "compare.json").exists()
 
     def test_missing_metrics_is_report_error(self, tmp_path, capsys):
         a = tmp_path / "a"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import finite_diff_failures
+from helpers import finite_diff_failures, gru_reference, gru_reference_grads
 
 from l2t_hyena import dln, hyena
 
@@ -211,3 +211,34 @@ class TestDlnGrads:
 
         failures = finite_diff_failures(params, grads, objective)
         assert failures == [], failures[:5]
+
+
+class TestGruOracle:
+    @staticmethod
+    def _assert_close(actual, reference, name):
+        # Summation order differs from the reference, so allow 1e-6 of the
+        # array's largest magnitude.
+        err = np.abs(actual - reference).max()
+        assert err <= 1e-6 * np.abs(reference).max(), (name, err)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("L", [1, 2, 33, 1024])
+    def test_matches_per_position_reference(self, L, dtype):
+        params = dln.init_dln(seed=9, dtype=dtype)
+        f = np.random.default_rng(L).standard_normal((L, 5)).astype(dtype)
+        upstream = 0.9
+        tape = dln.dln_forward(f, params)
+        grads = dln.dln_grads(tape, params, upstream)
+
+        h, steps = gru_reference(f, params)
+        acts = hyena.mlp_forward(h, params, 4, "mlp.")
+        lam = 1.0 / (1.0 + math.exp(-float(acts[-1][0])))
+        self._assert_close(tape.summary, h, "summary")
+        assert tape.lam == pytest.approx(lam, rel=1e-6)
+        dy = np.array([upstream * lam * (1.0 - lam)], dtype=dtype)
+        dh, _ = hyena.mlp_backward(dy, acts, params, "mlp.")
+        reference = gru_reference_grads(steps, params, dh)
+        assert list(grads) == list(params)  # clip_grad_norm sums in dict order
+        for k in reference:
+            assert grads[k].shape == reference[k].shape and grads[k].dtype == dtype, k
+            self._assert_close(grads[k], reference[k], k)

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import hyena_operator, student_loss_and_grads, tiny_student_config
+from helpers import (
+    hyena_operator,
+    reference_backward,
+    reference_forward,
+    student_loss_and_grads,
+    tiny_student_config,
+)
 
 from l2t_hyena import hyena
 from l2t_hyena.errors import NumericalError, ShapeError, VocabError
@@ -246,6 +252,32 @@ class TestStudentLoss:
         params["tok_emb"][0, 0] = np.nan
         with pytest.raises(NumericalError):
             student_loss_and_grads(tokens, targets, params, cfg, 0.3, 0.01)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cached_gelu_matches_reference_bit_for_bit(self, dtype, monkeypatch):
+        # The block cache keeps the normal CDF instead of GELU(u1); logits,
+        # loss and every gradient must equal the from-scratch formulas exactly.
+        cfg = tiny_student_config(dim=8, n_blocks=2)
+        params = hyena.init_model(cfg, seed=12, dtype=dtype)
+        rng = np.random.default_rng(8)
+        tokens = rng.integers(0, 7, (3, 6))
+        targets = rng.integers(0, 7, (3, 6))
+        loss, ce, l2, grads = student_loss_and_grads(
+            tokens, targets, params, cfg, 0.4, 0.01
+        )
+        ref_logits, ref_cache = reference_forward(tokens, params, cfg)
+        assert np.array_equal(hyena.forward(tokens, params, cfg), ref_logits)
+        monkeypatch.setattr(hyena, "_backward", reference_backward)
+        sx = hyena.softmax_xent(ref_logits, targets)
+        *ref_losses, ref_grads = hyena.loss_and_grads_from_logits(
+            ref_logits, ref_cache, sx, params, cfg, 0.4, 0.01
+        )
+        assert [loss, ce, l2] == ref_losses
+        assert list(grads) == list(ref_grads)
+        for k in grads:
+            assert grads[k].dtype == dtype
+            assert np.array_equal(grads[k], ref_grads[k]), k
 
 
 class TestWeightTying:
