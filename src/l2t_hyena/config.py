@@ -62,8 +62,6 @@ class RunConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     clip_norm: float = 1.0
-    schedule_teacher: bool = True
-    schedule_dln: bool = True
 
 
 FIELD_TYPES: dict[str, type] = {
@@ -142,6 +140,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"filter_pos_dim must be odd, got {cfg.filter_pos_dim}")
     if cfg.decay_slowest < cfg.decay_fastest:
         raise ConfigError("decay_slowest must be >= decay_fastest")
+    if cfg.activation_threshold > cfg.buffer_capacity:
+        # The replay deque never holds more than buffer_capacity experiences.
+        raise ConfigError(
+            f"activation_threshold ({cfg.activation_threshold}) must be <= "
+            f"buffer_capacity ({cfg.buffer_capacity})"
+        )
     if cfg.warmup_epochs >= cfg.epochs:
         raise ConfigError(
             f"warmup_epochs ({cfg.warmup_epochs}) must be < epochs ({cfg.epochs})"

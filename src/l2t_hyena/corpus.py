@@ -9,6 +9,7 @@ identical input files always produce identical vocabularies.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -65,24 +66,15 @@ def build_vocab(lines: Iterable[str], max_size: int) -> Vocab:
     if sum(freq.values()) == 0:
         raise EmptyCorpus("corpus contains no tokens")
     freq[EOS_TOKEN] += n_lines
-    if UNK_TOKEN not in freq:
-        freq[UNK_TOKEN] = 0
 
-    ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
-    chosen = ranked[:max_size]
-    kept = {tok for tok, _ in chosen}
-    for special in (UNK_TOKEN, EOS_TOKEN):
-        if special not in kept:
-            # Evict the lowest-ranked non-special entry to make room.
-            for i in range(len(chosen) - 1, -1, -1):
-                if chosen[i][0] not in (UNK_TOKEN, EOS_TOKEN):
-                    del chosen[i]
-                    break
-            chosen.append((special, freq[special]))
-            kept.add(special)
-    chosen.sort(key=lambda kv: (-kv[1], kv[0]))
+    def rank(kv):
+        return -kv[1], kv[0]
 
-    id_to_token = [tok for tok, _ in chosen]
+    specials = (UNK_TOKEN, EOS_TOKEN)
+    words = [kv for kv in freq.items() if kv[0] not in specials]
+    chosen = heapq.nsmallest(max_size - 2, words, key=rank)
+    chosen += [(tok, freq[tok]) for tok in specials]  # a missing <unk> counts 0
+    id_to_token = [tok for tok, _ in sorted(chosen, key=rank)]
     token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
     return Vocab(
         token_to_id=token_to_id,

@@ -34,16 +34,17 @@ from scipy.special import expit
 from . import hyena
 from .errors import ShapeError
 
+N_FEATURES = 5
 NORM_EPS = 1e-5
+NORM_MOMENTUM = 0.99
 
 
 @dataclass
 class FeatureNormState:
-    """Running per-feature moments, EMA-updated during training only."""
+    """Running per-feature moments, EMA-updated by every training step."""
 
-    mean: np.ndarray = field(default_factory=lambda: np.zeros(5))
-    var: np.ndarray = field(default_factory=lambda: np.ones(5))
-    momentum: float = 0.99
+    mean: np.ndarray = field(default_factory=lambda: np.zeros(N_FEATURES))
+    var: np.ndarray = field(default_factory=lambda: np.ones(N_FEATURES))
     count: int = 0
 
 
@@ -58,16 +59,13 @@ def extract_features(sx: hyena.SoftmaxXent) -> np.ndarray:
     return feats.mean(axis=0)
 
 
-def normalize_features(
-    f: np.ndarray, state: FeatureNormState, training: bool
-) -> np.ndarray:
-    """Z-score ``f`` with the running moments; EMA-update them if training."""
+def normalize_features(f: np.ndarray, state: FeatureNormState) -> np.ndarray:
+    """Z-score ``f`` with the running moments, then EMA-update them with ``f``."""
     out = ((f - state.mean) / np.sqrt(state.var + NORM_EPS)).astype(f.dtype)
-    if training:
-        m = state.momentum
-        state.mean = m * state.mean + (1.0 - m) * f.mean(axis=0)
-        state.var = m * state.var + (1.0 - m) * f.var(axis=0)
-        state.count += 1
+    m = NORM_MOMENTUM
+    state.mean = m * state.mean + (1.0 - m) * f.mean(axis=0)
+    state.var = m * state.var + (1.0 - m) * f.var(axis=0)
+    state.count += 1
     return out
 
 
@@ -75,14 +73,13 @@ def init_dln(
     seed: int,
     hidden: int = 32,
     mlp_widths: tuple[int, int, int] = (64, 64, 32),
-    in_dim: int = 5,
     dtype=np.float32,
 ) -> dict[str, np.ndarray]:
-    """GRU (in_dim -> hidden) plus a 4-layer MLP ending in one raw weight."""
+    """GRU (N_FEATURES -> hidden) plus a 4-layer MLP ending in one raw weight."""
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for gate in ("z", "r", "h"):
-        params[f"gru.w_{gate}"] = hyena.glorot(rng, (in_dim, hidden), dtype)
+        params[f"gru.w_{gate}"] = hyena.glorot(rng, (N_FEATURES, hidden), dtype)
         params[f"gru.u_{gate}"] = hyena.glorot(rng, (hidden, hidden), dtype)
         params[f"gru.b_{gate}"] = np.zeros(hidden, dtype)
     params.update(hyena.init_mlp(rng, (hidden, *mlp_widths, 1), dtype, "mlp."))
@@ -111,7 +108,7 @@ class DLNTape(NamedTuple):
 
     lam: float
     summary: np.ndarray  # the GRU's final state hs[L], which is also acts[0]
-    f: np.ndarray        # (L, in_dim) normalized features, the GRU's input
+    f: np.ndarray        # (L, N_FEATURES) normalized features, the GRU's input
     hs: np.ndarray       # (L+1, H) GRU states, hs[0] = 0
     z: np.ndarray        # (L, H) update gate of each position
     r: np.ndarray        # (L, H) reset gate

@@ -14,13 +14,14 @@ convolutions with elementwise gating. Long-convolution filters are not free
 parameters: a two-layer sine-activated network maps positional features to
 filter taps, which are then windowed by per-channel exponential decay.
 
-Parameters live in a flat ``dict[str, np.ndarray]`` (see ``init_model``),
-which is also the checkpoint schema. All gradients are computed analytically
-by the ``loss_and_grads_from_logits`` reverse pass, which starts from the
-step's one ``softmax_xent`` (the DLN reads the same softmax); no autograd.
-Each block caches its GELU's normal CDF for the reverse pass. The dense-layer
-reverse pass ``linear_backward`` and the ReLU MLP helpers (``init_mlp``,
-``mlp_forward``, ``mlp_backward``) also serve the DLN and the teacher.
+Parameters live in a flat ``dict[str, np.ndarray]`` whose names, shapes and
+order ``param_shapes`` declares once; it is also the checkpoint schema. All
+gradients are computed analytically by the ``loss_and_grads_from_logits``
+reverse pass, which starts from the step's one ``softmax_xent`` (the DLN
+reads the same softmax); no autograd. Each block caches its GELU's normal CDF
+for the reverse pass. The dense-layer reverse pass ``linear_backward`` and
+the ReLU MLP helpers (``init_mlp``, ``mlp_forward``, ``mlp_backward``) also
+serve the DLN and the teacher.
 
 Parameter count (``param_count``) with V=vocab, D=dim, L=max_seq_len,
 N=order, k=short_kernel, P=filter_pos_dim, F=filter_hidden, e=mlp_expansion:
@@ -51,32 +52,26 @@ LN_EPS = 1e-5
 
 @dataclass
 class HyenaConfig:
+    """Student shape; ``trainer.model_config_from_run`` fills it from ``RunConfig``."""
+
     vocab_size: int
-    dim: int = 256
-    n_blocks: int = 6
-    order: int = 2
-    short_kernel: int = 3
-    max_seq_len: int = 64
-    filter_pos_dim: int = 17
-    filter_hidden: int = 64
-    mlp_expansion: int = 4
-    decay_fastest: float = 0.3
-    decay_slowest: float = 30.0
-
-
-BLOCK_FIELDS = (
-    "w_in", "b_in", "short_kernels",
-    "filt_w1", "filt_b1", "filt_w2", "filt_b2", "decay",
-    "w_out", "b_out",
-    "norm1_g", "norm1_b", "norm2_g", "norm2_b",
-    "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2",
-)
+    dim: int
+    n_blocks: int
+    order: int
+    short_kernel: int
+    max_seq_len: int
+    filter_pos_dim: int
+    filter_hidden: int
+    mlp_expansion: int
+    decay_fastest: float
+    decay_slowest: float
 
 
 def block_params(params: dict[str, np.ndarray], i: int) -> dict[str, np.ndarray]:
     """View of one block's arrays, keyed without the ``block{i}.`` prefix."""
     prefix = f"block{i}."
-    return {f: params[prefix + f] for f in BLOCK_FIELDS}
+    n = len(prefix)
+    return {k[n:]: v for k, v in params.items() if k.startswith(prefix)}
 
 
 def param_count(cfg: HyenaConfig) -> int:
@@ -157,49 +152,36 @@ def mlp_backward(dy: np.ndarray, acts: list, params: dict[str, np.ndarray], pref
 
 
 def init_model(cfg: HyenaConfig, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
-    """Deterministically initialize all trainable arrays from ``seed``.
+    """Deterministically initialize every array of ``param_shapes`` from ``seed``.
 
-    Projections are Glorot-uniform, embeddings normal(0, 0.01), the first
-    filter layer uniform(+-1/pos_dim) to suit the sine activation, and decay
-    rates log-spaced across channels in [decay_fastest, decay_slowest].
+    Embeddings are normal(0, 0.01), short kernels uniform(+-1/sqrt(k)), the
+    first filter layer uniform(+-1/pos_dim) to suit the sine activation,
+    decay rates log-spaced across channels in [decay_fastest, decay_slowest],
+    layer-norm gains one, other matrices Glorot-uniform and other vectors zero.
     """
     rng = np.random.default_rng(seed)
-    D, N, k = cfg.dim, cfg.order, cfg.short_kernel
-    P, F = cfg.filter_pos_dim, cfg.filter_hidden
-    C = (N + 1) * D
-    E = cfg.mlp_expansion * D
-
-    params: dict[str, np.ndarray] = {}
-    params["tok_emb"] = rng.normal(0.0, 0.01, (cfg.vocab_size, D)).astype(dtype)
-    params["pos_emb"] = rng.normal(0.0, 0.01, (cfg.max_seq_len, D)).astype(dtype)
     decay_row = np.exp(
-        np.linspace(math.log(cfg.decay_fastest), math.log(cfg.decay_slowest), D)
+        np.linspace(math.log(cfg.decay_fastest), math.log(cfg.decay_slowest), cfg.dim)
     )
-    for i in range(cfg.n_blocks):
-        p = f"block{i}."
-        params[p + "w_in"] = glorot(rng, (D, C), dtype)
-        params[p + "b_in"] = np.zeros(C, dtype)
-        params[p + "short_kernels"] = rng.uniform(
-            -math.sqrt(1.0 / k), math.sqrt(1.0 / k), (C, k)
-        ).astype(dtype)
-        params[p + "filt_w1"] = rng.uniform(-1.0 / P, 1.0 / P, (P, F)).astype(dtype)
-        params[p + "filt_b1"] = np.zeros(F, dtype)
-        params[p + "filt_w2"] = glorot(rng, (F, N * D), dtype)
-        params[p + "filt_b2"] = np.zeros(N * D, dtype)
-        params[p + "decay"] = np.tile(decay_row, (N, 1)).astype(dtype)
-        params[p + "w_out"] = glorot(rng, (D, D), dtype)
-        params[p + "b_out"] = np.zeros(D, dtype)
-        params[p + "norm1_g"] = np.ones(D, dtype)
-        params[p + "norm1_b"] = np.zeros(D, dtype)
-        params[p + "norm2_g"] = np.ones(D, dtype)
-        params[p + "norm2_b"] = np.zeros(D, dtype)
-        params[p + "mlp_w1"] = glorot(rng, (D, E), dtype)
-        params[p + "mlp_b1"] = np.zeros(E, dtype)
-        params[p + "mlp_w2"] = glorot(rng, (E, D), dtype)
-        params[p + "mlp_b2"] = np.zeros(D, dtype)
-    params["final_norm_g"] = np.ones(D, dtype)
-    params["final_norm_b"] = np.zeros(D, dtype)
-    assert sum(a.size for a in params.values()) == param_count(cfg)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(cfg).items():
+        field = name.rpartition(".")[2]
+        if field.endswith("_emb"):
+            arr = rng.normal(0.0, 0.01, shape)
+        elif field == "short_kernels":
+            bound = math.sqrt(1.0 / shape[1])
+            arr = rng.uniform(-bound, bound, shape)
+        elif field == "filt_w1":
+            arr = rng.uniform(-1.0 / shape[0], 1.0 / shape[0], shape)
+        elif field == "decay":
+            arr = np.tile(decay_row, (shape[0], 1))
+        elif field.endswith("_g"):
+            arr = np.ones(shape)
+        elif len(shape) == 2:
+            arr = glorot(rng, shape, dtype)
+        else:
+            arr = np.zeros(shape)
+        params[name] = arr.astype(dtype, copy=False)
     return params
 
 

@@ -186,9 +186,7 @@ def init_train_state(
     )
 
 
-def _lr(state: TrainState, lr_max: float, scheduled: bool) -> float:
-    if not scheduled:
-        return lr_max
+def _lr(state: TrainState, lr_max: float) -> float:
     return cosine_warmup_lr(
         state.step, state.total_steps, state.warmup_steps, lr_max, lr_max / 100.0
     )
@@ -228,7 +226,7 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
         if l2t:
             # Features first: the loss below overwrites sx.p with dlogits.
             feats = dln.extract_features(sx)
-            f_norm = dln.normalize_features(feats, state.norm_state, training=True)
+            f_norm = dln.normalize_features(feats, state.norm_state)
             tape = dln.dln_forward(f_norm, state.dln_params)
         lam = tape.lam if l2t else None
 
@@ -236,7 +234,7 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
             logits, cache, sx, state.student, state.model_cfg, lam, rc.beta,
         )
         del logits, cache, sx
-        lr_student = _lr(state, rc.lr_student, scheduled=True)
+        lr_student = _lr(state, rc.lr_student)
         snorm = _update(state, state.student, sgrads, state.opt_student, lr_student)
         _clamp_decay(state)
 
@@ -250,8 +248,8 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
             "grad_norm_teacher": 0.0,
             "grad_norm_dln": 0.0,
             "lr_student": lr_student,
-            "lr_teacher": _lr(state, rc.lr_teacher, rc.schedule_teacher),
-            "lr_dln": _lr(state, rc.lr_dln, rc.schedule_dln),
+            "lr_teacher": _lr(state, rc.lr_teacher),
+            "lr_dln": _lr(state, rc.lr_dln),
             "teacher_huber": 0.0,
             "teacher_active": False,
         }
@@ -313,7 +311,7 @@ def student_params_from_archive(path: str, model_cfg: hyena.HyenaConfig):
     return params
 
 
-def train(run_cfg: RunConfig, quiet: bool = False):
+def train(run_cfg: RunConfig):
     """Full training run: returns (history, info dict with best/final stats).
 
     Writes ``best.l2th`` (lowest validation perplexity so far) and
@@ -340,44 +338,32 @@ def train(run_cfg: RunConfig, quiet: bool = False):
 
     for epoch in range(run_cfg.epochs):
         t0 = time.perf_counter()
-        loss_sum = 0.0
-        lam_sum = 0.0
-        huber_sum = 0.0
-        huber_count = 0
-        lr_last = 0.0
-        for batch in batches:
-            m = train_step(state, batch)
-            history.steps.append(m)
-            loss_sum += m["loss"]
-            lam_sum += m["lambda"]
-            lr_last = m["lr_student"]
-            if m["teacher_active"]:
-                huber_sum += m["teacher_huber"]
-                huber_count += 1
+        steps = [train_step(state, batch) for batch in batches]
+        history.steps.extend(steps)
         val_loss, val_ppl = evaluate(state.student, state.model_cfg, val_batches)
         seconds = time.perf_counter() - t0
         if run_cfg.deterministic:
             seconds = 0.0  # wall-clock would break bit-reproducible metrics
         total_seconds += seconds
 
-        train_loss_mean = loss_sum / len(batches)
+        train_loss_mean = sum(m["loss"] for m in steps) / len(steps)
+        hubers = [m["teacher_huber"] for m in steps if m["teacher_active"]]
         row = {
             "epoch": epoch,
             "train_loss": train_loss_mean,
             "val_loss": val_loss,
             "val_ppl": val_ppl,
-            "mean_lambda": lam_sum / len(batches),
-            "teacher_huber": huber_sum / huber_count if huber_count else 0.0,
-            "lr_student": lr_last,
+            "mean_lambda": sum(m["lambda"] for m in steps) / len(steps),
+            "teacher_huber": sum(hubers) / len(hubers) if hubers else 0.0,
+            "lr_student": steps[-1]["lr_student"],
             "seconds": seconds,
         }
         history.epochs.append(row)
-        if not quiet:
-            print(
-                f"epoch {epoch}: train_loss {row['train_loss']:.4f} "
-                f"val_loss {val_loss:.4f} val_ppl {val_ppl:.2f} "
-                f"mean_lambda {row['mean_lambda']:.4f} ({seconds:.1f}s)"
-            )
+        print(
+            f"epoch {epoch}: train_loss {row['train_loss']:.4f} "
+            f"val_loss {val_loss:.4f} val_ppl {val_ppl:.2f} "
+            f"mean_lambda {row['mean_lambda']:.4f} ({seconds:.1f}s)"
+        )
         if val_ppl < best["val_ppl"]:
             best = {"epoch": epoch, "val_loss": val_loss, "val_ppl": val_ppl}
             checkpoint.save_archive(archive_arrays(state), best_path)

@@ -7,21 +7,27 @@ whose bigram structure a tiny model can learn quickly. ``hyena_operator`` and
 ``student_loss_and_grads`` are one-call entry points into the student's
 forward and reverse passes, for tests only.
 
-Two references keep the formulas the library replaced with faster ones: the
-student passes with GELU and its derivative each computed from scratch
-(``reference_forward``/``reference_backward``), and the per-position GRU with
-its ``np.outer`` BPTT (``gru_reference``/``gru_reference_grads``).
+References keep the code the library replaced with faster or shorter
+versions: the student passes with GELU and its derivative each computed from
+scratch (``reference_forward``/``reference_backward``), the per-position GRU
+with its ``np.outer`` BPTT (``gru_reference``/``gru_reference_grads``), the
+student initializer that spelled out every block array
+(``reference_init_model``), and the ``build_vocab`` that evicted the tail to
+seat the specials (``reference_build_vocab``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 from scipy.special import erf
 
-from l2t_hyena import hyena
+from l2t_hyena import corpus, hyena, trainer
+from l2t_hyena.config import RunConfig
 
 
 def direct_causal_conv(u: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -215,13 +221,85 @@ def overflowing_checkpoint_header() -> bytes:
             + struct.pack("<5I", 4, *[0xFFFFFFFF] * 4))
 
 
-def tiny_student_config(**overrides) -> hyena.HyenaConfig:
+def paper_student_config(vocab_size: int, **overrides) -> hyena.HyenaConfig:
+    """The student of the default ``RunConfig`` with ``overrides`` applied."""
+    cfg = trainer.model_config_from_run(RunConfig(), vocab_size)
+    return dataclasses.replace(cfg, **overrides)
+
+
+def tiny_student_config(vocab_size: int = 7, **overrides) -> hyena.HyenaConfig:
     base = dict(
-        vocab_size=7, dim=4, n_blocks=1, order=2, short_kernel=3,
+        dim=4, n_blocks=1, order=2, short_kernel=3,
         max_seq_len=6, filter_pos_dim=5, filter_hidden=8, mlp_expansion=2,
     )
     base.update(overrides)
-    return hyena.HyenaConfig(**base)
+    return paper_student_config(vocab_size, **base)
+
+
+def reference_init_model(cfg: hyena.HyenaConfig, seed: int, dtype=np.float32):
+    """``hyena.init_model`` with every array and its draw written out in order."""
+    rng = np.random.default_rng(seed)
+    D, N, k = cfg.dim, cfg.order, cfg.short_kernel
+    P, F = cfg.filter_pos_dim, cfg.filter_hidden
+    C = (N + 1) * D
+    E = cfg.mlp_expansion * D
+
+    params = {}
+    params["tok_emb"] = rng.normal(0.0, 0.01, (cfg.vocab_size, D)).astype(dtype)
+    params["pos_emb"] = rng.normal(0.0, 0.01, (cfg.max_seq_len, D)).astype(dtype)
+    decay_row = np.exp(
+        np.linspace(math.log(cfg.decay_fastest), math.log(cfg.decay_slowest), D)
+    )
+    for i in range(cfg.n_blocks):
+        p = f"block{i}."
+        params[p + "w_in"] = hyena.glorot(rng, (D, C), dtype)
+        params[p + "b_in"] = np.zeros(C, dtype)
+        params[p + "short_kernels"] = rng.uniform(
+            -math.sqrt(1.0 / k), math.sqrt(1.0 / k), (C, k)
+        ).astype(dtype)
+        params[p + "filt_w1"] = rng.uniform(-1.0 / P, 1.0 / P, (P, F)).astype(dtype)
+        params[p + "filt_b1"] = np.zeros(F, dtype)
+        params[p + "filt_w2"] = hyena.glorot(rng, (F, N * D), dtype)
+        params[p + "filt_b2"] = np.zeros(N * D, dtype)
+        params[p + "decay"] = np.tile(decay_row, (N, 1)).astype(dtype)
+        params[p + "w_out"] = hyena.glorot(rng, (D, D), dtype)
+        params[p + "b_out"] = np.zeros(D, dtype)
+        params[p + "norm1_g"] = np.ones(D, dtype)
+        params[p + "norm1_b"] = np.zeros(D, dtype)
+        params[p + "norm2_g"] = np.ones(D, dtype)
+        params[p + "norm2_b"] = np.zeros(D, dtype)
+        params[p + "mlp_w1"] = hyena.glorot(rng, (D, E), dtype)
+        params[p + "mlp_b1"] = np.zeros(E, dtype)
+        params[p + "mlp_w2"] = hyena.glorot(rng, (E, D), dtype)
+        params[p + "mlp_b2"] = np.zeros(D, dtype)
+    params["final_norm_g"] = np.ones(D, dtype)
+    params["final_norm_b"] = np.zeros(D, dtype)
+    return params
+
+
+def reference_build_vocab(lines, max_size: int) -> list[str]:
+    """``corpus.build_vocab``'s ``id_to_token``: rank all, cut, evict to seat specials."""
+    specials = (corpus.UNK_TOKEN, corpus.EOS_TOKEN)
+    freq = Counter()
+    n_lines = 0
+    for line in lines:
+        n_lines += 1
+        freq.update(line.split())
+    freq[corpus.EOS_TOKEN] += n_lines
+    if corpus.UNK_TOKEN not in freq:
+        freq[corpus.UNK_TOKEN] = 0
+    chosen = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
+    kept = {tok for tok, _ in chosen}
+    for special in specials:
+        if special not in kept:
+            for i in range(len(chosen) - 1, -1, -1):
+                if chosen[i][0] not in specials:
+                    del chosen[i]
+                    break
+            chosen.append((special, freq[special]))
+            kept.add(special)
+    chosen.sort(key=lambda kv: (-kv[1], kv[0]))
+    return [tok for tok, _ in chosen]
 
 
 def write_markov_corpus(

@@ -18,6 +18,7 @@ from scipy import stats
 from helpers import (
     direct_causal_conv,
     finite_diff_failures,
+    paper_student_config,
     student_loss_and_grads,
     tiny_student_config,
     write_markov_corpus,
@@ -302,8 +303,8 @@ def test_prioritized_sampling():
 
 def test_loss_identities():
     # perplexity == exp(val_loss), exactly as floats
-    cfg = hyena.HyenaConfig(vocab_size=12, dim=4, n_blocks=1, max_seq_len=4,
-                            filter_pos_dim=5, filter_hidden=4, mlp_expansion=2)
+    cfg = paper_student_config(vocab_size=12, dim=4, n_blocks=1, max_seq_len=4,
+                              filter_pos_dim=5, filter_hidden=4, mlp_expansion=2)
     params = hyena.init_model(cfg, seed=0)
     ids = np.random.default_rng(1).integers(0, 12, 120).astype(np.int32)
     batches = corpus.make_batches(ids, 2, 4)

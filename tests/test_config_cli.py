@@ -53,6 +53,12 @@ class TestConfigParsing:
             config.resolve_config(flag_values={"short_kernel": 4})
         with pytest.raises(ConfigError, match="warmup_epochs"):
             config.resolve_config(flag_values={"epochs": 2, "warmup_epochs": 2})
+        with pytest.raises(ConfigError, match="activation_threshold"):
+            config.resolve_config(flag_values={"buffer_capacity": 10,
+                                               "activation_threshold": 11})
+        cfg = config.resolve_config(flag_values={"buffer_capacity": 10,
+                                                 "activation_threshold": 10})
+        assert cfg.activation_threshold == cfg.buffer_capacity
 
     def test_bad_value_type(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -129,6 +135,17 @@ class TestTrainCommand:
                        "--out-dir", str(tmp_path / "o")])
         assert rc == cli.EXIT_DATA
         assert "latin1.txt" in capsys.readouterr().err
+
+    def test_threshold_above_buffer_capacity_exits_config(self, synth_corpus, tmp_path,
+                                                          capsys):
+        # The replay buffer could never reach the threshold: no teacher or DLN update.
+        cfg_path = tmp_path / "smoke.cfg"
+        _write_smoke_cfg(cfg_path, synth_corpus)
+        rc = cli.main(["train", "--config", str(cfg_path), "--buffer-capacity", "4",
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == cli.EXIT_CONFIG
+        assert "buffer_capacity" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_flag_value_exits_config(self, synth_corpus, tmp_path, capsys):
         rc = cli.main([

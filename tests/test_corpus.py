@@ -2,6 +2,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import reference_build_vocab
 
 from l2t_hyena import corpus
 from l2t_hyena.errors import CorpusTooSmall, EmptyCorpus
@@ -38,6 +42,22 @@ def test_build_vocab_max_size_cap():
     lines = [" ".join(f"t{i}" for i in range(50))]
     vocab = corpus.build_vocab(lines, max_size=20)
     assert len(vocab) == 20
+
+
+# Few types and short lines, so frequencies tie often; literal specials included.
+_tokens = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h", "<unk>", "<eos>"])
+_lines = st.lists(st.lists(_tokens, max_size=6).map(" ".join), min_size=1, max_size=8)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(lines=_lines, max_size=st.integers(2, 12))
+def test_build_vocab_matches_reference(lines, max_size):
+    if not any(line.split() for line in lines):
+        with pytest.raises(EmptyCorpus):
+            corpus.build_vocab(lines, max_size)
+        return
+    vocab = corpus.build_vocab(lines, max_size)
+    assert vocab.id_to_token == reference_build_vocab(lines, max_size)
 
 
 def test_encode_basic_and_unk():

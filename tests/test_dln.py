@@ -97,14 +97,14 @@ class TestNormalizeFeatures:
         rng = np.random.default_rng(4)
         f = rng.standard_normal((6, 5))
         state = dln.FeatureNormState()
-        out = dln.normalize_features(f, state, training=False)
+        out = dln.normalize_features(f, state)
         assert np.allclose(out, f, rtol=1e-5)  # off only by the 1e-5 epsilon
-        assert state.count == 0
+        assert state.count == 1  # the moments move only after z-scoring
 
     def test_constant_column_maps_to_zero(self):
         f = np.full((4, 5), 3.0)
         state = dln.FeatureNormState(mean=np.full(5, 3.0), var=np.ones(5))
-        out = dln.normalize_features(f, state, training=False)
+        out = dln.normalize_features(f, state)
         assert np.abs(out).max() == 0.0
 
     def test_ema_contracts_toward_batch_mean(self):
@@ -113,22 +113,12 @@ class TestNormalizeFeatures:
         state = dln.FeatureNormState()
         batch_mean = f.mean(axis=0)
         d0 = np.abs(state.mean - batch_mean)
-        dln.normalize_features(f, state, training=True)
+        dln.normalize_features(f, state)
         d1 = np.abs(state.mean - batch_mean)
-        dln.normalize_features(f, state, training=True)
+        dln.normalize_features(f, state)
         d2 = np.abs(state.mean - batch_mean)
         assert np.all(d1 < d0) and np.all(d2 < d1)
         assert state.count == 2
-
-    def test_eval_mode_leaves_state_untouched(self):
-        rng = np.random.default_rng(6)
-        f = rng.standard_normal((8, 5))
-        state = dln.FeatureNormState()
-        mean0, var0 = state.mean.copy(), state.var.copy()
-        dln.normalize_features(f, state, training=False)
-        assert np.array_equal(state.mean, mean0)
-        assert np.array_equal(state.var, var0)
-        assert state.count == 0
 
 
 class TestDlnForward:

@@ -5,8 +5,10 @@ import pytest
 
 from helpers import (
     hyena_operator,
+    paper_student_config,
     reference_backward,
     reference_forward,
+    reference_init_model,
     student_loss_and_grads,
     tiny_student_config,
 )
@@ -17,8 +19,8 @@ from l2t_hyena.errors import NumericalError, ShapeError, VocabError
 
 class TestInit:
     def test_deterministic(self):
-        cfg = hyena.HyenaConfig(vocab_size=50, dim=8, n_blocks=2, max_seq_len=16,
-                                filter_pos_dim=5, filter_hidden=8)
+        cfg = paper_student_config(vocab_size=50, dim=8, n_blocks=2, max_seq_len=16,
+                                  filter_pos_dim=5, filter_hidden=8)
         p1 = hyena.init_model(cfg, seed=7)
         p2 = hyena.init_model(cfg, seed=7)
         assert set(p1) == set(p2)
@@ -26,8 +28,8 @@ class TestInit:
             assert np.array_equal(p1[k], p2[k]), k
 
     def test_seed_changes_something(self):
-        cfg = hyena.HyenaConfig(vocab_size=50, dim=8, n_blocks=1, max_seq_len=16,
-                                filter_pos_dim=5, filter_hidden=8)
+        cfg = paper_student_config(vocab_size=50, dim=8, n_blocks=1, max_seq_len=16,
+                                  filter_pos_dim=5, filter_hidden=8)
         p7 = hyena.init_model(cfg, seed=7)
         p8 = hyena.init_model(cfg, seed=8)
         assert any(not np.array_equal(p7[k], p8[k]) for k in p7)
@@ -37,9 +39,9 @@ class TestInit:
         #   embeddings 40+32, final norm 8, block:
         #   48+12 in-proj, 36 short, 40+8+64+8 filter, 8 decay,
         #   16+4 out-proj, 16 norms, 32+8+32+4 mlp = 336
-        cfg = hyena.HyenaConfig(vocab_size=10, dim=4, n_blocks=1, order=2,
-                                short_kernel=3, max_seq_len=8, filter_pos_dim=5,
-                                filter_hidden=8, mlp_expansion=2)
+        cfg = paper_student_config(vocab_size=10, dim=4, n_blocks=1, order=2,
+                                  short_kernel=3, max_seq_len=8, filter_pos_dim=5,
+                                  filter_hidden=8, mlp_expansion=2)
         assert hyena.param_count(cfg) == 416
         params = hyena.init_model(cfg, seed=0)
         assert sum(a.size for a in params.values()) == 416
@@ -51,6 +53,30 @@ class TestInit:
         assert set(params) == set(shapes)
         for k, s in shapes.items():
             assert params[k].shape == s, k
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cfg", [
+        paper_student_config(vocab_size=10_000),
+        paper_student_config(vocab_size=50, dim=16, n_blocks=3, order=3, max_seq_len=32),
+    ], ids=["paper-shape", "order-3"])
+    def test_matches_reference_bit_for_bit(self, cfg, dtype):
+        params = hyena.init_model(cfg, seed=11, dtype=dtype)
+        ref = reference_init_model(cfg, seed=11, dtype=dtype)
+        assert list(params) == list(ref)
+        for k in ref:
+            assert params[k].dtype == ref[k].dtype, k
+            assert np.array_equal(params[k], ref[k]), k
+
+    def test_block_params_takes_only_its_own_block(self):
+        cfg = tiny_student_config(n_blocks=12)
+        params = hyena.init_model(cfg, seed=4)
+        fields = [k.partition(".")[2] for k in params if k.startswith("block0.")]
+        assert len(fields) == 18
+        for i in range(cfg.n_blocks):
+            bp = hyena.block_params(params, i)
+            assert list(bp) == fields  # block1. must not pick up block10.*
+            for f in fields:
+                assert bp[f] is params[f"block{i}.{f}"]
 
     def test_decay_positive_and_log_spaced(self):
         cfg = tiny_student_config()
@@ -148,7 +174,7 @@ class TestForward:
             hyena.forward(np.zeros((1, 5), dtype=int), params, cfg)
 
     def test_full_size_logit_shape(self):
-        cfg = hyena.HyenaConfig(vocab_size=10_000)
+        cfg = paper_student_config(vocab_size=10_000)
         params = hyena.init_model(cfg, seed=9)
         tokens = np.random.default_rng(2).integers(0, 10_000, (128, 64))
         logits = hyena.forward(tokens, params, cfg)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import paper_student_config
+
 from l2t_hyena import config, corpus, dln, hyena, trainer
 from l2t_hyena.errors import NumericalError
 
@@ -124,8 +126,8 @@ class TestClip:
 
 class TestEvaluate:
     def _uniform_model(self, V=10):
-        cfg = hyena.HyenaConfig(vocab_size=V, dim=4, n_blocks=1, max_seq_len=4,
-                                filter_pos_dim=5, filter_hidden=4, mlp_expansion=2)
+        cfg = paper_student_config(vocab_size=V, dim=4, n_blocks=1, max_seq_len=4,
+                                  filter_pos_dim=5, filter_hidden=4, mlp_expansion=2)
         params = hyena.init_model(cfg, seed=0)
         params["tok_emb"][:] = 0.0  # tied output projection -> all-zero logits
         return cfg, params
@@ -149,8 +151,8 @@ class TestEvaluate:
         assert ppl == math.exp(val_loss)  # identity, exact to fp
 
     def test_diverged_model_raises_numerical_error(self):
-        cfg = hyena.HyenaConfig(vocab_size=10, dim=4, n_blocks=1, max_seq_len=4,
-                                filter_pos_dim=5, filter_hidden=4, mlp_expansion=2)
+        cfg = paper_student_config(vocab_size=10, dim=4, n_blocks=1, max_seq_len=4,
+                                  filter_pos_dim=5, filter_hidden=4, mlp_expansion=2)
         params = hyena.init_model(cfg, seed=0)
         params["tok_emb"] *= 1e5  # validation loss far above math.exp's range
         ids = np.random.default_rng(2).integers(0, 10, 100).astype(np.int32)
@@ -280,7 +282,7 @@ class TestTrainStep:
 class TestTrainLoop:
     def test_history_and_checkpoints(self, synth_corpus, tmp_path):
         cfg = _tiny_run_config(synth_corpus, tmp_path / "run")
-        history, info = trainer.train(cfg, quiet=True)
+        history, info = trainer.train(cfg)
         assert len(history.epochs) == 2
         for row in history.epochs:
             assert row["val_ppl"] == math.exp(row["val_loss"])
@@ -293,8 +295,8 @@ class TestTrainLoop:
     def test_run_to_run_determinism(self, synth_corpus, tmp_path):
         cfg1 = _tiny_run_config(synth_corpus, tmp_path / "a")
         cfg2 = _tiny_run_config(synth_corpus, tmp_path / "b")
-        h1, i1 = trainer.train(cfg1, quiet=True)
-        h2, i2 = trainer.train(cfg2, quiet=True)
+        h1, i1 = trainer.train(cfg1)
+        h2, i2 = trainer.train(cfg2)
         assert h1.steps == h2.steps
         assert h1.epochs == h2.epochs
         assert i1["best"] == i2["best"]
@@ -302,7 +304,7 @@ class TestTrainLoop:
     def test_lambda_tracks_dln_and_stays_in_unit_interval(self, synth_corpus,
                                                           tmp_path):
         cfg = _tiny_run_config(synth_corpus, tmp_path / "run")
-        history, _ = trainer.train(cfg, quiet=True)
+        history, _ = trainer.train(cfg)
         lams = [m["lambda"] for m in history.steps]
         assert all(0.0 < v < 1.0 for v in lams)
 
@@ -311,7 +313,7 @@ class TestTrainLoop:
         from l2t_hyena import checkpoint
 
         cfg = _tiny_run_config(synth_corpus, tmp_path / "run", mode="baseline")
-        trainer.train(cfg, quiet=True)
+        trainer.train(cfg)
         archive = checkpoint.load_archive(tmp_path / "run" / "last.l2th")
         fresh = trainer.init_train_state(cfg, archive["student/tok_emb"].shape[0],
                                          batches_per_epoch=1)
@@ -323,7 +325,7 @@ class TestTrainLoop:
 
     def test_vocab_dump_written(self, synth_corpus, tmp_path):
         cfg = _tiny_run_config(synth_corpus, tmp_path / "run")
-        trainer.train(cfg, quiet=True)
+        trainer.train(cfg)
         vocab_lines = (tmp_path / "run" / "vocab.txt").read_text().splitlines()
         assert corpus.UNK_TOKEN in vocab_lines and corpus.EOS_TOKEN in vocab_lines
         assert len(vocab_lines) <= cfg.max_vocab
