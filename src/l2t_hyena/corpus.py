@@ -12,11 +12,11 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import CorpusEncodingError, CorpusTooSmall, EmptyCorpus, VocabError
+from .errors import CorpusEncodingError, CorpusTooSmall, EmptyCorpus
 
 UNK_TOKEN = "<unk>"
 EOS_TOKEN = "<eos>"
@@ -95,15 +95,6 @@ def encode(lines: Iterable[str], vocab: Vocab) -> np.ndarray:
             ids.append(t2i.get(tok, unk))
         ids.append(eos)
     return np.asarray(ids, dtype=np.int32)
-
-
-def decode(ids: Sequence[int], vocab: Vocab) -> list[str]:
-    out = []
-    for i in ids:
-        if i < 0 or i >= len(vocab.id_to_token):
-            raise VocabError(f"id {i} outside vocabulary of size {len(vocab)}")
-        out.append(vocab.id_to_token[i])
-    return out
 
 
 def oov_rate(lines: Iterable[str], vocab: Vocab) -> float:

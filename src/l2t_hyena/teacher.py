@@ -67,14 +67,6 @@ def init_teacher(
     return hyena.init_mlp(rng, (summary_dim + 1, hidden, hidden, 1), dtype)
 
 
-def teacher_predict(
-    summary: np.ndarray, lam: float, params: dict[str, np.ndarray]
-) -> float:
-    """Predicted student loss for a summary and a proposed weight (unbounded)."""
-    x = np.concatenate([summary, [lam]]).astype(params["w1"].dtype)
-    return float(hyena.mlp_forward(x, params, 3)[-1][0])
-
-
 def huber(pred, target, delta: float = 1.0):
     """0.5 d^2 inside |d| <= delta, linear with matched slope outside."""
     d = np.abs(np.asarray(pred, dtype=np.float64) - target)

@@ -1,11 +1,13 @@
 """Shared test utilities: independent oracles and synthetic data.
 
 Everything here is deliberately simple and separate from the library code:
-the direct convolution is a visible O(L^2) sum, gradients come from central
-finite differences, and the synthetic corpus is a first-order Markov chain
-whose bigram structure a tiny model can learn quickly. ``hyena_operator`` and
-``student_loss_and_grads`` are one-call entry points into the student's
-forward and reverse passes, for tests only.
+the direct convolution and its reverse pass are visible O(L^2) sums,
+gradients come from central finite differences, and the synthetic corpus is
+a first-order Markov chain whose bigram structure a tiny model can learn
+quickly. ``hyena_operator`` and ``student_loss_and_grads`` are one-call entry
+points into the student's forward and reverse passes, for tests only, as are
+``decode`` (ids back to tokens) and ``teacher_predict`` (one teacher
+prediction); the library itself never needs either.
 
 References keep the code the library replaced with faster or shorter
 versions: the student passes with GELU and its derivative each computed from
@@ -28,6 +30,7 @@ from scipy.special import erf
 
 from l2t_hyena import corpus, hyena, trainer
 from l2t_hyena.config import RunConfig
+from l2t_hyena.errors import VocabError
 
 
 def direct_causal_conv(u: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -37,6 +40,21 @@ def direct_causal_conv(u: np.ndarray, h: np.ndarray) -> np.ndarray:
     for t in range(L):
         y[:, t, :] = (h[: t + 1, :] * u[:, t::-1, :][:, : t + 1, :]).sum(axis=1)
     return y
+
+
+def direct_causal_conv_backward(dy: np.ndarray, u: np.ndarray, h: np.ndarray):
+    """Reference (du, dh) of ``direct_causal_conv`` as direct correlations.
+
+    du[b,j,d] = sum_{s<L-j} h[s,d] dy[b,j+s,d] and
+    dh[s,d] = sum_b sum_{t>=s} dy[b,t,d] u[b,t-s,d], no FFT.
+    """
+    L = u.shape[1]
+    du = np.zeros_like(u)
+    dh = np.zeros_like(h)
+    for s in range(L):
+        du[:, : L - s, :] += h[s] * dy[:, s:, :]
+        dh[s] = (dy[:, s:, :] * u[:, : L - s, :]).sum(axis=(0, 1))
+    return du, dh
 
 
 def direct_short_conv(u: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -213,6 +231,24 @@ def gru_reference_grads(steps, params: dict[str, np.ndarray], dh: np.ndarray):
 
         dh = dh_prev
     return grads
+
+
+def decode(ids, vocab: corpus.Vocab) -> list[str]:
+    """Tokens of ``ids``; an id outside the vocabulary raises ``VocabError``."""
+    out = []
+    for i in ids:
+        if i < 0 or i >= len(vocab.id_to_token):
+            raise VocabError(f"id {i} outside vocabulary of size {len(vocab)}")
+        out.append(vocab.id_to_token[i])
+    return out
+
+
+def teacher_predict(
+    summary: np.ndarray, lam: float, params: dict[str, np.ndarray]
+) -> float:
+    """The teacher's predicted student loss for a summary and a proposed weight."""
+    x = np.concatenate([summary, [lam]]).astype(params["w1"].dtype)
+    return float(hyena.mlp_forward(x, params, 3)[-1][0])
 
 
 def overflowing_checkpoint_header() -> bytes:

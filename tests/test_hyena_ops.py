@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import direct_causal_conv, direct_short_conv
+from helpers import direct_causal_conv, direct_causal_conv_backward, direct_short_conv
 
 from l2t_hyena import hyena
 from l2t_hyena.errors import ShapeError
@@ -103,6 +103,23 @@ class TestFftCausalConv:
         u = np.array([[[2.0, -1.0]]])
         h = np.array([[3.0, 4.0]])
         assert np.allclose(hyena.fft_causal_conv(u, h), [[[6.0, -4.0]]])
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("L", [1, 33, 64, 1024])
+    def test_forward_and_backward_match_direct_sums(self, L, dtype, tol):
+        # L=1024 is the benchmark's longest convolution. The references are
+        # float64 sums of the same (possibly float32) inputs, so only the
+        # FFT path's own rounding counts against the tolerance.
+        rng = np.random.default_rng(L)
+        u, dy = rng.standard_normal((2, 2, L, 3)).astype(dtype)
+        h = rng.standard_normal((L, 3)).astype(dtype)
+        y = hyena.fft_causal_conv(u, h)
+        du, dh = hyena._fft_causal_conv_backward(dy, u, h)
+        u64, dy64, h64 = (a.astype(np.float64) for a in (u, dy, h))
+        refs = (direct_causal_conv(u64, h64), *direct_causal_conv_backward(dy64, u64, h64))
+        for out, ref in zip((y, du, dh), refs):
+            assert out.dtype == dtype and out.shape == ref.shape
+            assert np.abs(out - ref).max() / np.abs(ref).max() <= tol
 
 
 class TestShortConv:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import finite_diff_failures
+from helpers import finite_diff_failures, teacher_predict
 
 from l2t_hyena import teacher
 from l2t_hyena.errors import EmptyBuffer, InvalidExperience
@@ -108,12 +108,12 @@ class TestPredict:
         params = teacher.init_teacher(seed=0, summary_dim=4, hidden=8)
         for v in params.values():
             v[:] = 0.0
-        assert teacher.teacher_predict(np.ones(4), 0.7, params) == 0.0
+        assert teacher_predict(np.ones(4), 0.7, params) == 0.0
 
     def test_bit_identical_repeat(self):
         params = teacher.init_teacher(seed=1, summary_dim=4, hidden=8)
         s = np.random.default_rng(2).standard_normal(4)
-        assert teacher.teacher_predict(s, 0.3, params) == teacher.teacher_predict(
+        assert teacher_predict(s, 0.3, params) == teacher_predict(
             s, 0.3, params
         )
 
@@ -124,9 +124,9 @@ class TestPredict:
         for w in ("w1", "w2", "w3"):
             lip *= np.linalg.svd(params[w], compute_uv=False)[0]
         s = np.random.default_rng(4).standard_normal(4)
-        base = teacher.teacher_predict(s, 0.5, params)
+        base = teacher_predict(s, 0.5, params)
         for eps in (1e-3, 1e-2, 0.1):
-            moved = teacher.teacher_predict(s, 0.5 + eps, params)
+            moved = teacher_predict(s, 0.5 + eps, params)
             assert abs(moved - base) <= lip * eps + 1e-12
 
 
@@ -197,7 +197,7 @@ class TestTeacherStep:
 
         def objective():
             batch = teacher.sample_prioritized(buf, 5, np.random.default_rng(42))
-            preds = [teacher.teacher_predict(e.summary, e.lam_used, params)
+            preds = [teacher_predict(e.summary, e.lam_used, params)
                      for e in batch]
             return float(
                 np.mean([teacher.huber(p, e.student_loss, 1.0)
@@ -223,8 +223,8 @@ class TestDlnFeedback:
         fb = teacher.dln_feedback(s, lam, params)
         h = 1e-7
         fd = (
-            teacher.teacher_predict(s, lam + h, params)
-            - teacher.teacher_predict(s, lam - h, params)
+            teacher_predict(s, lam + h, params)
+            - teacher_predict(s, lam - h, params)
         ) / (2 * h)
         assert abs(fb - fd) < 1e-6
 
