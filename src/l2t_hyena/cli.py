@@ -187,10 +187,11 @@ def compare_runs(run_dir_baseline: str, run_dir_l2t: str) -> dict:
                 (base["final_train_loss"] - l2t["final_train_loss"])
                 / base["final_train_loss"]
             ),
+            # --deterministic runs write total_seconds 0: no ratio to report.
             "time_ratio": (
                 l2t["total_seconds"] / base["total_seconds"]
-                if base["total_seconds"] > 0
-                else 0.0
+                if base["total_seconds"] > 0 and l2t["total_seconds"] > 0
+                else None
             ),
         },
     }
@@ -218,7 +219,8 @@ def cmd_compare(args) -> int:
         f"final train loss reduction: "
         f"{100.0 * deltas['final_train_loss_reduction_rel']:.1f}% relative"
     )
-    print(f"training time ratio (l2t/baseline): {deltas['time_ratio']:.4g}")
+    ratio = deltas["time_ratio"]
+    print(f"training time ratio (l2t/baseline): {'n/a' if ratio is None else f'{ratio:.4g}'}")
     out_path = os.path.join(args.out, "compare.json")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(_json_dumps(report) + "\n")

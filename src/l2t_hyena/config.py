@@ -12,7 +12,8 @@ same configuration.
 
 from __future__ import annotations
 
-import dataclasses
+import math
+import typing
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -64,11 +65,7 @@ class RunConfig:
     clip_norm: float = 1.0
 
 
-FIELD_TYPES: dict[str, type] = {
-    f.name: f.type if isinstance(f.type, type) else {"str": str, "int": int,
-                                                     "float": float, "bool": bool}[f.type]
-    for f in dataclasses.fields(RunConfig)
-}
+FIELD_TYPES: dict[str, type] = typing.get_type_hints(RunConfig)
 
 
 def parse_value(key: str, text: str):
@@ -122,6 +119,10 @@ def _non_negative(cfg, key):
 
 
 def validate_config(cfg: RunConfig) -> None:
+    for key, typ in FIELD_TYPES.items():
+        # nan passes every range check below; inf passes most of them.
+        if typ is float and not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
     if cfg.mode not in ("l2t", "baseline"):
         raise ConfigError(f"mode must be 'l2t' or 'baseline', got {cfg.mode!r}")
     for key in ("batch_size", "seq_len", "epochs", "dim", "n_blocks", "order",
@@ -185,8 +186,5 @@ def _render(value) -> str:
 
 def echo_config(cfg: RunConfig) -> str:
     """Render the resolved config in the file grammar (round-trips exactly)."""
-    lines = [
-        f"{f.name}: {_render(getattr(cfg, f.name))}"
-        for f in dataclasses.fields(RunConfig)
-    ]
+    lines = [f"{key}: {_render(getattr(cfg, key))}" for key in FIELD_TYPES]
     return "\n".join(lines) + "\n"

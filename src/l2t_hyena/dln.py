@@ -71,11 +71,11 @@ def normalize_features(f: np.ndarray, state: FeatureNormState) -> np.ndarray:
 
 def init_dln(
     seed: int,
-    hidden: int = 32,
-    mlp_widths: tuple[int, int, int] = (64, 64, 32),
+    hidden: int,
+    mlp_widths: tuple[int, ...] = (64, 64, 32),
     dtype=np.float32,
 ) -> dict[str, np.ndarray]:
-    """GRU (N_FEATURES -> hidden) plus a 4-layer MLP ending in one raw weight."""
+    """GRU (N_FEATURES -> hidden), then a ReLU MLP (hidden, *mlp_widths, 1) to one raw weight."""
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for gate in ("z", "r", "h"):
@@ -107,9 +107,8 @@ class DLNTape(NamedTuple):
     """One ``dln_forward``: its weight and what ``dln_grads`` runs back through."""
 
     lam: float
-    summary: np.ndarray  # the GRU's final state hs[L], which is also acts[0]
     f: np.ndarray        # (L, N_FEATURES) normalized features, the GRU's input
-    hs: np.ndarray       # (L+1, H) GRU states, hs[0] = 0
+    hs: np.ndarray       # (L+1, H) GRU states, hs[0] = 0; hs[-1] = acts[0], the summary
     z: np.ndarray        # (L, H) update gate of each position
     r: np.ndarray        # (L, H) reset gate
     n: np.ndarray        # (L, H) candidate state
@@ -117,7 +116,7 @@ class DLNTape(NamedTuple):
 
 
 def dln_forward(f_norm: np.ndarray, params: dict[str, np.ndarray]) -> DLNTape:
-    """Consume normalized features; the tape holds the weight in (0,1) and summary.
+    """Consume normalized features; the tape holds the weight in (0,1) and GRU states.
 
     GRU gating: z and r are sigmoid gates, the candidate is
     tanh(x W_h + (r * h) U_h + b_h), and h' = (1 - z) * h + z * candidate,
@@ -126,8 +125,8 @@ def dln_forward(f_norm: np.ndarray, params: dict[str, np.ndarray]) -> DLNTape:
     if f_norm.ndim != 2 or f_norm.shape[0] < 1:
         raise ShapeError(f"feature sequence must be (L, n_features), got {f_norm.shape}")
     hs, z, r, n = _gru_forward(f_norm, params)
-    acts = hyena.mlp_forward(hs[-1], params, 4, "mlp.")
-    return DLNTape(float(expit(float(acts[-1][0]))), hs[-1], f_norm, hs, z, r, n, acts)
+    acts = hyena.mlp_forward(hs[-1], params, "mlp.")
+    return DLNTape(float(expit(float(acts[-1][0]))), f_norm, hs, z, r, n, acts)
 
 
 def dln_grads(
@@ -141,7 +140,7 @@ def dln_grads(
     sigmoid, the MLP, and the GRU across all L steps of ``tape``, which
     ``dln_forward`` must have recorded with these same ``params``.
     """
-    lam, _, f, hs, z, r, n, acts = tape
+    lam, f, hs, z, r, n, acts = tape
     h_prev = hs[:-1]
     dy = np.array([upstream * lam * (1.0 - lam)], dtype=acts[-1].dtype)
     dh, mlp_grads = hyena.mlp_backward(dy, acts, params, "mlp.")

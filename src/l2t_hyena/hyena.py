@@ -135,8 +135,9 @@ def init_mlp(rng: np.random.Generator, widths, dtype, prefix: str = "") -> dict[
     return params
 
 
-def mlp_forward(x: np.ndarray, params: dict[str, np.ndarray], n_layers: int, prefix: str = ""):
-    """Activations of a ReLU MLP: its input, each hidden layer, then the linear output."""
+def mlp_forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str = ""):
+    """Activations of a ReLU MLP, one layer per ``{prefix}w{i}``: input, hidden, linear output."""
+    n_layers = sum(1 for k in params if k.startswith(prefix + "w"))
     acts = [x]
     for i in range(1, n_layers + 1):
         y = acts[-1] @ params[f"{prefix}w{i}"] + params[f"{prefix}b{i}"]
@@ -343,8 +344,9 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # the gated-convolution operator
 # ---------------------------------------------------------------------------
 
-def _hyena_op_forward(a: np.ndarray, bp: dict[str, np.ndarray], order: int):
+def _hyena_op_forward(a: np.ndarray, bp: dict[str, np.ndarray]):
     B, L, D = a.shape
+    order = bp["decay"].shape[0]
     z = a @ bp["w_in"] + bp["b_in"]
     zc = short_conv(z, bp["short_kernels"])
     streams = [zc[:, :, n * D : (n + 1) * D] for n in range(order + 1)]
@@ -362,8 +364,9 @@ def _hyena_op_forward(a: np.ndarray, bp: dict[str, np.ndarray], order: int):
     return y, cache
 
 
-def _hyena_op_backward(dy: np.ndarray, cache, bp: dict[str, np.ndarray], order: int):
+def _hyena_op_backward(dy: np.ndarray, cache, bp: dict[str, np.ndarray]):
     a, z, streams, h, filt_cache, zs, convs = cache
+    order = len(convs)
     g: dict[str, np.ndarray] = {}
     dcur, g["w_out"], g["b_out"] = linear_backward(dy, zs[-1], bp["w_out"])
 
@@ -417,7 +420,7 @@ def forward(
     for i in range(cfg.n_blocks):
         bp = block_params(params, i)
         a, ln1_cache = _layer_norm(x, bp["norm1_g"], bp["norm1_b"])
-        hy, op_cache = _hyena_op_forward(a, bp, cfg.order)
+        hy, op_cache = _hyena_op_forward(a, bp)
         x = x + hy
         c, ln2_cache = _layer_norm(x, bp["norm2_g"], bp["norm2_b"])
         u1 = c @ bp["mlp_w1"] + bp["mlp_b1"]
@@ -433,10 +436,7 @@ def forward(
 
 
 def _backward(
-    dlogits: np.ndarray,
-    cache,
-    params: dict[str, np.ndarray],
-    cfg: HyenaConfig,
+    dlogits: np.ndarray, cache, params: dict[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
     tokens, block_caches, lnf_cache, xf = cache
     tok_emb = params["tok_emb"]
@@ -451,7 +451,7 @@ def _backward(
         dxf, lnf_cache, params["final_norm_g"]
     )
 
-    for i in range(cfg.n_blocks - 1, -1, -1):
+    for i in range(len(block_caches) - 1, -1, -1):
         bp = block_params(params, i)
         ln1_cache, op_cache, ln2_cache, c, u1, phi = block_caches[i]
         p = f"block{i}."
@@ -467,7 +467,7 @@ def _backward(
         )
         dx = dx + dln2
 
-        da, op_grads = _hyena_op_backward(dx, op_cache, bp, cfg.order)
+        da, op_grads = _hyena_op_backward(dx, op_cache, bp)
         for name, val in op_grads.items():
             grads[p + name] = val
         dln1, grads[p + "norm1_g"], grads[p + "norm1_b"] = _layer_norm_backward(
@@ -534,23 +534,21 @@ def loss_and_grads_from_logits(
     cache,
     sx: SoftmaxXent,
     params: dict[str, np.ndarray],
-    cfg: HyenaConfig,
-    lam: float | None,
+    lam: float,
     beta: float,
 ):
     """Loss = CE + lam * beta * logit_l2 and its exact parameter gradients.
 
     Starts from a cached ``forward`` and its ``softmax_xent``, and overwrites
-    ``sx.p`` with dlogits. ``lam=None`` is baseline mode: the loss is plain
-    cross-entropy and no regularization gradient flows (``lam * beta == 0``
-    behaves identically). Returns (loss, ce, l2, grads) with grads keyed
-    exactly like ``params``.
+    ``sx.p`` with dlogits. Baseline mode is ``lam = 0``: the loss is plain
+    cross-entropy and no regularization gradient flows. Returns
+    (loss, ce, l2, grads) with grads keyed exactly like ``params``.
     """
     B, L, V = logits.shape
     ce = float(sx.ce.mean())
     l2 = logit_l2(logits)
 
-    lam_beta = 0.0 if lam is None else float(lam) * float(beta)
+    lam_beta = float(lam) * float(beta)
     loss = ce + lam_beta * l2
     if not math.isfinite(loss):
         raise NumericalError(f"non-finite student loss (ce={ce}, l2={l2})")
@@ -561,5 +559,5 @@ def loss_and_grads_from_logits(
     if lam_beta != 0.0:
         dlogits += (2.0 * lam_beta / (B * L * V)) * logits
 
-    grads = _backward(dlogits.astype(logits.dtype, copy=False), cache, params, cfg)
+    grads = _backward(dlogits.astype(logits.dtype, copy=False), cache, params)
     return loss, ce, l2, grads

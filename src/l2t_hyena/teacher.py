@@ -60,14 +60,14 @@ def sample_prioritized(
 
 
 def init_teacher(
-    seed: int, summary_dim: int = 32, hidden: int = 128, dtype=np.float32
+    seed: int, summary_dim: int, hidden: int, dtype=np.float32
 ) -> dict[str, np.ndarray]:
     """3-layer ReLU MLP over [summary, weight] -> predicted student loss."""
     rng = np.random.default_rng(seed)
     return hyena.init_mlp(rng, (summary_dim + 1, hidden, hidden, 1), dtype)
 
 
-def huber(pred, target, delta: float = 1.0):
+def huber(pred, target, delta: float):
     """0.5 d^2 inside |d| <= delta, linear with matched slope outside."""
     d = np.abs(np.asarray(pred, dtype=np.float64) - target)
     out = np.where(d <= delta, 0.5 * d * d, delta * (d - 0.5 * delta))
@@ -79,7 +79,7 @@ def teacher_step(
     params: dict[str, np.ndarray],
     k: int,
     rng: np.random.Generator,
-    delta: float = 1.0,
+    delta: float,
 ):
     """One prioritized minibatch: mean Huber loss and its exact gradients."""
     batch = sample_prioritized(buffer, k, rng)
@@ -89,7 +89,7 @@ def teacher_step(
     ).astype(dtype)
     targets = np.array([e.student_loss for e in batch], dtype=dtype)
 
-    acts = hyena.mlp_forward(x, params, 3)
+    acts = hyena.mlp_forward(x, params)
     pred = acts[-1][:, 0]
     diff = pred - targets
     loss = float(np.mean(huber(pred, targets, delta)))
@@ -109,5 +109,5 @@ def dln_feedback(
     DLN then moves its weight downhill on the teacher's predicted loss.
     """
     x = np.concatenate([summary, [lam]]).astype(params["w1"].dtype)
-    dx, _ = hyena.mlp_backward(np.ones(1, x.dtype), hyena.mlp_forward(x, params, 3), params)
+    dx, _ = hyena.mlp_backward(np.ones(1, x.dtype), hyena.mlp_forward(x, params), params)
     return float(dx[-1])

@@ -7,7 +7,7 @@ training step runs: student forward and its one row softmax; features from
 that softmax and the DLN's weight proposal; the student update, whose loss
 overwrites the softmax; experience storage in the replay deque; and, once it
 holds enough history, one teacher and one DLN update from the DLN's tape.
-Baseline mode trains only the student, on plain cross-entropy.
+Baseline mode trains only the student with lambda = 0: plain cross-entropy.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class AdamWState:
     """One component's AdamW settings, moments per array and step counter."""
 
     def __init__(self, params: dict[str, np.ndarray], weight_decay: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 beta1: float, beta2: float, eps: float):
         self.weight_decay = weight_decay
         self.beta1 = beta1
         self.beta2 = beta2
@@ -143,19 +143,10 @@ def _component_seeds(seed: int) -> tuple[int, int, int, int]:
 
 
 def model_config_from_run(run_cfg: RunConfig, vocab_size: int) -> hyena.HyenaConfig:
-    return hyena.HyenaConfig(
-        vocab_size=vocab_size,
-        dim=run_cfg.dim,
-        n_blocks=run_cfg.n_blocks,
-        order=run_cfg.order,
-        short_kernel=run_cfg.short_kernel,
-        max_seq_len=run_cfg.seq_len,
-        filter_pos_dim=run_cfg.filter_pos_dim,
-        filter_hidden=run_cfg.filter_hidden,
-        mlp_expansion=run_cfg.mlp_expansion,
-        decay_fastest=run_cfg.decay_fastest,
-        decay_slowest=run_cfg.decay_slowest,
-    )
+    """The student's shape: every ``HyenaConfig`` field ``RunConfig`` shares by name."""
+    shared = {f.name: getattr(run_cfg, f.name) for f in fields(hyena.HyenaConfig)
+              if hasattr(run_cfg, f.name)}
+    return hyena.HyenaConfig(vocab_size=vocab_size, max_seq_len=run_cfg.seq_len, **shared)
 
 
 def init_train_state(
@@ -222,16 +213,16 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
                                       want_cache=True)
 
         sx = hyena.softmax_xent(logits, batch.targets)
-        tape = None
+        lam = 0.0
         if l2t:
             # Features first: the loss below overwrites sx.p with dlogits.
             feats = dln.extract_features(sx)
             f_norm = dln.normalize_features(feats, state.norm_state)
             tape = dln.dln_forward(f_norm, state.dln_params)
-        lam = tape.lam if l2t else None
+            lam = tape.lam
 
         loss, ce, l2, sgrads = hyena.loss_and_grads_from_logits(
-            logits, cache, sx, state.student, state.model_cfg, lam, rc.beta,
+            logits, cache, sx, state.student, lam, rc.beta,
         )
         del logits, cache, sx
         lr_student = _lr(state, rc.lr_student)
@@ -243,7 +234,7 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
             "loss": loss,
             "ce": ce,
             "l2": l2,
-            "lambda": lam if lam is not None else 0.0,
+            "lambda": lam,
             "grad_norm_student": snorm,
             "grad_norm_teacher": 0.0,
             "grad_norm_dln": 0.0,
@@ -257,7 +248,7 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
         if l2t:
             teacher.push_experience(
                 state.buffer,
-                teacher.Experience(summary=tape.summary.copy(), lam_used=lam,
+                teacher.Experience(summary=tape.hs[-1].copy(), lam_used=lam,
                                    student_loss=loss, step=state.step),
             )
             if len(state.buffer) >= rc.activation_threshold:
@@ -269,7 +260,7 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
                     state, state.teacher_params, tgrads, state.opt_teacher,
                     metrics["lr_teacher"])
 
-                upstream = teacher.dln_feedback(tape.summary, lam, state.teacher_params)
+                upstream = teacher.dln_feedback(tape.hs[-1], lam, state.teacher_params)
                 dgrads = dln.dln_grads(tape, state.dln_params, upstream)
                 metrics["grad_norm_dln"] = _update(
                     state, state.dln_params, dgrads, state.opt_dln, metrics["lr_dln"])

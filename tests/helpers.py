@@ -98,9 +98,9 @@ def finite_diff_failures(params, grads, loss_fn, eps=1e-6, abs_tol=1e-4, rel_tol
     return failures
 
 
-def hyena_operator(u: np.ndarray, bp: dict[str, np.ndarray], order: int) -> np.ndarray:
+def hyena_operator(u: np.ndarray, bp: dict[str, np.ndarray]) -> np.ndarray:
     """Order-N gated long convolution of (B, L, D) input ``u``."""
-    y, _ = hyena._hyena_op_forward(u, bp, order)
+    y, _ = hyena._hyena_op_forward(u, bp)
     return y
 
 
@@ -108,7 +108,7 @@ def student_loss_and_grads(tokens, targets, params, cfg, lam, beta):
     """(loss, ce, l2, grads) of ``hyena.loss_and_grads_from_logits`` from fresh tokens."""
     logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
     sx = hyena.softmax_xent(logits, targets)
-    return hyena.loss_and_grads_from_logits(logits, cache, sx, params, cfg, lam, beta)
+    return hyena.loss_and_grads_from_logits(logits, cache, sx, params, lam, beta)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -131,7 +131,7 @@ def reference_forward(tokens, params, cfg):
     for i in range(cfg.n_blocks):
         bp = hyena.block_params(params, i)
         a, ln1_cache = hyena._layer_norm(x, bp["norm1_g"], bp["norm1_b"])
-        hy, op_cache = hyena._hyena_op_forward(a, bp, cfg.order)
+        hy, op_cache = hyena._hyena_op_forward(a, bp)
         x = x + hy
         c, ln2_cache = hyena._layer_norm(x, bp["norm2_g"], bp["norm2_b"])
         u1 = c @ bp["mlp_w1"] + bp["mlp_b1"]
@@ -142,7 +142,7 @@ def reference_forward(tokens, params, cfg):
     return xf @ params["tok_emb"].T, (tokens, block_caches, lnf_cache, xf)
 
 
-def reference_backward(dlogits, cache, params, cfg):
+def reference_backward(dlogits, cache, params):
     """Gradients from ``reference_forward``'s cache, GELU' recomputed from u1."""
     tokens, block_caches, lnf_cache, xf = cache
     V = dlogits.shape[-1]
@@ -151,7 +151,7 @@ def reference_backward(dlogits, cache, params, cfg):
     dx, grads["final_norm_g"], grads["final_norm_b"] = hyena._layer_norm_backward(
         dlogits @ params["tok_emb"], lnf_cache, params["final_norm_g"]
     )
-    for i in range(cfg.n_blocks - 1, -1, -1):
+    for i in range(len(block_caches) - 1, -1, -1):
         bp = hyena.block_params(params, i)
         ln1_cache, op_cache, ln2_cache, c, u1, g1 = block_caches[i]
         p = f"block{i}."
@@ -165,7 +165,7 @@ def reference_backward(dlogits, cache, params, cfg):
             dc, ln2_cache, bp["norm2_g"]
         )
         dx = dx + dln2
-        da, op_grads = hyena._hyena_op_backward(dx, op_cache, bp, cfg.order)
+        da, op_grads = hyena._hyena_op_backward(dx, op_cache, bp)
         for name, val in op_grads.items():
             grads[p + name] = val
         dln1, grads[p + "norm1_g"], grads[p + "norm1_b"] = hyena._layer_norm_backward(
@@ -248,7 +248,7 @@ def teacher_predict(
 ) -> float:
     """The teacher's predicted student loss for a summary and a proposed weight."""
     x = np.concatenate([summary, [lam]]).astype(params["w1"].dtype)
-    return float(hyena.mlp_forward(x, params, 3)[-1][0])
+    return float(hyena.mlp_forward(x, params)[-1][0])
 
 
 def overflowing_checkpoint_header() -> bytes:

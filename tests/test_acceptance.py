@@ -228,7 +228,7 @@ def test_gradient_checks():
 def test_optimizer_and_schedule_laws():
     # AdamW decoupled decay with zero gradients, per-step exactness.
     params = {"w": np.array([1.0, -0.5, 2.0])}
-    state = trainer.AdamWState(params, weight_decay=0.15)
+    state = trainer.AdamWState(params, weight_decay=0.15, beta1=0.9, beta2=0.999, eps=1e-8)
     zero = {"w": np.zeros(3)}
     decay_ok = True
     for _ in range(100):

@@ -60,6 +60,14 @@ class TestConfigParsing:
                                                  "activation_threshold": 10})
         assert cfg.activation_threshold == cfg.buffer_capacity
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "key", [k for k, typ in config.FIELD_TYPES.items() if typ is float])
+    def test_non_finite_float_rejected(self, key, value):
+        # nan passes every `<= 0` range check, so finiteness is checked first.
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            config.resolve_config(flag_values={key: value})
+
     def test_bad_value_type(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("epochs: often\n")
@@ -154,6 +162,16 @@ class TestTrainCommand:
             "--epochs", "many", "--out-dir", str(tmp_path / "o"),
         ])
         assert rc == cli.EXIT_CONFIG
+
+    def test_nan_clip_norm_exits_config(self, synth_corpus, tmp_path, capsys):
+        # `total > nan` is never true: a nan clip norm would switch clipping off.
+        cfg_path = tmp_path / "smoke.cfg"
+        _write_smoke_cfg(cfg_path, synth_corpus)
+        rc = cli.main(["train", "--config", str(cfg_path), "--clip-norm", "nan",
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == cli.EXIT_CONFIG
+        assert "clip_norm must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_resolved_config_reproduces_run_config(self, synth_corpus, tmp_path):
         cfg_path = tmp_path / "smoke.cfg"
@@ -373,6 +391,17 @@ class TestCompareCommand:
         assert report["deltas"]["ppl_reduction_abs"] == 0.0
         assert report["deltas"]["ppl_reduction_rel"] == 0.0
         assert report["deltas"]["time_ratio"] == 1.0
+
+    @pytest.mark.parametrize("base_s, l2t_s", [(0.0, 0.0), (0.0, 12.0), (10.0, 0.0)])
+    def test_untimed_run_has_no_time_ratio(self, tmp_path, capsys, base_s, l2t_s):
+        # --deterministic runs write total_seconds 0.0.
+        a, b = tmp_path / "base", tmp_path / "l2t"
+        self._fake_run(a, 50.0, 3.9, 2, 3.0, base_s)
+        self._fake_run(b, 49.0, 3.8, 2, 2.9, l2t_s)
+        assert cli.main(["compare", str(a), str(b), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "compare.json").read_text())
+        assert report["deltas"]["time_ratio"] is None
+        assert "training time ratio (l2t/baseline): n/a" in capsys.readouterr().out
 
     @pytest.mark.parametrize("ppl, train_loss", [
         (50.0, 0.0), (50.0, -1.0), (0.0, 3.0), (float("nan"), 3.0), (50.0, float("inf")),

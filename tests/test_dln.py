@@ -123,50 +123,50 @@ class TestNormalizeFeatures:
 
 class TestDlnForward:
     def test_zeroed_final_layer_gives_half(self):
-        params = dln.init_dln(seed=1)
+        params = dln.init_dln(seed=1, hidden=32)
         params["mlp.w4"][:] = 0.0
         params["mlp.b4"][:] = 0.0
         f = np.random.default_rng(7).standard_normal((4, 5)).astype(np.float32)
         tape = dln.dln_forward(f, params)
         assert tape.lam == 0.5
-        assert tape.summary.shape == (32,)
+        assert tape.hs[-1].shape == (32,)
 
     def test_weight_strictly_in_unit_interval(self):
         rng = np.random.default_rng(8)
         for seed in range(10):
-            params = dln.init_dln(seed=seed)
+            params = dln.init_dln(seed=seed, hidden=32)
             f = (rng.standard_normal((5, 5)) * rng.uniform(0.1, 20)).astype(np.float32)
             lam = dln.dln_forward(f, params).lam
             assert 0.0 < lam < 1.0
 
     def test_sequence_sensitivity(self):
-        params = dln.init_dln(seed=2, dtype=np.float64)
+        params = dln.init_dln(seed=2, hidden=32, dtype=np.float64)
         row = np.random.default_rng(9).standard_normal((1, 5))
-        s1 = dln.dln_forward(row, params).summary
-        s2 = dln.dln_forward(np.vstack([row, row]), params).summary
+        s1 = dln.dln_forward(row, params).hs[-1]
+        s2 = dln.dln_forward(np.vstack([row, row]), params).hs[-1]
         assert not np.allclose(s1, s2)
 
     def test_hidden_state_bounded(self):
-        params = dln.init_dln(seed=3, dtype=np.float64)
+        params = dln.init_dln(seed=3, hidden=32, dtype=np.float64)
         f = np.random.default_rng(10).standard_normal((50, 5)) * 5.0
-        summary = dln.dln_forward(f, params).summary
+        summary = dln.dln_forward(f, params).hs[-1]
         assert np.all(np.abs(summary) < 1.0)
 
     def test_empty_sequence_rejected(self):
-        params = dln.init_dln(seed=4)
+        params = dln.init_dln(seed=4, hidden=32)
         with pytest.raises(Exception):
             dln.dln_forward(np.zeros((0, 5)), params)
 
 
 class TestDlnGrads:
     def test_zero_upstream(self):
-        params = dln.init_dln(seed=5, dtype=np.float64)
+        params = dln.init_dln(seed=5, hidden=32, dtype=np.float64)
         f = np.random.default_rng(11).standard_normal((3, 5))
         grads = dln.dln_grads(dln.dln_forward(f, params), params, 0.0)
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_runs_back_through_the_tape_only(self, monkeypatch):
-        params = dln.init_dln(seed=8, dtype=np.float64)
+        params = dln.init_dln(seed=8, hidden=32, dtype=np.float64)
         f = np.random.default_rng(14).standard_normal((4, 5))
         tape = dln.dln_forward(f, params)
         expected = dln.dln_grads(tape, params, 0.9)
@@ -181,7 +181,7 @@ class TestDlnGrads:
             assert np.array_equal(grads[k], expected[k]), k
 
     def test_upstream_linearity(self):
-        params = dln.init_dln(seed=6, dtype=np.float64)
+        params = dln.init_dln(seed=6, hidden=32, dtype=np.float64)
         f = np.random.default_rng(12).standard_normal((3, 5))
         tape = dln.dln_forward(f, params)
         g1 = dln.dln_grads(tape, params, 1.3)
@@ -189,8 +189,12 @@ class TestDlnGrads:
         for k in g1:
             assert np.allclose(2.0 * g1[k], g2[k], rtol=1e-12)
 
-    def test_finite_difference_agreement(self):
-        params = dln.init_dln(seed=7, hidden=4, mlp_widths=(6, 6, 4),
+    # The depth of the MLP comes from the arrays: one hidden layer, the
+    # DLN's three, and four.
+    @pytest.mark.parametrize("mlp_widths", [(6,), (6, 6, 4), (6, 6, 6, 4)],
+                             ids=["6", "6-6-4", "6-6-6-4"])
+    def test_finite_difference_agreement(self, mlp_widths):
+        params = dln.init_dln(seed=7, hidden=4, mlp_widths=mlp_widths,
                               dtype=np.float64)
         f = np.random.default_rng(13).standard_normal((3, 5))
         upstream = 1.7
@@ -214,16 +218,16 @@ class TestGruOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("L", [1, 2, 33, 1024])
     def test_matches_per_position_reference(self, L, dtype):
-        params = dln.init_dln(seed=9, dtype=dtype)
+        params = dln.init_dln(seed=9, hidden=32, dtype=dtype)
         f = np.random.default_rng(L).standard_normal((L, 5)).astype(dtype)
         upstream = 0.9
         tape = dln.dln_forward(f, params)
         grads = dln.dln_grads(tape, params, upstream)
 
         h, steps = gru_reference(f, params)
-        acts = hyena.mlp_forward(h, params, 4, "mlp.")
+        acts = hyena.mlp_forward(h, params, "mlp.")
         lam = 1.0 / (1.0 + math.exp(-float(acts[-1][0])))
-        self._assert_close(tape.summary, h, "summary")
+        self._assert_close(tape.hs[-1], h, "summary")
         assert tape.lam == pytest.approx(lam, rel=1e-6)
         dy = np.array([upstream * lam * (1.0 - lam)], dtype=dtype)
         dh, _ = hyena.mlp_backward(dy, acts, params, "mlp.")

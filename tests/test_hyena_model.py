@@ -93,7 +93,7 @@ class TestOperator:
         params = hyena.init_model(cfg, seed=2)
         bp = hyena.block_params(params, 0)
         u = np.zeros((2, 6, 4), np.float32)
-        y = hyena_operator(u, bp, cfg.order)
+        y = hyena_operator(u, bp)
         assert np.abs(y).max() == 0.0
 
     def test_order_one_collapses_to_plain_convolution(self):
@@ -109,7 +109,7 @@ class TestOperator:
         bp["short_kernels"][:, 0] = 1.0
         rng = np.random.default_rng(4)
         u = rng.standard_normal((2, 6, D))
-        y = hyena_operator(u, bp, cfg.order)
+        y = hyena_operator(u, bp)
         h, _ = hyena.generate_filters(
             bp["filt_w1"], bp["filt_b1"], bp["filt_w2"], bp["filt_b2"],
             bp["decay"], 6,
@@ -249,7 +249,7 @@ class TestStudentLoss:
     def test_baseline_reduction(self):
         cfg, params, tokens, targets = self._setup()
         loss, ce, l2, _ = student_loss_and_grads(
-            tokens, targets, params, cfg, lam=None, beta=0.01
+            tokens, targets, params, cfg, lam=0.0, beta=0.01
         )
         assert loss == ce
         loss0, ce0, _, _ = student_loss_and_grads(
@@ -297,7 +297,7 @@ class TestStudentLoss:
         monkeypatch.setattr(hyena, "_backward", reference_backward)
         sx = hyena.softmax_xent(ref_logits, targets)
         *ref_losses, ref_grads = hyena.loss_and_grads_from_logits(
-            ref_logits, ref_cache, sx, params, cfg, 0.4, 0.01
+            ref_logits, ref_cache, sx, params, 0.4, 0.01
         )
         assert [loss, ce, l2] == ref_losses
         assert list(grads) == list(ref_grads)

@@ -171,8 +171,8 @@ class TestTeacherStep:
         buf = deque(maxlen=5)
         for i in range(4):
             teacher.push_experience(buf, _exp(1.0 + i, step=i, seed=i))
-        g1, h1 = teacher.teacher_step(buf, params, 8, np.random.default_rng(3))
-        g2, h2 = teacher.teacher_step(buf, params, 8, np.random.default_rng(3))
+        g1, h1 = teacher.teacher_step(buf, params, 8, np.random.default_rng(3), 1.0)
+        g2, h2 = teacher.teacher_step(buf, params, 8, np.random.default_rng(3), 1.0)
         assert h1 == h2
         for k in g1:
             assert np.array_equal(g1[k], g2[k])
@@ -261,11 +261,11 @@ class TestDlnFeedback:
         slope = teacher.dln_feedback(s_probe, 0.5, params)
         assert slope > 0  # teacher learned: higher weight -> higher loss
 
-        dln_params = dln_mod.init_dln(seed=6, dtype=np.float64)
+        dln_params = dln_mod.init_dln(seed=6, hidden=32, dtype=np.float64)
         f = rng.standard_normal((4, 5))
         tape = dln_mod.dln_forward(f, dln_params)
         lam0 = tape.lam
-        upstream = teacher.dln_feedback(tape.summary, lam0, params)
+        upstream = teacher.dln_feedback(tape.hs[-1], lam0, params)
         grads = dln_mod.dln_grads(tape, dln_params, upstream)
         for k in dln_params:
             dln_params[k] -= 1e-2 * grads[k]

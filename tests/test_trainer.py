@@ -21,7 +21,7 @@ def _params_checksum(params):
 class TestAdamW:
     def test_zero_gradient_decay_factor(self):
         params = {"w": np.array([1.0, -2.0, 0.5])}
-        state = trainer.AdamWState(params, weight_decay=0.15)
+        state = trainer.AdamWState(params, weight_decay=0.15, beta1=0.9, beta2=0.999, eps=1e-8)
         grads = {"w": np.zeros(3)}
         expected = params["w"].copy()
         for _ in range(100):
@@ -34,13 +34,13 @@ class TestAdamW:
 
     def test_first_step_unit_gradient(self):
         params = {"w": np.array([0.0])}
-        state = trainer.AdamWState(params, weight_decay=0.0)
+        state = trainer.AdamWState(params, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8)
         trainer.adamw_step(params, {"w": np.array([1.0])}, state, lr_now=1e-3)
         assert params["w"][0] == pytest.approx(-1e-3 / (1.0 + 1e-8), rel=1e-12)
 
     def test_constant_gradient_sign_limit(self):
         params = {"w": np.array([0.0])}
-        state = trainer.AdamWState(params, weight_decay=0.0)
+        state = trainer.AdamWState(params, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8)
         g = {"w": np.array([0.37])}
         prev = 0.0
         for t in range(10_000):
@@ -52,14 +52,14 @@ class TestAdamW:
 
     def test_non_finite_gradient_rejected(self):
         params = {"w": np.zeros(2)}
-        state = trainer.AdamWState(params, weight_decay=0.0)
+        state = trainer.AdamWState(params, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8)
         with pytest.raises(NumericalError):
             trainer.adamw_step(params, {"w": np.array([1.0, np.nan])}, state, 1e-3)
 
     def test_weight_tying_survives_update(self):
         params = {"tok_emb": np.ones((3, 2), np.float32)}
         view = params["tok_emb"]
-        state = trainer.AdamWState(params, weight_decay=0.1)
+        state = trainer.AdamWState(params, weight_decay=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
         trainer.adamw_step(params, {"tok_emb": np.ones((3, 2), np.float32)},
                            state, 1e-2)
         assert params["tok_emb"] is view  # updated in place, storage shared

@@ -1,0 +1,74 @@
+"""Print the sha256 of the README quick-start run's outputs, in both modes.
+
+    python3 tools/smoke_hashes.py
+
+Writes the README's synthetic Markov corpus (``tests/helpers.py``'s
+``write_markov_corpus``, structure seed 0, sample seeds 1 and 2) and its
+``smoke.cfg`` (deterministic, default seed 1) into a temporary directory,
+trains once per mode and prints one line per output file:
+``<mode> <file> <sha256>`` for ``metrics_step.csv``, ``metrics_epoch.csv``
+and ``last.l2th``. Two runs of the same code print the same lines, so a
+change that claims bit-identical runs must leave them as they are.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+
+from helpers import write_markov_corpus  # noqa: E402
+
+from l2t_hyena import cli  # noqa: E402
+
+SMOKE_CFG = """\
+train_path: train.txt
+valid_path: valid.txt
+epochs: 2
+warmup_epochs: 1
+batch_size: 32
+seq_len: 32
+dim: 64
+n_blocks: 2
+max_vocab: 200
+lr_student: 0.001
+activation_threshold: 16
+deterministic: true
+"""
+OUTPUTS = ("metrics_step.csv", "metrics_epoch.csv", "last.l2th")
+
+
+def sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # the config names the corpus files relative to here
+        write_markov_corpus("train.txt", 50_000, structure_seed=0, sample_seed=1)
+        write_markov_corpus("valid.txt", 5_000, structure_seed=0, sample_seed=2)
+        with open("smoke.cfg", "w", encoding="utf-8") as fh:
+            fh.write(SMOKE_CFG)
+        for mode in ("baseline", "l2t"):
+            out_dir = os.path.join("runs", mode)
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(["train", "--config", "smoke.cfg", "--mode", mode,
+                               "--out-dir", out_dir])
+            if rc != cli.EXIT_OK:
+                print(f"{mode}: train exited {rc}", file=sys.stderr)
+                return rc
+            for name in OUTPUTS:
+                print(f"{mode} {name} {sha256(os.path.join(out_dir, name))}")
+        os.chdir(ROOT)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
