@@ -66,8 +66,12 @@ def _read_u32(fh: BinaryIO, what: str) -> int:
 
 
 def load_archive(path: str) -> dict[str, np.ndarray]:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
     arrays: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
@@ -100,7 +104,10 @@ def load_archive(path: str) -> dict[str, np.ndarray]:
             data = fh.read(nbytes)
             if name in arrays:
                 raise CheckpointError(f"duplicate array {name!r}")
-            arr = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
+            try:
+                arr = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
+            except ValueError as exc:  # a zero dim beside dims too large for numpy
+                raise CheckpointError(f"bad dims {dims} for {name!r}: {exc}") from exc
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(f"non-finite values in {name!r}")
             arrays[name] = arr

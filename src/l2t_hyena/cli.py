@@ -5,8 +5,9 @@
     l2t-hyena eval --checkpoint runs/l2t/best.l2th --config cfg.txt
     l2t-hyena compare runs/baseline runs/l2t
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical error,
-5 checkpoint error.
+Exit codes: 0 success, else the ``exit_code`` of the raised error class
+(``errors.py``): 2 config, 3 data (also any ``OSError``), 4 numerical,
+5 checkpoint.
 
 All CSV floats are printed with 9 significant digits, and ``metrics.json``
 reuses the identical formatting so the two exports agree byte-for-byte on
@@ -22,22 +23,9 @@ import os
 import sys
 
 from . import config, corpus, trainer
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    CorpusEncodingError,
-    CorpusTooSmall,
-    EmptyCorpus,
-    NumericalError,
-    ReportError,
-    VocabError,
-)
+from .errors import DataError, L2THyenaError
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERICAL = 4
-EXIT_CHECKPOINT = 5
 
 STEP_COLUMNS = ("step", "loss", "ce", "l2", "lambda", "grad_norm_student")
 EPOCH_COLUMNS = (
@@ -153,7 +141,7 @@ def cmd_eval(args) -> int:
 def _load_run_metrics(run_dir: str) -> dict:
     path = os.path.join(run_dir, "metrics.json")
     if not os.path.isfile(path):
-        raise ReportError(f"no metrics.json in {run_dir!r}")
+        raise DataError(f"no metrics.json in {run_dir!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -165,10 +153,10 @@ def _load_run_metrics(run_dir: str) -> dict:
             "total_seconds": float(doc["final"]["total_seconds"]),
         }
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ReportError(f"malformed metrics.json in {run_dir!r}: {exc}")
+        raise DataError(f"malformed metrics.json in {run_dir!r}: {exc}")
     for key in ("best_val_ppl", "final_train_loss"):  # compare_runs divides by both
         if not 0.0 < metrics[key] < float("inf"):  # also rejects nan
-            raise ReportError(f"{key} in {path!r} must be finite and > 0, got {metrics[key]}")
+            raise DataError(f"{key} in {path!r} must be finite and > 0, got {metrics[key]}")
     return metrics
 
 
@@ -264,19 +252,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (EmptyCorpus, CorpusEncodingError, CorpusTooSmall, VocabError, ReportError,
-            OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
+    except (L2THyenaError, OSError) as exc:
+        cls = type(exc) if isinstance(exc, L2THyenaError) else DataError
+        print(f"{cls.kind} error: {exc}", file=sys.stderr)
+        return cls.exit_code
 
 
 if __name__ == "__main__":

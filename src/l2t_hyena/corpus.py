@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CorpusEncodingError, CorpusTooSmall, EmptyCorpus
+from .errors import DataError
 
 UNK_TOKEN = "<unk>"
 EOS_TOKEN = "<eos>"
@@ -46,7 +46,7 @@ def read_lines(path: str) -> list[str]:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read().splitlines()
     except UnicodeDecodeError as exc:
-        raise CorpusEncodingError(f"corpus file {path!r} is not UTF-8 text: {exc}")
+        raise DataError(f"corpus file {path!r} is not UTF-8 text: {exc}")
 
 
 def build_vocab(lines: Iterable[str], max_size: int) -> Vocab:
@@ -64,7 +64,7 @@ def build_vocab(lines: Iterable[str], max_size: int) -> Vocab:
         n_lines += 1
         freq.update(line.split())
     if sum(freq.values()) == 0:
-        raise EmptyCorpus("corpus contains no tokens")
+        raise DataError("corpus contains no tokens")
     freq[EOS_TOKEN] += n_lines
 
     def rank(kv):
@@ -114,13 +114,13 @@ def make_batches(ids: np.ndarray, batch_size: int, seq_len: int) -> list[TokenBa
 
     Lane ``b`` covers a contiguous stretch of the stream; each batch advances
     every lane by ``seq_len``. The trailing remainder is dropped. Raises
-    :class:`CorpusTooSmall` when not even one batch fits.
+    :class:`DataError` when not even one batch fits.
     """
     n = len(ids)
     lane_len = n // batch_size
     n_batches = (lane_len - 1) // seq_len if lane_len >= 1 else 0
     if n_batches < 1:
-        raise CorpusTooSmall(
+        raise DataError(
             f"{n} tokens cannot fill one {batch_size}x{seq_len} batch (+1 target)"
         )
     lanes = np.asarray(ids[: lane_len * batch_size], dtype=np.int32).reshape(

@@ -32,7 +32,6 @@ import numpy as np
 from scipy.special import expit
 
 from . import hyena
-from .errors import ShapeError
 
 N_FEATURES = 5
 NORM_EPS = 1e-5
@@ -123,7 +122,7 @@ def dln_forward(f_norm: np.ndarray, params: dict[str, np.ndarray]) -> DLNTape:
     from a zero initial state.
     """
     if f_norm.ndim != 2 or f_norm.shape[0] < 1:
-        raise ShapeError(f"feature sequence must be (L, n_features), got {f_norm.shape}")
+        raise ValueError(f"feature sequence must be (L, n_features), got {f_norm.shape}")
     hs, z, r, n = _gru_forward(f_norm, params)
     acts = hyena.mlp_forward(hs[-1], params, "mlp.")
     return DLNTape(float(expit(float(acts[-1][0]))), f_norm, hs, z, r, n, acts)

@@ -1,53 +1,43 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one class per CLI exit code.
 
-Every error the engine can raise deliberately is one of these, so the CLI
-can map failures to stable exit codes.
+Every failure a user can cause (a bad config, corpus, report directory or
+checkpoint, or a diverging run) raises one of the four subclasses below.
+Each declares the ``exit_code`` the CLI returns and the ``kind`` it prints,
+so ``cli.main`` needs a single handler. Internal invariants that no user
+input reaches (array shapes, sampling an empty buffer) raise ``ValueError``.
 """
 
 
 class L2THyenaError(Exception):
     """Base class for all deliberate errors raised by this package."""
 
-
-class EmptyCorpus(L2THyenaError):
-    """The input text contained no tokens."""
-
-
-class CorpusEncodingError(L2THyenaError):
-    """A corpus file is not UTF-8 text."""
-
-
-class CorpusTooSmall(L2THyenaError):
-    """Not enough tokens to form a single (batch_size, seq_len) batch."""
-
-
-class VocabError(L2THyenaError):
-    """A token id is outside the vocabulary range."""
-
-
-class ShapeError(L2THyenaError):
-    """Array arguments disagree on shape."""
-
-
-class NumericalError(L2THyenaError):
-    """A loss or gradient became non-finite; the run must abort."""
-
-
-class InvalidExperience(L2THyenaError):
-    """An experience with non-finite fields was rejected by the buffer."""
-
-
-class EmptyBuffer(L2THyenaError):
-    """Sampling was requested from an empty memory buffer."""
+    exit_code: int
+    kind: str
 
 
 class ConfigError(L2THyenaError):
     """A configuration file or flag is malformed or out of range."""
 
+    exit_code = 2
+    kind = "config"
+
+
+class DataError(L2THyenaError):
+    """A corpus, token id or run directory cannot be used."""
+
+    exit_code = 3
+    kind = "data"
+
+
+class NumericalError(L2THyenaError):
+    """A loss, gradient or experience became non-finite; the run must abort."""
+
+    exit_code = 4
+    kind = "numerical"
+
 
 class CheckpointError(L2THyenaError):
-    """A checkpoint file is corrupt, truncated, or mismatched."""
+    """A checkpoint file is unreadable, corrupt, truncated, or mismatched."""
 
-
-class ReportError(L2THyenaError):
-    """A comparison run directory is missing its metrics."""
+    exit_code = 5
+    kind = "checkpoint"

@@ -51,7 +51,7 @@ import numpy as np
 from scipy import fft
 from scipy.special import erf
 
-from .errors import NumericalError, ShapeError, VocabError
+from .errors import DataError, NumericalError
 
 LN_EPS = 1e-5
 
@@ -242,16 +242,13 @@ def generate_filters(
     return h, cache
 
 
-def _generate_filters_backward(dh: np.ndarray, cache, filt_w2: np.ndarray):
+def _generate_filters_backward(dh: np.ndarray, cache, bp: dict[str, np.ndarray]):
     feats, s1, sin1, win, h, t_frac = cache
     N, L, D = dh.shape
     ddecay = -(dh * h * t_frac).sum(axis=1)
     draw = (dh * win).transpose(1, 0, 2).reshape(L, N * D)
-    dw2 = sin1.T @ draw
-    db2 = draw.sum(axis=0)
-    ds1 = (draw @ filt_w2.T) * np.cos(s1)
-    dw1 = feats.T @ ds1
-    db1 = ds1.sum(axis=0)
+    dsin1, dw2, db2 = linear_backward(draw, sin1, bp["filt_w2"])
+    _, dw1, db1 = linear_backward(dsin1 * np.cos(s1), feats, bp["filt_w1"])
     return dw1, db1, dw2, db2, ddecay
 
 
@@ -269,7 +266,7 @@ def fft_causal_conv(u: np.ndarray, h: np.ndarray) -> np.ndarray:
     slower at L=1024.
     """
     if u.ndim != 3 or h.ndim != 2 or u.shape[1:] != h.shape:
-        raise ShapeError(f"conv shapes disagree: u {u.shape}, h {h.shape}")
+        raise ValueError(f"conv shapes disagree: u {u.shape}, h {h.shape}")
     L = u.shape[1]
     nfft = _next_pow2(2 * L)
     uf = fft.rfft(u, n=nfft, axis=1)
@@ -297,7 +294,7 @@ def _fft_causal_conv_backward(dy: np.ndarray, u: np.ndarray, h: np.ndarray):
 def short_conv(u: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Depthwise causal convolution with per-channel kernels (C, k)."""
     if u.ndim != 3 or kernels.ndim != 2 or u.shape[2] != kernels.shape[0]:
-        raise ShapeError(f"short_conv shapes disagree: u {u.shape}, kernels {kernels.shape}")
+        raise ValueError(f"short_conv shapes disagree: u {u.shape}, kernels {kernels.shape}")
     y = kernels[:, 0] * u
     for s in range(1, kernels.shape[1]):
         y[:, s:, :] += kernels[:, s] * u[:, :-s, :]
@@ -380,7 +377,7 @@ def _hyena_op_backward(dy: np.ndarray, cache, bp: dict[str, np.ndarray]):
     dstreams[0] = dcur
 
     g["filt_w1"], g["filt_b1"], g["filt_w2"], g["filt_b2"], g["decay"] = (
-        _generate_filters_backward(dh, filt_cache, bp["filt_w2"])
+        _generate_filters_backward(dh, filt_cache, bp)
     )
 
     dzc = np.concatenate(dstreams, axis=2)
@@ -407,9 +404,9 @@ def forward(
     tokens = np.asarray(tokens)
     B, L = tokens.shape
     if L > cfg.max_seq_len:
-        raise ShapeError(f"sequence length {L} exceeds max_seq_len {cfg.max_seq_len}")
+        raise ValueError(f"sequence length {L} exceeds max_seq_len {cfg.max_seq_len}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
-        raise VocabError(
+        raise DataError(
             f"token ids must lie in [0, {cfg.vocab_size}); "
             f"got range [{tokens.min()}, {tokens.max()}]"
         )
@@ -501,7 +498,7 @@ class SoftmaxXent(NamedTuple):
 def _shifted_xent(logits: np.ndarray, targets: np.ndarray):
     """Max-shifted logits z, exp(z), its row sums, log-sum-exp, target ids and CE."""
     if logits.shape[:2] != targets.shape:
-        raise ShapeError(f"logits {logits.shape} vs targets {targets.shape}")
+        raise ValueError(f"logits {logits.shape} vs targets {targets.shape}")
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     sum_e = e.sum(axis=-1, keepdims=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyena
-from .errors import EmptyBuffer, InvalidExperience
+from .errors import NumericalError
 
 PRIORITY_FLOOR = 1e-6
 
@@ -39,7 +39,7 @@ def push_experience(buffer: deque[Experience], exp: Experience) -> None:
         or not math.isfinite(exp.student_loss)
         or exp.student_loss < 0.0
     ):
-        raise InvalidExperience(f"rejected experience at step {exp.step}")
+        raise NumericalError(f"rejected experience at step {exp.step}")
     buffer.append(exp)
 
 
@@ -49,7 +49,7 @@ def sample_prioritized(
     """k draws with replacement, P(i) proportional to max(loss_i, floor)."""
     n = len(buffer)
     if n == 0:
-        raise EmptyBuffer("cannot sample from an empty memory buffer")
+        raise ValueError("cannot sample from an empty memory buffer")
     items = list(buffer)
     weights = np.maximum(
         np.array([e.student_loss for e in items], dtype=np.float64), PRIORITY_FLOOR

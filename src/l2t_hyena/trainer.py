@@ -51,15 +51,14 @@ def adamw_step(
     """Decoupled-weight-decay Adam update, in place.
 
     p <- p - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p), with the
-    usual bias-corrected moment estimates.
+    usual bias-corrected moment estimates. Gradients are not checked here:
+    ``_update`` has already rejected a non-finite global norm.
     """
     opt.t += 1
     bc1 = 1.0 - opt.beta1 ** opt.t
     bc2 = 1.0 - opt.beta2 ** opt.t
     for name, p in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for {name!r}")
         m = opt.m[name]
         v = opt.v[name]
         m *= opt.beta1

@@ -14,7 +14,7 @@ def synth_corpus(tmp_path_factory):
     return {"train": str(train), "valid": str(valid)}
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def smoke_flags(synth_corpus):
     """Flag dict for the small deterministic run used across the suite."""
 
@@ -35,6 +35,34 @@ def smoke_flags(synth_corpus):
             activation_threshold=16,
             deterministic=True,
             seed=7,
+        )
+        flags.update(overrides)
+        return flags
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def tiny_flags(synth_corpus):
+    """Flag dict for the smallest run the suite trains: one block, dim 16."""
+
+    def make(**overrides):
+        flags = dict(
+            train_path=synth_corpus["train"],
+            valid_path=synth_corpus["valid"],
+            epochs=2,
+            warmup_epochs=1,
+            batch_size=16,
+            seq_len=16,
+            dim=16,
+            n_blocks=1,
+            max_vocab=100,
+            filter_pos_dim=5,
+            filter_hidden=8,
+            activation_threshold=8,
+            teacher_k=8,
+            deterministic=True,
+            seed=3,
         )
         flags.update(overrides)
         return flags

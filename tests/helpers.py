@@ -30,7 +30,7 @@ from scipy.special import erf
 
 from l2t_hyena import corpus, hyena, trainer
 from l2t_hyena.config import RunConfig
-from l2t_hyena.errors import VocabError
+from l2t_hyena.errors import DataError
 
 
 def direct_causal_conv(u: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -234,11 +234,11 @@ def gru_reference_grads(steps, params: dict[str, np.ndarray], dh: np.ndarray):
 
 
 def decode(ids, vocab: corpus.Vocab) -> list[str]:
-    """Tokens of ``ids``; an id outside the vocabulary raises ``VocabError``."""
+    """Tokens of ``ids``; an id outside the vocabulary raises ``DataError``."""
     out = []
     for i in ids:
         if i < 0 or i >= len(vocab.id_to_token):
-            raise VocabError(f"id {i} outside vocabulary of size {len(vocab)}")
+            raise DataError(f"id {i} outside vocabulary of size {len(vocab)}")
         out.append(vocab.id_to_token[i])
     return out
 

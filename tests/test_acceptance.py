@@ -22,7 +22,6 @@ from helpers import (
     student_loss_and_grads,
     teacher_predict,
     tiny_student_config,
-    write_markov_corpus,
 )
 
 from l2t_hyena import checkpoint, cli, config, corpus, dln, hyena, teacher, trainer
@@ -48,45 +47,13 @@ def _flags_to_args(flags: dict) -> list[str]:
 
 
 @pytest.fixture(scope="module")
-def smoke_setup(tmp_path_factory):
-    """Synthetic 50k-token corpus and the deterministic smoke flag set."""
-    root = tmp_path_factory.mktemp("acceptance")
-    train = root / "train.txt"
-    valid = root / "valid.txt"
-    write_markov_corpus(train, 50_000, structure_seed=0, sample_seed=1)
-    write_markov_corpus(valid, 5_000, structure_seed=0, sample_seed=2)
-
-    def flags(out_dir, **overrides):
-        base = dict(
-            mode="l2t",
-            train_path=str(train),
-            valid_path=str(valid),
-            out_dir=str(out_dir),
-            epochs=2,
-            warmup_epochs=1,
-            batch_size=32,
-            seq_len=32,
-            dim=64,
-            n_blocks=2,
-            max_vocab=200,
-            lr_student=1e-3,
-            activation_threshold=16,
-            deterministic=True,
-            seed=7,
-        )
-        base.update(overrides)
-        return base
-
-    return {"root": root, "flags": flags}
-
-
-@pytest.fixture(scope="module")
-def det_run_pair(smoke_setup):
+def det_run_pair(smoke_flags, tmp_path_factory):
     """Two identical deterministic smoke runs, used by several criteria."""
+    root = tmp_path_factory.mktemp("acceptance")
     runs = []
     for tag in ("a", "b"):
-        out = smoke_setup["root"] / f"det_{tag}"
-        rc = cli.main(["train"] + _flags_to_args(smoke_setup["flags"](out)))
+        out = root / f"det_{tag}"
+        rc = cli.main(["train"] + _flags_to_args(smoke_flags(out)))
         assert rc == 0
         runs.append(out)
     return runs
@@ -348,14 +315,14 @@ def test_determinism(det_run_pair):
     )
 
 
-def test_learning_smoke(smoke_setup):
+def test_learning_smoke(smoke_flags, tmp_path):
     results = {}
     lambda_ok = True
     for mode in ("baseline", "l2t"):
-        out = smoke_setup["root"] / f"learn_{mode}"
+        out = tmp_path / f"learn_{mode}"
         # 51 steps per epoch at this batching; 5 epochs cover 255 steps.
         rc = cli.main(["train"] + _flags_to_args(
-            smoke_setup["flags"](out, mode=mode, epochs=5, warmup_epochs=1)
+            smoke_flags(out, mode=mode, epochs=5, warmup_epochs=1)
         ))
         assert rc == 0
         doc = json.loads((out / "metrics.json").read_text())
@@ -375,7 +342,7 @@ def test_learning_smoke(smoke_setup):
     )
 
 
-def test_checkpoint_round_trip(det_run_pair, smoke_setup, tmp_path):
+def test_checkpoint_round_trip(det_run_pair, smoke_flags, tmp_path):
     run = det_run_pair[0]
     best = run / "best.l2th"
 
@@ -386,7 +353,7 @@ def test_checkpoint_round_trip(det_run_pair, smoke_setup, tmp_path):
 
     metrics = json.loads((run / "metrics.json").read_text())
     eval_dir = tmp_path / "eval"
-    flags = smoke_setup["flags"](eval_dir)
+    flags = smoke_flags(eval_dir)
     rc = cli.main([
         "eval", "--checkpoint", str(best),
         "--train-path", flags["train_path"], "--valid-path", flags["valid_path"],

@@ -100,6 +100,15 @@ def test_dims_larger_than_file(tmp_path):
         checkpoint.load_archive(path)
 
 
+def test_empty_array_with_oversized_dims(tmp_path):
+    # Zero bytes of data pass the size check, but numpy cannot shape them.
+    path = tmp_path / "a.l2th"
+    blob = b"L2TH" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"x"
+    path.write_bytes(blob + struct.pack("<4I", 3, 0, 2**31, 2**31))
+    with pytest.raises(CheckpointError, match=r"bad dims \(0, 2147483648, 2147483648\)"):
+        checkpoint.load_archive(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_array_rejected(tmp_path, bad):
     arrays = _sample_arrays()

@@ -10,7 +10,7 @@ import pytest
 from helpers import overflowing_checkpoint_header
 
 from l2t_hyena import checkpoint, cli, config, corpus, hyena, trainer
-from l2t_hyena.errors import ConfigError
+from l2t_hyena.errors import CheckpointError, ConfigError, DataError, NumericalError
 
 
 class TestConfigParsing:
@@ -83,7 +83,7 @@ class TestConfigParsing:
         cfg_path = tmp_path / "latin1.cfg"
         cfg_path.write_bytes(b"dim: 8\n\xff\n")
         rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
-        assert rc == cli.EXIT_CONFIG
+        assert rc == ConfigError.exit_code
         assert "latin1.cfg" in capsys.readouterr().err
 
     def test_echo_round_trip(self, tmp_path):
@@ -97,21 +97,17 @@ class TestConfigParsing:
         assert cfg == cfg2
 
 
-def _write_smoke_cfg(path, synth_corpus):
-    path.write_text(
-        f"train_path: {synth_corpus['train']}\n"
-        f"valid_path: {synth_corpus['valid']}\n"
-        "epochs: 2\nwarmup_epochs: 1\nbatch_size: 16\nseq_len: 16\n"
-        "dim: 16\nn_blocks: 1\nmax_vocab: 100\nfilter_pos_dim: 5\n"
-        "filter_hidden: 8\nactivation_threshold: 8\nteacher_k: 8\n"
-        "deterministic: true\nseed: 3\n"
-    )
+def _write_smoke_cfg(path, tiny_flags):
+    path.write_text("".join(
+        f"{key}: {'true' if value is True else value}\n"
+        for key, value in tiny_flags().items()
+    ))
 
 
 class TestTrainCommand:
-    def test_smoke_train_outputs(self, synth_corpus, tmp_path, capsys):
+    def test_smoke_train_outputs(self, tiny_flags, tmp_path, capsys):
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, synth_corpus)
+        _write_smoke_cfg(cfg_path, tiny_flags)
         out = tmp_path / "run"
         rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out)])
         assert rc == 0
@@ -133,7 +129,7 @@ class TestTrainCommand:
             "--valid-path", str(tmp_path / "absent.txt"),
             "--out-dir", str(tmp_path / "o"),
         ])
-        assert rc == cli.EXIT_DATA
+        assert rc == DataError.exit_code
         assert "absent.txt" in capsys.readouterr().err
 
     def test_non_utf8_corpus_exits_data(self, synth_corpus, tmp_path, capsys):
@@ -141,17 +137,17 @@ class TestTrainCommand:
         bad.write_bytes(b"w001 w002\n\xe9t\xe9\n")
         rc = cli.main(["train", "--train-path", str(bad), "--valid-path", synth_corpus["valid"],
                        "--out-dir", str(tmp_path / "o")])
-        assert rc == cli.EXIT_DATA
+        assert rc == DataError.exit_code
         assert "latin1.txt" in capsys.readouterr().err
 
-    def test_threshold_above_buffer_capacity_exits_config(self, synth_corpus, tmp_path,
+    def test_threshold_above_buffer_capacity_exits_config(self, tiny_flags, tmp_path,
                                                           capsys):
         # The replay buffer could never reach the threshold: no teacher or DLN update.
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, synth_corpus)
+        _write_smoke_cfg(cfg_path, tiny_flags)
         rc = cli.main(["train", "--config", str(cfg_path), "--buffer-capacity", "4",
                        "--out-dir", str(tmp_path / "o")])
-        assert rc == cli.EXIT_CONFIG
+        assert rc == ConfigError.exit_code
         assert "buffer_capacity" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -161,21 +157,21 @@ class TestTrainCommand:
             "--valid-path", synth_corpus["valid"],
             "--epochs", "many", "--out-dir", str(tmp_path / "o"),
         ])
-        assert rc == cli.EXIT_CONFIG
+        assert rc == ConfigError.exit_code
 
-    def test_nan_clip_norm_exits_config(self, synth_corpus, tmp_path, capsys):
+    def test_nan_clip_norm_exits_config(self, tiny_flags, tmp_path, capsys):
         # `total > nan` is never true: a nan clip norm would switch clipping off.
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, synth_corpus)
+        _write_smoke_cfg(cfg_path, tiny_flags)
         rc = cli.main(["train", "--config", str(cfg_path), "--clip-norm", "nan",
                        "--out-dir", str(tmp_path / "o")])
-        assert rc == cli.EXIT_CONFIG
+        assert rc == ConfigError.exit_code
         assert "clip_norm must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_resolved_config_reproduces_run_config(self, synth_corpus, tmp_path):
+    def test_resolved_config_reproduces_run_config(self, tiny_flags, tmp_path):
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, synth_corpus)
+        _write_smoke_cfg(cfg_path, tiny_flags)
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(cfg_path),
                          "--out-dir", str(out)]) == 0
@@ -183,9 +179,9 @@ class TestTrainCommand:
         direct = config.parse_config(str(cfg_path), {"out_dir": str(out)})
         assert echoed == direct
 
-    def test_csv_json_agreement(self, synth_corpus, tmp_path):
+    def test_csv_json_agreement(self, tiny_flags, tmp_path):
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, synth_corpus)
+        _write_smoke_cfg(cfg_path, tiny_flags)
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(cfg_path),
                          "--out-dir", str(out)]) == 0
@@ -202,9 +198,9 @@ class TestTrainCommand:
 
 
 class TestEvalCommand:
-    def test_eval_matches_training_best(self, synth_corpus, tmp_path):
+    def test_eval_matches_training_best(self, tiny_flags, tmp_path):
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, synth_corpus)
+        _write_smoke_cfg(cfg_path, tiny_flags)
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(cfg_path),
                          "--out-dir", str(out)]) == 0
@@ -219,9 +215,9 @@ class TestEvalCommand:
         assert doc["val_ppl"] == pytest.approx(metrics["best"]["val_ppl"],
                                                rel=1e-6)
 
-    def test_eval_fresh_process_matches(self, synth_corpus, tmp_path):
+    def test_eval_fresh_process_matches(self, tiny_flags, tmp_path):
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, synth_corpus)
+        _write_smoke_cfg(cfg_path, tiny_flags)
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(cfg_path),
                          "--out-dir", str(out)]) == 0
@@ -247,19 +243,19 @@ class TestEvalCommand:
             capture_output=True, text=True, env=env,
         )
 
-    def test_overflowing_header_exits_checkpoint(self, synth_corpus, tmp_path):
+    def test_overflowing_header_exits_checkpoint(self, tiny_flags, tmp_path):
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, synth_corpus)
+        _write_smoke_cfg(cfg_path, tiny_flags)
         bad = tmp_path / "overflow.l2th"
         bad.write_bytes(overflowing_checkpoint_header())
         proc = self._eval_in_new_process(cfg_path, bad, tmp_path / "e")
-        assert proc.returncode == cli.EXIT_CHECKPOINT, proc.stderr
+        assert proc.returncode == CheckpointError.exit_code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("checkpoint error:")
 
-    def test_diverged_model_exits_numerical(self, synth_corpus, tmp_path):
+    def test_diverged_model_exits_numerical(self, tiny_flags, tmp_path):
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, synth_corpus)
+        _write_smoke_cfg(cfg_path, tiny_flags)
         cfg = config.parse_config(str(cfg_path), {})
         vocab = corpus.build_vocab(corpus.read_lines(cfg.train_path), cfg.max_vocab)
         params = hyena.init_model(trainer.model_config_from_run(cfg, len(vocab)), seed=0)
@@ -267,13 +263,13 @@ class TestEvalCommand:
         ckpt = tmp_path / "diverged.l2th"
         checkpoint.save_archive({"student/" + k: v for k, v in params.items()}, ckpt)
         proc = self._eval_in_new_process(cfg_path, ckpt, tmp_path / "e")
-        assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
+        assert proc.returncode == NumericalError.exit_code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("numerical error:")
 
-    def test_nan_weight_exits_checkpoint(self, synth_corpus, tmp_path):
+    def test_nan_weight_exits_checkpoint(self, tiny_flags, tmp_path):
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, synth_corpus)
+        _write_smoke_cfg(cfg_path, tiny_flags)
         cfg = config.parse_config(str(cfg_path), {})
         vocab = corpus.build_vocab(corpus.read_lines(cfg.train_path), cfg.max_vocab)
         params = hyena.init_model(trainer.model_config_from_run(cfg, len(vocab)), seed=0)
@@ -282,7 +278,7 @@ class TestEvalCommand:
         checkpoint.save_archive({"student/" + k: v for k, v in params.items()}, ckpt)
         rc = cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path),
                        "--out-dir", str(tmp_path / "e")])
-        assert rc == cli.EXIT_CHECKPOINT
+        assert rc == CheckpointError.exit_code
 
     def test_non_utf8_corpus_exits_data(self, synth_corpus, tmp_path, capsys):
         bad = tmp_path / "latin1.txt"
@@ -290,12 +286,12 @@ class TestEvalCommand:
         rc = cli.main(["eval", "--checkpoint", str(tmp_path / "absent.l2th"),
                        "--train-path", synth_corpus["train"], "--valid-path", str(bad),
                        "--out-dir", str(tmp_path / "o")])
-        assert rc == cli.EXIT_DATA
+        assert rc == DataError.exit_code
         assert "latin1.txt" in capsys.readouterr().err
 
-    def test_truncated_checkpoint(self, synth_corpus, tmp_path, capsys):
+    def test_truncated_checkpoint(self, tiny_flags, tmp_path, capsys):
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, synth_corpus)
+        _write_smoke_cfg(cfg_path, tiny_flags)
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(cfg_path),
                          "--out-dir", str(out)]) == 0
@@ -305,18 +301,32 @@ class TestEvalCommand:
         rc = cli.main(["eval", "--checkpoint", str(bad),
                        "--config", str(cfg_path),
                        "--out-dir", str(tmp_path / "e")])
-        assert rc == cli.EXIT_CHECKPOINT
+        assert rc == CheckpointError.exit_code
 
-    def test_mismatched_model_shape(self, synth_corpus, tmp_path):
+    @pytest.mark.parametrize("is_dir", [False, True], ids=["missing", "directory"])
+    def test_unreadable_checkpoint_exits_checkpoint(self, tiny_flags, tmp_path, capsys,
+                                                    is_dir):
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, synth_corpus)
+        _write_smoke_cfg(cfg_path, tiny_flags)
+        ckpt = tmp_path / "nope.l2th"
+        if is_dir:
+            ckpt.mkdir()
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path),
+                       "--out-dir", str(tmp_path / "e")])
+        assert rc == CheckpointError.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and str(ckpt) in err
+
+    def test_mismatched_model_shape(self, tiny_flags, tmp_path):
+        cfg_path = tmp_path / "smoke.cfg"
+        _write_smoke_cfg(cfg_path, tiny_flags)
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(cfg_path),
                          "--out-dir", str(out)]) == 0
         rc = cli.main(["eval", "--checkpoint", str(out / "best.l2th"),
                        "--config", str(cfg_path), "--dim", "32",
                        "--out-dir", str(tmp_path / "e")])
-        assert rc == cli.EXIT_CHECKPOINT
+        assert rc == CheckpointError.exit_code
 
     def test_random_init_full_size_model_near_uniform(self, tmp_path):
         # Corpus containing every one of 9998 word types at least once, so the
@@ -411,7 +421,7 @@ class TestCompareCommand:
         self._fake_run(base, ppl, 3.9, 2, train_loss, 10.0)
         self._fake_run(l2t, 50.0, 3.9, 2, 3.0, 10.0)
         rc = cli.main(["compare", str(base), str(l2t), "--out", str(tmp_path)])
-        assert rc == cli.EXIT_DATA
+        assert rc == DataError.exit_code
         assert "must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / "compare.json").exists()
 
@@ -419,7 +429,7 @@ class TestCompareCommand:
         a = tmp_path / "a"
         os.makedirs(a)
         rc = cli.main(["compare", str(a), str(a), "--out", str(tmp_path)])
-        assert rc == cli.EXIT_DATA
+        assert rc == DataError.exit_code
 
 
 class TestEvalIdentity:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import decode, reference_build_vocab
 
 from l2t_hyena import corpus
-from l2t_hyena.errors import CorpusTooSmall, EmptyCorpus
+from l2t_hyena.errors import DataError
 
 
 def test_build_vocab_frequency_and_specials():
@@ -22,9 +22,9 @@ def test_build_vocab_frequency_and_specials():
 
 
 def test_build_vocab_empty_stream():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(DataError, match="no tokens"):
         corpus.build_vocab([], max_size=10)
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(DataError, match="no tokens"):
         corpus.build_vocab([""], max_size=10)
 
 
@@ -53,7 +53,7 @@ _lines = st.lists(st.lists(_tokens, max_size=6).map(" ".join), min_size=1, max_s
 @given(lines=_lines, max_size=st.integers(2, 12))
 def test_build_vocab_matches_reference(lines, max_size):
     if not any(line.split() for line in lines):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(DataError, match="no tokens"):
             corpus.build_vocab(lines, max_size)
         return
     vocab = corpus.build_vocab(lines, max_size)
@@ -119,7 +119,7 @@ def test_make_batches_count_formula():
 
 
 def test_make_batches_too_small():
-    with pytest.raises(CorpusTooSmall):
+    with pytest.raises(DataError, match="cannot fill one"):
         corpus.make_batches(np.arange(10, dtype=np.int32), batch_size=4, seq_len=4)
 
 

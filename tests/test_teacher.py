@@ -7,7 +7,7 @@ from scipy import stats
 from helpers import finite_diff_failures, teacher_predict
 
 from l2t_hyena import teacher
-from l2t_hyena.errors import EmptyBuffer, InvalidExperience
+from l2t_hyena.errors import NumericalError
 
 
 def _exp(loss, step=0, dim=4, seed=0, lam=0.5):
@@ -41,15 +41,15 @@ class TestBuffer:
 
     def test_non_finite_rejected(self):
         buf = deque(maxlen=5)
-        with pytest.raises(InvalidExperience):
+        with pytest.raises(NumericalError, match="rejected experience"):
             teacher.push_experience(buf, _exp(float("nan")))
-        with pytest.raises(InvalidExperience):
+        with pytest.raises(NumericalError, match="rejected experience"):
             teacher.push_experience(buf, _exp(float("inf")))
         bad = _exp(1.0)
         bad.summary[0] = np.nan
-        with pytest.raises(InvalidExperience):
+        with pytest.raises(NumericalError, match="rejected experience"):
             teacher.push_experience(buf, bad)
-        with pytest.raises(InvalidExperience):
+        with pytest.raises(NumericalError, match="rejected experience"):
             teacher.push_experience(buf, _exp(-0.5))
         assert len(buf) == 0  # rejected pushes leave the buffer unchanged
 
@@ -90,7 +90,7 @@ class TestPrioritizedSampling:
         assert picked == {0, 1}
 
     def test_empty_buffer(self):
-        with pytest.raises(EmptyBuffer):
+        with pytest.raises(ValueError, match="empty memory buffer"):
             teacher.sample_prioritized(deque(maxlen=3), 1,
                                        np.random.default_rng(0))
 

@@ -50,12 +50,6 @@ class TestAdamW:
             prev = params["w"][0]
         assert abs(delta / 1e-3 + 1.0) < 1e-3  # update -> -lr * sign(g)
 
-    def test_non_finite_gradient_rejected(self):
-        params = {"w": np.zeros(2)}
-        state = trainer.AdamWState(params, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8)
-        with pytest.raises(NumericalError):
-            trainer.adamw_step(params, {"w": np.array([1.0, np.nan])}, state, 1e-3)
-
     def test_weight_tying_survives_update(self):
         params = {"tok_emb": np.ones((3, 2), np.float32)}
         view = params["tok_emb"]
@@ -177,32 +171,12 @@ class TestEvaluate:
         assert _params_checksum(params) == before
 
 
-def _tiny_run_config(synth, out_dir, **overrides):
-    flags = dict(
-        mode="l2t",
-        train_path=synth["train"],
-        valid_path=synth["valid"],
-        out_dir=str(out_dir),
-        epochs=2,
-        warmup_epochs=1,
-        batch_size=16,
-        seq_len=16,
-        dim=16,
-        n_blocks=1,
-        max_vocab=100,
-        filter_pos_dim=5,
-        filter_hidden=8,
-        activation_threshold=8,
-        teacher_k=8,
-        deterministic=True,
-        seed=3,
-    )
-    flags.update(overrides)
-    return config.resolve_config(flag_values=flags)
+def _tiny_run_config(tiny_flags, out_dir, **overrides):
+    return config.resolve_config(flag_values=tiny_flags(out_dir=str(out_dir), **overrides))
 
 
-def test_each_component_gets_its_own_optimizer_settings(synth_corpus, tmp_path):
-    cfg = _tiny_run_config(synth_corpus, tmp_path, wd_student=0.2, wd_teacher=0.03,
+def test_each_component_gets_its_own_optimizer_settings(tiny_flags, tmp_path):
+    cfg = _tiny_run_config(tiny_flags, tmp_path, wd_student=0.2, wd_teacher=0.03,
                            wd_dln=0.07, adam_beta1=0.8, adam_beta2=0.95,
                            adam_eps=1e-6, buffer_capacity=40)
     state = trainer.init_train_state(cfg, vocab_size=50, batches_per_epoch=3)
@@ -217,8 +191,8 @@ def test_each_component_gets_its_own_optimizer_settings(synth_corpus, tmp_path):
 
 
 class TestTrainStep:
-    def _state_and_batch(self, synth_corpus, tmp_path, **overrides):
-        cfg = _tiny_run_config(synth_corpus, tmp_path, **overrides)
+    def _state_and_batch(self, tiny_flags, tmp_path, **overrides):
+        cfg = _tiny_run_config(tiny_flags, tmp_path, **overrides)
         lines = corpus.read_lines(cfg.train_path)
         vocab = corpus.build_vocab(lines, cfg.max_vocab)
         ids = corpus.encode(lines, vocab)
@@ -226,8 +200,8 @@ class TestTrainStep:
         state = trainer.init_train_state(cfg, len(vocab), len(batches))
         return state, batches
 
-    def test_below_threshold_only_student_updates(self, synth_corpus, tmp_path):
-        state, batches = self._state_and_batch(synth_corpus, tmp_path)
+    def test_below_threshold_only_student_updates(self, tiny_flags, tmp_path):
+        state, batches = self._state_and_batch(tiny_flags, tmp_path)
         dln_before = _params_checksum(state.dln_params)
         teacher_before = _params_checksum(state.teacher_params)
         student_before = _params_checksum(state.student)
@@ -238,8 +212,8 @@ class TestTrainStep:
         assert _params_checksum(state.teacher_params) == teacher_before
         assert _params_checksum(state.student) != student_before
 
-    def test_teacher_and_dln_update_after_threshold(self, synth_corpus, tmp_path):
-        state, batches = self._state_and_batch(synth_corpus, tmp_path,
+    def test_teacher_and_dln_update_after_threshold(self, tiny_flags, tmp_path):
+        state, batches = self._state_and_batch(tiny_flags, tmp_path,
                                                activation_threshold=2)
         trainer.train_step(state, batches[0])
         dln_before = _params_checksum(state.dln_params)
@@ -249,8 +223,8 @@ class TestTrainStep:
         assert _params_checksum(state.dln_params) != dln_before
         assert _params_checksum(state.teacher_params) != teacher_before
 
-    def test_baseline_skips_adaptive_components(self, synth_corpus, tmp_path):
-        state, batches = self._state_and_batch(synth_corpus, tmp_path,
+    def test_baseline_skips_adaptive_components(self, tiny_flags, tmp_path):
+        state, batches = self._state_and_batch(tiny_flags, tmp_path,
                                                mode="baseline")
         dln_before = _params_checksum(state.dln_params)
         teacher_before = _params_checksum(state.teacher_params)
@@ -264,15 +238,19 @@ class TestTrainStep:
         assert _params_checksum(state.dln_params) == dln_before
         assert _params_checksum(state.teacher_params) == teacher_before
 
-    def test_non_finite_teacher_gradient_raises(self, synth_corpus, tmp_path):
-        state, batches = self._state_and_batch(synth_corpus, tmp_path,
+    def test_non_finite_teacher_gradient_raises(self, tiny_flags, tmp_path):
+        state, batches = self._state_and_batch(tiny_flags, tmp_path,
                                                activation_threshold=1)
         state.teacher_params["w3"][0, 0] = np.nan
+        teacher_before = _params_checksum(state.teacher_params)
         with pytest.raises(NumericalError, match="step 0: non-finite gradient norm"):
             trainer.train_step(state, batches[0])
+        # Rejected on the norm, before any AdamW step touches the teacher.
+        assert _params_checksum(state.teacher_params) == teacher_before
+        assert state.opt_teacher.t == 0
 
-    def test_numerical_error_carries_step_index(self, synth_corpus, tmp_path):
-        state, batches = self._state_and_batch(synth_corpus, tmp_path)
+    def test_numerical_error_carries_step_index(self, tiny_flags, tmp_path):
+        state, batches = self._state_and_batch(tiny_flags, tmp_path)
         state.step = 17
         state.student["tok_emb"][0, 0] = np.nan
         with pytest.raises(NumericalError, match="step 17"):
@@ -280,8 +258,8 @@ class TestTrainStep:
 
 
 class TestTrainLoop:
-    def test_history_and_checkpoints(self, synth_corpus, tmp_path):
-        cfg = _tiny_run_config(synth_corpus, tmp_path / "run")
+    def test_history_and_checkpoints(self, tiny_flags, tmp_path):
+        cfg = _tiny_run_config(tiny_flags, tmp_path / "run")
         history, info = trainer.train(cfg)
         assert len(history.epochs) == 2
         for row in history.epochs:
@@ -292,27 +270,27 @@ class TestTrainLoop:
         assert info["best"]["epoch"] in (0, 1)
         assert info["corpus"]["vocab_size"] <= 100
 
-    def test_run_to_run_determinism(self, synth_corpus, tmp_path):
-        cfg1 = _tiny_run_config(synth_corpus, tmp_path / "a")
-        cfg2 = _tiny_run_config(synth_corpus, tmp_path / "b")
+    def test_run_to_run_determinism(self, tiny_flags, tmp_path):
+        cfg1 = _tiny_run_config(tiny_flags, tmp_path / "a")
+        cfg2 = _tiny_run_config(tiny_flags, tmp_path / "b")
         h1, i1 = trainer.train(cfg1)
         h2, i2 = trainer.train(cfg2)
         assert h1.steps == h2.steps
         assert h1.epochs == h2.epochs
         assert i1["best"] == i2["best"]
 
-    def test_lambda_tracks_dln_and_stays_in_unit_interval(self, synth_corpus,
+    def test_lambda_tracks_dln_and_stays_in_unit_interval(self, tiny_flags,
                                                           tmp_path):
-        cfg = _tiny_run_config(synth_corpus, tmp_path / "run")
+        cfg = _tiny_run_config(tiny_flags, tmp_path / "run")
         history, _ = trainer.train(cfg)
         lams = [m["lambda"] for m in history.steps]
         assert all(0.0 < v < 1.0 for v in lams)
 
-    def test_baseline_full_run_leaves_adaptive_params_at_init(self, synth_corpus,
+    def test_baseline_full_run_leaves_adaptive_params_at_init(self, tiny_flags,
                                                               tmp_path):
         from l2t_hyena import checkpoint
 
-        cfg = _tiny_run_config(synth_corpus, tmp_path / "run", mode="baseline")
+        cfg = _tiny_run_config(tiny_flags, tmp_path / "run", mode="baseline")
         trainer.train(cfg)
         archive = checkpoint.load_archive(tmp_path / "run" / "last.l2th")
         fresh = trainer.init_train_state(cfg, archive["student/tok_emb"].shape[0],
@@ -323,15 +301,15 @@ class TestTrainLoop:
             assert np.array_equal(archive["teacher/" + k], v.astype(np.float32)), k
         assert archive["norm/count"] == 0.0
 
-    def test_vocab_dump_written(self, synth_corpus, tmp_path):
-        cfg = _tiny_run_config(synth_corpus, tmp_path / "run")
+    def test_vocab_dump_written(self, tiny_flags, tmp_path):
+        cfg = _tiny_run_config(tiny_flags, tmp_path / "run")
         trainer.train(cfg)
         vocab_lines = (tmp_path / "run" / "vocab.txt").read_text().splitlines()
         assert corpus.UNK_TOKEN in vocab_lines and corpus.EOS_TOKEN in vocab_lines
         assert len(vocab_lines) <= cfg.max_vocab
 
-    def test_schedule_totals(self, synth_corpus, tmp_path):
-        cfg = _tiny_run_config(synth_corpus, tmp_path / "run")
+    def test_schedule_totals(self, tiny_flags, tmp_path):
+        cfg = _tiny_run_config(tiny_flags, tmp_path / "run")
         lines = corpus.read_lines(cfg.train_path)
         vocab = corpus.build_vocab(lines, cfg.max_vocab)
         ids = corpus.encode(lines, vocab)
@@ -342,8 +320,8 @@ class TestTrainLoop:
 
 
 class TestFeatureNormFrozenDuringEval:
-    def test_eval_does_not_touch_norm_state(self, synth_corpus, tmp_path):
-        cfg = _tiny_run_config(synth_corpus, tmp_path / "run")
+    def test_eval_does_not_touch_norm_state(self, tiny_flags, tmp_path):
+        cfg = _tiny_run_config(tiny_flags, tmp_path / "run")
         lines = corpus.read_lines(cfg.train_path)
         vocab = corpus.build_vocab(lines, cfg.max_vocab)
         ids = corpus.encode(lines, vocab)
