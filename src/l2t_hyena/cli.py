@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from . import config, corpus, trainer
+from . import checkpoint, config, corpus, trainer
 from .errors import DataError, L2THyenaError
 
 EXIT_OK = 0
@@ -121,6 +121,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolved_config(args)
+    archive = checkpoint.load_archive(args.checkpoint)
     train_lines = corpus.read_lines(cfg.train_path)
     valid_lines = corpus.read_lines(cfg.valid_path)
     vocab = corpus.build_vocab(train_lines, cfg.max_vocab)
@@ -128,7 +129,7 @@ def cmd_eval(args) -> int:
         corpus.encode(valid_lines, vocab), cfg.batch_size, cfg.seq_len
     )
     model_cfg = trainer.model_config_from_run(cfg, len(vocab))
-    params = trainer.student_params_from_archive(args.checkpoint, model_cfg)
+    params = trainer.student_params_from_archive(archive, model_cfg)
     val_loss, val_ppl = trainer.evaluate(params, model_cfg, val_batches)
     print(f"val_loss {val_loss:.6f} val_ppl {val_ppl:.4f}")
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -142,7 +142,7 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.decay_slowest < cfg.decay_fastest:
         raise ConfigError("decay_slowest must be >= decay_fastest")
     if cfg.activation_threshold > cfg.buffer_capacity:
-        # The replay deque never holds more than buffer_capacity experiences.
+        # The replay memory never holds more than buffer_capacity experiences.
         raise ConfigError(
             f"activation_threshold ({cfg.activation_threshold}) must be <= "
             f"buffer_capacity ({cfg.buffer_capacity})"

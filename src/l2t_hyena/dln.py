@@ -44,7 +44,6 @@ class FeatureNormState:
 
     mean: np.ndarray = field(default_factory=lambda: np.zeros(N_FEATURES))
     var: np.ndarray = field(default_factory=lambda: np.ones(N_FEATURES))
-    count: int = 0
 
 
 def extract_features(sx: hyena.SoftmaxXent) -> np.ndarray:
@@ -64,7 +63,6 @@ def normalize_features(f: np.ndarray, state: FeatureNormState) -> np.ndarray:
     m = NORM_MOMENTUM
     state.mean = m * state.mean + (1.0 - m) * f.mean(axis=0)
     state.var = m * state.var + (1.0 - m) * f.var(axis=0)
-    state.count += 1
     return out
 
 

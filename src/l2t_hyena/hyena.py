@@ -28,8 +28,9 @@ transforms a float32 array in float32 and a float64 array in float64;
 NumPy's ``rfft`` computes float32 input in float64 and rounds back, which
 takes 2.4-3x as long at L=1024.
 
-Parameter count (``param_count``) with V=vocab, D=dim, L=max_seq_len,
-N=order, k=short_kernel, P=filter_pos_dim, F=filter_hidden, e=mlp_expansion:
+Parameter count (``param_count`` in ``tests/helpers.py``) with V=vocab,
+D=dim, L=max_seq_len, N=order, k=short_kernel, P=filter_pos_dim,
+F=filter_hidden, e=mlp_expansion:
 
     V*D + L*D + 2*D + n_blocks * (
         D*(N+1)*D + (N+1)*D        # input projection
@@ -78,11 +79,6 @@ def block_params(params: dict[str, np.ndarray], i: int) -> dict[str, np.ndarray]
     prefix = f"block{i}."
     n = len(prefix)
     return {k[n:]: v for k, v in params.items() if k.startswith(prefix)}
-
-
-def param_count(cfg: HyenaConfig) -> int:
-    """Total parameter count (equals the docstring formula)."""
-    return sum(math.prod(shape) for shape in param_shapes(cfg).values())
 
 
 def param_shapes(cfg: HyenaConfig) -> dict[str, tuple[int, ...]]:

@@ -1,19 +1,18 @@
-"""Memory-augmented teacher: replay buffer plus a loss-predicting MLP.
+"""Memory-augmented teacher: replay memory plus a loss-predicting MLP.
 
-The buffer, a deque bounded by ``buffer_capacity``, keeps the latest
-experiences, each pairing a DLN summary vector and the weight it proposed
-with the student loss that actually resulted. Training draws from it with
-probability proportional to stored loss, fits the MLP prediction under Huber
-loss, and the trained predictor's sensitivity to the weight input is what
-the DLN descends. The predictor is a ReLU MLP built, run and differentiated
-by ``hyena.init_mlp``, ``hyena.mlp_forward`` and ``hyena.mlp_backward``.
+The memory, ``ReplayMemory``, keeps the latest ``buffer_capacity``
+experiences as three arrays, oldest row first: each row pairs a DLN summary
+vector and the weight it proposed with the student loss that actually
+resulted. Training draws rows with probability proportional to stored loss,
+fits the MLP prediction under Huber loss, and the trained predictor's
+sensitivity to the weight input is what the DLN descends. The predictor is a
+ReLU MLP built, run and differentiated by ``hyena.init_mlp``,
+``hyena.mlp_forward`` and ``hyena.mlp_backward``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,40 +22,50 @@ from .errors import NumericalError
 PRIORITY_FLOOR = 1e-6
 
 
-@dataclass
-class Experience:
-    summary: np.ndarray  # DLN GRU summary, stored detached
-    lam_used: float
-    student_loss: float
-    step: int
+class ReplayMemory:
+    """Rows ``[:count]`` of ``summary``, ``lam`` and ``loss``, oldest first.
+
+    ``summary`` is (capacity, summary_dim) in the DLN summary's dtype; the
+    weight and loss columns are float64. Only this module reads the arrays.
+    """
+
+    def __init__(self, capacity: int, summary_dim: int, dtype=np.float32):
+        self.summary = np.zeros((capacity, summary_dim), dtype)
+        self.lam = np.zeros(capacity)
+        self.loss = np.zeros(capacity)
+        self.count = 0
+
+    def __len__(self) -> int:
+        return self.count
 
 
-def push_experience(buffer: deque[Experience], exp: Experience) -> None:
-    """Append, evicting the oldest entry when full. Rejects non-finite data."""
+def push_experience(mem: ReplayMemory, summary: np.ndarray, lam: float,
+                    loss: float) -> None:
+    """Append a row, evicting the oldest when full. Rejects non-finite data."""
     if (
-        not np.all(np.isfinite(exp.summary))
-        or not math.isfinite(exp.lam_used)
-        or not math.isfinite(exp.student_loss)
-        or exp.student_loss < 0.0
+        not np.all(np.isfinite(summary))
+        or not math.isfinite(lam)
+        or not math.isfinite(loss)
+        or loss < 0.0
     ):
-        raise NumericalError(f"rejected experience at step {exp.step}")
-    buffer.append(exp)
+        raise NumericalError(f"rejected experience (lambda {lam}, loss {loss})")
+    row = mem.count
+    if row == len(mem.loss):
+        # Shift rather than wrap, so that rows [:count] stay oldest first.
+        for a in (mem.summary, mem.lam, mem.loss):
+            a[:-1] = a[1:]
+        row -= 1
+    else:
+        mem.count += 1
+    mem.summary[row], mem.lam[row], mem.loss[row] = summary, lam, loss
 
 
-def sample_prioritized(
-    buffer: deque[Experience], k: int, rng: np.random.Generator
-) -> list[Experience]:
-    """k draws with replacement, P(i) proportional to max(loss_i, floor)."""
-    n = len(buffer)
-    if n == 0:
+def sample_prioritized(mem: ReplayMemory, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k row indices drawn with replacement, P(i) proportional to max(loss_i, floor)."""
+    if mem.count == 0:
         raise ValueError("cannot sample from an empty memory buffer")
-    items = list(buffer)
-    weights = np.maximum(
-        np.array([e.student_loss for e in items], dtype=np.float64), PRIORITY_FLOOR
-    )
-    probs = weights / weights.sum()
-    idx = rng.choice(n, size=k, replace=True, p=probs)
-    return [items[i] for i in idx]
+    weights = np.maximum(mem.loss[:mem.count], PRIORITY_FLOOR)
+    return rng.choice(mem.count, size=k, replace=True, p=weights / weights.sum())
 
 
 def init_teacher(
@@ -75,19 +84,17 @@ def huber(pred, target, delta: float):
 
 
 def teacher_step(
-    buffer: deque[Experience],
+    mem: ReplayMemory,
     params: dict[str, np.ndarray],
     k: int,
     rng: np.random.Generator,
     delta: float,
 ):
     """One prioritized minibatch: mean Huber loss and its exact gradients."""
-    batch = sample_prioritized(buffer, k, rng)
+    rows = sample_prioritized(mem, k, rng)
     dtype = params["w1"].dtype
-    x = np.stack(
-        [np.concatenate([e.summary, [e.lam_used]]) for e in batch]
-    ).astype(dtype)
-    targets = np.array([e.student_loss for e in batch], dtype=dtype)
+    x = np.column_stack([mem.summary[rows], mem.lam[rows]]).astype(dtype)
+    targets = mem.loss[rows].astype(dtype)
 
     acts = hyena.mlp_forward(x, params)
     pred = acts[-1][:, 0]

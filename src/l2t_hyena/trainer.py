@@ -5,8 +5,9 @@ weight decay and Adam settings, and a cosine-annealed learning rate with
 linear warmup; ``_update`` clips, checks and steps every one of them. A
 training step runs: student forward and its one row softmax; features from
 that softmax and the DLN's weight proposal; the student update, whose loss
-overwrites the softmax; experience storage in the replay deque; and, once it
-holds enough history, one teacher and one DLN update from the DLN's tape.
+overwrites the softmax; experience storage in the teacher's replay memory;
+and, once it holds enough history, one teacher and one DLN update from the
+DLN's tape.
 Baseline mode trains only the student with lambda = 0: plain cross-entropy.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -126,7 +126,7 @@ class TrainState:
     dln_params: dict[str, np.ndarray]
     teacher_params: dict[str, np.ndarray]
     norm_state: dln.FeatureNormState
-    buffer: deque[teacher.Experience]
+    buffer: teacher.ReplayMemory
     opt_student: AdamWState
     opt_dln: AdamWState
     opt_teacher: AdamWState
@@ -166,7 +166,7 @@ def init_train_state(
         dln_params=dln_params,
         teacher_params=teacher_params,
         norm_state=dln.FeatureNormState(),
-        buffer=deque(maxlen=run_cfg.buffer_capacity),
+        buffer=teacher.ReplayMemory(run_cfg.buffer_capacity, run_cfg.dln_hidden),
         opt_student=AdamWState(student, run_cfg.wd_student, *adam),
         opt_dln=AdamWState(dln_params, run_cfg.wd_dln, *adam),
         opt_teacher=AdamWState(teacher_params, run_cfg.wd_teacher, *adam),
@@ -245,11 +245,7 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
         }
 
         if l2t:
-            teacher.push_experience(
-                state.buffer,
-                teacher.Experience(summary=tape.hs[-1].copy(), lam_used=lam,
-                                   student_loss=loss, step=state.step),
-            )
+            teacher.push_experience(state.buffer, tape.hs[-1], lam, loss)
             if len(state.buffer) >= rc.activation_threshold:
                 tgrads, huber_loss = teacher.teacher_step(
                     state.buffer, state.teacher_params, rc.teacher_k,
@@ -279,13 +275,12 @@ def archive_arrays(state: TrainState) -> dict[str, np.ndarray]:
         arrays.update((prefix + k, v) for k, v in params.items())
     arrays["norm/mean"] = state.norm_state.mean
     arrays["norm/var"] = state.norm_state.var
-    arrays["norm/count"] = np.array(float(state.norm_state.count))
     return arrays
 
 
-def student_params_from_archive(path: str, model_cfg: hyena.HyenaConfig):
-    """The ``student/`` arrays of an archive (see ``archive_arrays``), checked."""
-    archive = checkpoint.load_archive(path)
+def student_params_from_archive(archive: dict[str, np.ndarray],
+                                model_cfg: hyena.HyenaConfig):
+    """The ``student/`` arrays of a loaded archive (see ``archive_arrays``), checked."""
     params = {}
     for name, shape in hyena.param_shapes(model_cfg).items():
         key = "student/" + name

@@ -1,6 +1,12 @@
+import contextlib
+import io
+from types import SimpleNamespace
+
 import pytest
 
-from helpers import write_markov_corpus
+from helpers import write_markov_corpus, write_smoke_cfg
+
+from l2t_hyena import cli, trainer
 
 
 @pytest.fixture(scope="session")
@@ -68,3 +74,32 @@ def tiny_flags(synth_corpus):
         return flags
 
     return make
+
+
+@pytest.fixture(scope="session")
+def tiny_run(tiny_flags, tmp_path_factory):
+    """The ``tiny_flags`` run, trained once per session through ``cli train``.
+
+    ``cfg_path`` is the config file it was trained from, ``out`` its output
+    directory, ``stdout`` what it printed, and ``history`` and ``info`` what
+    ``trainer.train`` returned. Tests read it and write nothing into ``out``.
+    """
+    root = tmp_path_factory.mktemp("tiny_run")
+    cfg_path = root / "smoke.cfg"
+    write_smoke_cfg(cfg_path, tiny_flags)
+    out = root / "run"
+    returned = []
+    train = trainer.train
+
+    def recording_train(cfg):
+        returned.append(train(cfg))
+        return returned[-1]
+
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+        mp.setattr(trainer, "train", recording_train)
+        rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert rc == 0
+    (history, info), = returned
+    return SimpleNamespace(cfg_path=cfg_path, out=out, stdout=stdout.getvalue(),
+                           history=history, info=info)

@@ -6,8 +6,9 @@ gradients come from central finite differences, and the synthetic corpus is
 a first-order Markov chain whose bigram structure a tiny model can learn
 quickly. ``hyena_operator`` and ``student_loss_and_grads`` are one-call entry
 points into the student's forward and reverse passes, for tests only, as are
-``decode`` (ids back to tokens) and ``teacher_predict`` (one teacher
-prediction); the library itself never needs either.
+``decode`` (ids back to tokens), ``teacher_predict`` (one teacher
+prediction) and ``param_count`` (the student's size); the library itself
+never needs them.
 
 References keep the code the library replaced with faster or shorter
 versions: the student passes with GELU and its derivative each computed from
@@ -15,7 +16,10 @@ scratch (``reference_forward``/``reference_backward``), the per-position GRU
 with its ``np.outer`` BPTT (``gru_reference``/``gru_reference_grads``), the
 student initializer that spelled out every block array
 (``reference_init_model``), and the ``build_vocab`` that evicted the tail to
-seat the specials (``reference_build_vocab``).
+seat the specials (``reference_build_vocab``), and the replay memory as a
+bounded deque of ``ReferenceExperience`` records with its push, sampler and
+teacher step (``reference_push_experience``, ``reference_sample_prioritized``,
+``reference_teacher_step``).
 """
 
 from __future__ import annotations
@@ -23,14 +27,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 from scipy.special import erf
 
-from l2t_hyena import corpus, hyena, trainer
+from l2t_hyena import corpus, hyena, teacher, trainer
 from l2t_hyena.config import RunConfig
-from l2t_hyena.errors import DataError
+from l2t_hyena.errors import DataError, NumericalError
 
 
 def direct_causal_conv(u: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -251,6 +255,63 @@ def teacher_predict(
     return float(hyena.mlp_forward(x, params)[-1][0])
 
 
+def param_count(cfg: hyena.HyenaConfig) -> int:
+    """Total parameter count (equals ``hyena``'s docstring formula)."""
+    return sum(math.prod(shape) for shape in hyena.param_shapes(cfg).values())
+
+
+@dataclasses.dataclass
+class ReferenceExperience:
+    summary: np.ndarray  # DLN GRU summary, stored detached
+    lam_used: float
+    student_loss: float
+    step: int
+
+
+def reference_push_experience(buffer: deque, exp: ReferenceExperience) -> None:
+    """Append, evicting the oldest entry when full. Rejects non-finite data."""
+    if (
+        not np.all(np.isfinite(exp.summary))
+        or not math.isfinite(exp.lam_used)
+        or not math.isfinite(exp.student_loss)
+        or exp.student_loss < 0.0
+    ):
+        raise NumericalError(f"rejected experience at step {exp.step}")
+    buffer.append(exp)
+
+
+def reference_sample_prioritized(buffer: deque, k: int, rng: np.random.Generator):
+    """k draws with replacement, P(i) proportional to max(loss_i, floor)."""
+    n = len(buffer)
+    if n == 0:
+        raise ValueError("cannot sample from an empty memory buffer")
+    items = list(buffer)
+    weights = np.maximum(
+        np.array([e.student_loss for e in items], dtype=np.float64),
+        teacher.PRIORITY_FLOOR,
+    )
+    probs = weights / weights.sum()
+    idx = rng.choice(n, size=k, replace=True, p=probs)
+    return [items[i] for i in idx]
+
+
+def reference_teacher_step(buffer: deque, params, k: int, rng: np.random.Generator,
+                           delta: float):
+    """``teacher.teacher_step`` on the deque: (gradients, mean Huber loss)."""
+    batch = reference_sample_prioritized(buffer, k, rng)
+    dtype = params["w1"].dtype
+    x = np.stack(
+        [np.concatenate([e.summary, [e.lam_used]]) for e in batch]
+    ).astype(dtype)
+    targets = np.array([e.student_loss for e in batch], dtype=dtype)
+    acts = hyena.mlp_forward(x, params)
+    pred = acts[-1][:, 0]
+    loss = float(np.mean(teacher.huber(pred, targets, delta)))
+    dpred = (np.clip(pred - targets, -delta, delta) / k).astype(dtype)[:, None]
+    _, grads = hyena.mlp_backward(dpred, acts, params)
+    return grads, loss
+
+
 def overflowing_checkpoint_header() -> bytes:
     """33-byte archive: one array "x" of rank 4 claiming dims 0xFFFFFFFF, no data."""
     return (b"L2TH" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"x"
@@ -336,6 +397,14 @@ def reference_build_vocab(lines, max_size: int) -> list[str]:
             kept.add(special)
     chosen.sort(key=lambda kv: (-kv[1], kv[0]))
     return [tok for tok, _ in chosen]
+
+
+def write_smoke_cfg(path, tiny_flags) -> None:
+    """Write conftest's ``tiny_flags`` as a ``key: value`` config file."""
+    path.write_text("".join(
+        f"{key}: {'true' if value is True else value}\n"
+        for key, value in tiny_flags().items()
+    ))
 
 
 def write_markov_corpus(

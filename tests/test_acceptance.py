@@ -9,7 +9,6 @@ otherwise.
 import json
 import math
 import os
-from collections import deque
 
 import numpy as np
 import pytest
@@ -149,28 +148,25 @@ def test_gradient_checks():
 
     # Teacher MLP, plus its derivative w.r.t. the weight input.
     tparams = teacher.init_teacher(seed=9, summary_dim=4, hidden=8, dtype=np.float64)
-    buf = deque(maxlen=10)
-    for i in range(6):
+    mem = teacher.ReplayMemory(10, 4, np.float64)
+    for _ in range(6):
         teacher.push_experience(
-            buf,
-            teacher.Experience(
-                summary=rng.standard_normal(4),
-                lam_used=float(rng.uniform(0.1, 0.9)),
-                student_loss=float(rng.uniform(0.2, 3.0)),
-                step=i,
-            ),
+            mem,
+            rng.standard_normal(4),
+            float(rng.uniform(0.1, 0.9)),
+            float(rng.uniform(0.2, 3.0)),
         )
-    tgrads, _ = teacher.teacher_step(buf, tparams, k=5,
+    tgrads, _ = teacher.teacher_step(mem, tparams, k=5,
                                      rng=np.random.default_rng(42), delta=1.0)
 
     def teacher_objective():
-        batch = teacher.sample_prioritized(buf, 5, np.random.default_rng(42))
+        rows = teacher.sample_prioritized(mem, 5, np.random.default_rng(42))
         return float(np.mean([
             teacher.huber(
-                teacher_predict(e.summary, e.lam_used, tparams),
-                e.student_loss, 1.0,
+                teacher_predict(mem.summary[r], mem.lam[r], tparams),
+                mem.loss[r], 1.0,
             )
-            for e in batch
+            for r in rows
         ]))
 
     failures += finite_diff_failures(tparams, tgrads, teacher_objective)
@@ -234,32 +230,27 @@ def test_optimizer_and_schedule_laws():
 
 
 def test_prioritized_sampling():
-    buf = deque(maxlen=10)
+    # Rows are told apart by their lambda values 0, 1, 2, ...
+    mem = teacher.ReplayMemory(10, 4)
     for step, loss in enumerate((1.0, 3.0)):
-        teacher.push_experience(
-            buf, teacher.Experience(np.zeros(4), 0.5, loss, step)
-        )
-    draws = teacher.sample_prioritized(buf, 100_000, np.random.default_rng(123))
-    rate = float(np.mean([e.step == 1 for e in draws]))
+        teacher.push_experience(mem, np.zeros(4), float(step), loss)
+    rows = teacher.sample_prioritized(mem, 100_000, np.random.default_rng(123))
+    rate = float(np.mean(mem.lam[rows] == 1.0))
     rate_ok = abs(rate - 0.75) <= 0.01
 
-    buf = deque(maxlen=16)
+    mem = teacher.ReplayMemory(16, 4)
     for step in range(10):
-        teacher.push_experience(
-            buf, teacher.Experience(np.zeros(4), 0.5, 2.0, step)
-        )
-    draws = teacher.sample_prioritized(buf, 100_000, np.random.default_rng(7))
-    counts = np.bincount([e.step for e in draws], minlength=10)
+        teacher.push_experience(mem, np.zeros(4), float(step), 2.0)
+    rows = teacher.sample_prioritized(mem, 100_000, np.random.default_rng(7))
+    counts = np.bincount(mem.lam[rows].astype(int), minlength=10)
     pvalue = float(stats.chisquare(counts).pvalue)
     chi_ok = pvalue > 0.001
 
     fifo_ok = True
-    buf = deque(maxlen=3)
+    mem = teacher.ReplayMemory(3, 2)
     for i in range(10):
-        teacher.push_experience(
-            buf, teacher.Experience(np.zeros(2), 0.5, 1.0, i)
-        )
-        fifo_ok &= [e.step for e in buf] == list(range(max(0, i - 2), i + 1))
+        teacher.push_experience(mem, np.zeros(2), float(i), 1.0)
+        fifo_ok &= mem.lam[:len(mem)].tolist() == list(range(max(0, i - 2), i + 1))
 
     _report(
         "prioritized-sampling",

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import overflowing_checkpoint_header
+from helpers import overflowing_checkpoint_header, write_smoke_cfg
 
 from l2t_hyena import checkpoint, cli, config, corpus, hyena, trainer
 from l2t_hyena.errors import CheckpointError, ConfigError, DataError, NumericalError
@@ -97,20 +97,9 @@ class TestConfigParsing:
         assert cfg == cfg2
 
 
-def _write_smoke_cfg(path, tiny_flags):
-    path.write_text("".join(
-        f"{key}: {'true' if value is True else value}\n"
-        for key, value in tiny_flags().items()
-    ))
-
-
 class TestTrainCommand:
-    def test_smoke_train_outputs(self, tiny_flags, tmp_path, capsys):
-        cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, tiny_flags)
-        out = tmp_path / "run"
-        rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out)])
-        assert rc == 0
+    def test_smoke_train_outputs(self, tiny_run):
+        out = tiny_run.out
         lines = (out / "metrics_epoch.csv").read_text().splitlines()
         assert lines[0] == ("epoch,train_loss,val_loss,val_ppl,mean_lambda,"
                             "teacher_huber,lr_student,seconds")
@@ -120,8 +109,7 @@ class TestTrainCommand:
         assert (out / "metrics_epoch.csv").read_text().endswith("\n")
         assert (out / "config_resolved.txt").exists()
         assert (out / "best.l2th").exists() and (out / "last.l2th").exists()
-        captured = capsys.readouterr()
-        assert "epoch 0:" in captured.out
+        assert "epoch 0:" in tiny_run.stdout
 
     def test_missing_corpus_names_path(self, tmp_path, capsys):
         rc = cli.main([
@@ -144,7 +132,7 @@ class TestTrainCommand:
                                                           capsys):
         # The replay buffer could never reach the threshold: no teacher or DLN update.
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, tiny_flags)
+        write_smoke_cfg(cfg_path, tiny_flags)
         rc = cli.main(["train", "--config", str(cfg_path), "--buffer-capacity", "4",
                        "--out-dir", str(tmp_path / "o")])
         assert rc == ConfigError.exit_code
@@ -162,29 +150,21 @@ class TestTrainCommand:
     def test_nan_clip_norm_exits_config(self, tiny_flags, tmp_path, capsys):
         # `total > nan` is never true: a nan clip norm would switch clipping off.
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, tiny_flags)
+        write_smoke_cfg(cfg_path, tiny_flags)
         rc = cli.main(["train", "--config", str(cfg_path), "--clip-norm", "nan",
                        "--out-dir", str(tmp_path / "o")])
         assert rc == ConfigError.exit_code
         assert "clip_norm must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_resolved_config_reproduces_run_config(self, tiny_flags, tmp_path):
-        cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, tiny_flags)
-        out = tmp_path / "run"
-        assert cli.main(["train", "--config", str(cfg_path),
-                         "--out-dir", str(out)]) == 0
+    def test_resolved_config_reproduces_run_config(self, tiny_run):
+        cfg_path, out = tiny_run.cfg_path, tiny_run.out
         echoed = config.parse_config(str(out / "config_resolved.txt"))
         direct = config.parse_config(str(cfg_path), {"out_dir": str(out)})
         assert echoed == direct
 
-    def test_csv_json_agreement(self, tiny_flags, tmp_path):
-        cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, tiny_flags)
-        out = tmp_path / "run"
-        assert cli.main(["train", "--config", str(cfg_path),
-                         "--out-dir", str(out)]) == 0
+    def test_csv_json_agreement(self, tiny_run):
+        out = tiny_run.out
         doc_text = (out / "metrics.json").read_text()
         doc = json.loads(doc_text)
         epoch_lines = (out / "metrics_epoch.csv").read_text().splitlines()
@@ -198,12 +178,8 @@ class TestTrainCommand:
 
 
 class TestEvalCommand:
-    def test_eval_matches_training_best(self, tiny_flags, tmp_path):
-        cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, tiny_flags)
-        out = tmp_path / "run"
-        assert cli.main(["train", "--config", str(cfg_path),
-                         "--out-dir", str(out)]) == 0
+    def test_eval_matches_training_best(self, tiny_run, tmp_path):
+        cfg_path, out = tiny_run.cfg_path, tiny_run.out
         metrics = json.loads((out / "metrics.json").read_text())
         eval_out = tmp_path / "eval"
         rc = cli.main([
@@ -215,12 +191,8 @@ class TestEvalCommand:
         assert doc["val_ppl"] == pytest.approx(metrics["best"]["val_ppl"],
                                                rel=1e-6)
 
-    def test_eval_fresh_process_matches(self, tiny_flags, tmp_path):
-        cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, tiny_flags)
-        out = tmp_path / "run"
-        assert cli.main(["train", "--config", str(cfg_path),
-                         "--out-dir", str(out)]) == 0
+    def test_eval_fresh_process_matches(self, tiny_run, tmp_path):
+        cfg_path, out = tiny_run.cfg_path, tiny_run.out
         eval_a = tmp_path / "eval_a"
         assert cli.main(["eval", "--checkpoint", str(out / "best.l2th"),
                          "--config", str(cfg_path),
@@ -245,7 +217,7 @@ class TestEvalCommand:
 
     def test_overflowing_header_exits_checkpoint(self, tiny_flags, tmp_path):
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, tiny_flags)
+        write_smoke_cfg(cfg_path, tiny_flags)
         bad = tmp_path / "overflow.l2th"
         bad.write_bytes(overflowing_checkpoint_header())
         proc = self._eval_in_new_process(cfg_path, bad, tmp_path / "e")
@@ -255,7 +227,7 @@ class TestEvalCommand:
 
     def test_diverged_model_exits_numerical(self, tiny_flags, tmp_path):
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, tiny_flags)
+        write_smoke_cfg(cfg_path, tiny_flags)
         cfg = config.parse_config(str(cfg_path), {})
         vocab = corpus.build_vocab(corpus.read_lines(cfg.train_path), cfg.max_vocab)
         params = hyena.init_model(trainer.model_config_from_run(cfg, len(vocab)), seed=0)
@@ -269,7 +241,7 @@ class TestEvalCommand:
 
     def test_nan_weight_exits_checkpoint(self, tiny_flags, tmp_path):
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, tiny_flags)
+        write_smoke_cfg(cfg_path, tiny_flags)
         cfg = config.parse_config(str(cfg_path), {})
         vocab = corpus.build_vocab(corpus.read_lines(cfg.train_path), cfg.max_vocab)
         params = hyena.init_model(trainer.model_config_from_run(cfg, len(vocab)), seed=0)
@@ -280,21 +252,28 @@ class TestEvalCommand:
                        "--out-dir", str(tmp_path / "e")])
         assert rc == CheckpointError.exit_code
 
-    def test_non_utf8_corpus_exits_data(self, synth_corpus, tmp_path, capsys):
+    def test_non_utf8_corpus_exits_data(self, synth_corpus, tiny_run, tmp_path, capsys):
+        # A readable checkpoint: eval opens it before either corpus.
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(b"w001 w002\n\xe9t\xe9\n")
-        rc = cli.main(["eval", "--checkpoint", str(tmp_path / "absent.l2th"),
+        rc = cli.main(["eval", "--checkpoint", str(tiny_run.out / "best.l2th"),
                        "--train-path", synth_corpus["train"], "--valid-path", str(bad),
                        "--out-dir", str(tmp_path / "o")])
         assert rc == DataError.exit_code
         assert "latin1.txt" in capsys.readouterr().err
 
-    def test_truncated_checkpoint(self, tiny_flags, tmp_path, capsys):
-        cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, tiny_flags)
-        out = tmp_path / "run"
-        assert cli.main(["train", "--config", str(cfg_path),
-                         "--out-dir", str(out)]) == 0
+    def test_missing_checkpoint_reported_before_missing_corpus(self, tmp_path, capsys):
+        ckpt = tmp_path / "absent.l2th"
+        rc = cli.main(["eval", "--checkpoint", str(ckpt),
+                       "--train-path", str(tmp_path / "absent.txt"),
+                       "--valid-path", str(tmp_path / "absent.txt"),
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == CheckpointError.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and str(ckpt) in err
+
+    def test_truncated_checkpoint(self, tiny_run, tmp_path, capsys):
+        cfg_path, out = tiny_run.cfg_path, tiny_run.out
         blob = (out / "best.l2th").read_bytes()
         bad = tmp_path / "cut.l2th"
         bad.write_bytes(blob[: len(blob) // 2])
@@ -307,7 +286,7 @@ class TestEvalCommand:
     def test_unreadable_checkpoint_exits_checkpoint(self, tiny_flags, tmp_path, capsys,
                                                     is_dir):
         cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, tiny_flags)
+        write_smoke_cfg(cfg_path, tiny_flags)
         ckpt = tmp_path / "nope.l2th"
         if is_dir:
             ckpt.mkdir()
@@ -317,12 +296,8 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error:") and str(ckpt) in err
 
-    def test_mismatched_model_shape(self, tiny_flags, tmp_path):
-        cfg_path = tmp_path / "smoke.cfg"
-        _write_smoke_cfg(cfg_path, tiny_flags)
-        out = tmp_path / "run"
-        assert cli.main(["train", "--config", str(cfg_path),
-                         "--out-dir", str(out)]) == 0
+    def test_mismatched_model_shape(self, tiny_run, tmp_path):
+        cfg_path, out = tiny_run.cfg_path, tiny_run.out
         rc = cli.main(["eval", "--checkpoint", str(out / "best.l2th"),
                        "--config", str(cfg_path), "--dim", "32",
                        "--out-dir", str(tmp_path / "e")])

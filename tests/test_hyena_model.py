@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     hyena_operator,
     paper_student_config,
+    param_count,
     reference_backward,
     reference_forward,
     reference_init_model,
@@ -42,7 +43,7 @@ class TestInit:
         cfg = paper_student_config(vocab_size=10, dim=4, n_blocks=1, order=2,
                                   short_kernel=3, max_seq_len=8, filter_pos_dim=5,
                                   filter_hidden=8, mlp_expansion=2)
-        assert hyena.param_count(cfg) == 416
+        assert param_count(cfg) == 416
         params = hyena.init_model(cfg, seed=0)
         assert sum(a.size for a in params.values()) == 416
 

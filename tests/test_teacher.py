@@ -4,103 +4,170 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import finite_diff_failures, teacher_predict
+from helpers import (
+    ReferenceExperience,
+    finite_diff_failures,
+    reference_push_experience,
+    reference_sample_prioritized,
+    reference_teacher_step,
+    teacher_predict,
+)
 
 from l2t_hyena import teacher
 from l2t_hyena.errors import NumericalError
 
 
-def _exp(loss, step=0, dim=4, seed=0, lam=0.5):
-    rng = np.random.default_rng(seed)
-    return teacher.Experience(
-        summary=rng.standard_normal(dim), lam_used=lam, student_loss=loss, step=step
-    )
+def _memory(capacity, dim=4):
+    return teacher.ReplayMemory(capacity, dim, np.float64)
+
+
+def _push(mem, loss, lam=0.5, seed=0):
+    """One experience; rows are told apart by their ``lam``."""
+    summary = np.random.default_rng(seed).standard_normal(mem.summary.shape[1])
+    teacher.push_experience(mem, summary, lam, loss)
+
+
+def _lams(mem):
+    return mem.lam[:len(mem)].tolist()
 
 
 class TestBuffer:
     def test_single_push(self):
-        buf = deque(maxlen=500)
-        teacher.push_experience(buf, _exp(1.0))
-        assert len(buf) == 1
+        mem = _memory(500)
+        _push(mem, 1.0)
+        assert len(mem) == 1
 
     def test_fifo_at_full_capacity(self):
-        buf = deque(maxlen=500)
+        mem = _memory(500)
         for i in range(501):
-            teacher.push_experience(buf, _exp(1.0, step=i))
-        assert len(buf) == 500
-        steps = [e.step for e in buf]
-        assert steps == list(range(1, 501))  # experience #1 (step 0) evicted
+            _push(mem, 1.0, lam=float(i))
+        assert len(mem) == 500
+        assert _lams(mem) == list(range(1, 501))  # experience #1 (lam 0) evicted
 
     def test_fifo_exhaustive_capacity_three(self):
-        buf = deque(maxlen=3)
+        mem = _memory(3)
         for i in range(10):
-            teacher.push_experience(buf, _exp(1.0, step=i))
+            _push(mem, 1.0, lam=float(i), seed=i)
             expected = list(range(max(0, i - 2), i + 1))
-            assert [e.step for e in buf] == expected
-            assert len(buf) <= 3
+            assert _lams(mem) == expected
+            assert len(mem) <= 3
+            # The summary and loss columns move with their row.
+            for row, j in enumerate(expected):
+                assert np.array_equal(mem.summary[row],
+                                      np.random.default_rng(j).standard_normal(4))
 
     def test_non_finite_rejected(self):
-        buf = deque(maxlen=5)
+        mem = _memory(5)
         with pytest.raises(NumericalError, match="rejected experience"):
-            teacher.push_experience(buf, _exp(float("nan")))
+            _push(mem, float("nan"))
         with pytest.raises(NumericalError, match="rejected experience"):
-            teacher.push_experience(buf, _exp(float("inf")))
-        bad = _exp(1.0)
-        bad.summary[0] = np.nan
+            _push(mem, float("inf"))
+        bad = np.random.default_rng(0).standard_normal(4)
+        bad[0] = np.nan
         with pytest.raises(NumericalError, match="rejected experience"):
-            teacher.push_experience(buf, bad)
+            teacher.push_experience(mem, bad, 0.5, 1.0)
         with pytest.raises(NumericalError, match="rejected experience"):
-            teacher.push_experience(buf, _exp(-0.5))
-        assert len(buf) == 0  # rejected pushes leave the buffer unchanged
+            _push(mem, -0.5)
+        assert len(mem) == 0  # rejected pushes leave the buffer unchanged
+
+    def test_rejected_push_into_full_memory_evicts_nothing(self):
+        mem = _memory(3)
+        for i in range(3):
+            _push(mem, 1.0 + i, lam=float(i), seed=i)
+        before = [a.copy() for a in (mem.summary, mem.lam, mem.loss)]
+        with pytest.raises(NumericalError, match="rejected experience"):
+            _push(mem, 1.0, lam=float("nan"))
+        assert len(mem) == 3
+        for a, b in zip((mem.summary, mem.lam, mem.loss), before):
+            assert np.array_equal(a, b)
 
 
 class TestPrioritizedSampling:
     def test_loss_proportional_rates(self):
-        buf = deque(maxlen=10)
-        teacher.push_experience(buf, _exp(1.0, step=0))
-        teacher.push_experience(buf, _exp(3.0, step=1))
+        mem = _memory(10)
+        _push(mem, 1.0, lam=0.0)
+        _push(mem, 3.0, lam=1.0)
         rng = np.random.default_rng(123)
-        draws = teacher.sample_prioritized(buf, 100_000, rng)
-        rate = np.mean([e.step == 1 for e in draws])
+        rows = teacher.sample_prioritized(mem, 100_000, rng)
+        rate = np.mean(mem.lam[rows] == 1.0)
         assert abs(rate - 0.75) < 0.01
 
     def test_uniform_when_losses_equal(self):
-        buf = deque(maxlen=10)
+        mem = _memory(10)
         for i in range(10):
-            teacher.push_experience(buf, _exp(2.0, step=i))
+            _push(mem, 2.0, lam=float(i))
         rng = np.random.default_rng(7)
-        draws = teacher.sample_prioritized(buf, 100_000, rng)
-        counts = np.bincount([e.step for e in draws], minlength=10)
+        rows = teacher.sample_prioritized(mem, 100_000, rng)
+        counts = np.bincount(mem.lam[rows].astype(int), minlength=10)
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_single_experience_always_returned(self):
-        buf = deque(maxlen=10)
-        teacher.push_experience(buf, _exp(0.5, step=9))
+        mem = _memory(10)
+        _push(mem, 0.5, lam=9.0)
         rng = np.random.default_rng(8)
-        draws = teacher.sample_prioritized(buf, 50, rng)
-        assert all(e.step == 9 for e in draws)
+        rows = teacher.sample_prioritized(mem, 50, rng)
+        assert all(mem.lam[rows] == 9.0)
 
     def test_zero_loss_uses_floor(self):
-        buf = deque(maxlen=10)
-        teacher.push_experience(buf, _exp(0.0, step=0))
-        teacher.push_experience(buf, _exp(0.0, step=1))
+        mem = _memory(10)
+        _push(mem, 0.0, lam=0.0)
+        _push(mem, 0.0, lam=1.0)
         rng = np.random.default_rng(9)
-        draws = teacher.sample_prioritized(buf, 1000, rng)
-        picked = {e.step for e in draws}
-        assert picked == {0, 1}
+        rows = teacher.sample_prioritized(mem, 1000, rng)
+        picked = set(mem.lam[rows].tolist())
+        assert picked == {0.0, 1.0}
 
     def test_empty_buffer(self):
         with pytest.raises(ValueError, match="empty memory buffer"):
-            teacher.sample_prioritized(deque(maxlen=3), 1,
-                                       np.random.default_rng(0))
+            teacher.sample_prioritized(_memory(3), 1, np.random.default_rng(0))
 
     def test_deterministic_given_rng_state(self):
-        buf = deque(maxlen=10)
+        mem = _memory(10)
         for i in range(5):
-            teacher.push_experience(buf, _exp(float(i + 1), step=i))
-        d1 = teacher.sample_prioritized(buf, 20, np.random.default_rng(5))
-        d2 = teacher.sample_prioritized(buf, 20, np.random.default_rng(5))
-        assert [e.step for e in d1] == [e.step for e in d2]
+            _push(mem, float(i + 1), lam=float(i))
+        d1 = teacher.sample_prioritized(mem, 20, np.random.default_rng(5))
+        d2 = teacher.sample_prioritized(mem, 20, np.random.default_rng(5))
+        assert mem.lam[d1].tolist() == mem.lam[d2].tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("capacity", [3, 500])
+def test_memory_matches_deque_reference(capacity, dtype):
+    """Pushes, eviction, sampled rows and teacher steps equal the deque's, bit for bit."""
+    dim, k = 6, 32
+    rng = np.random.default_rng(capacity)
+    params = teacher.init_teacher(seed=1, summary_dim=dim, hidden=8, dtype=dtype)
+    mem = teacher.ReplayMemory(capacity, dim, dtype)
+    ref = deque(maxlen=capacity)
+    n_push = capacity + capacity // 2 + 5
+    for i in range(n_push):
+        summary = rng.standard_normal(dim).astype(dtype)
+        lam = float(rng.uniform(0.05, 0.95))
+        loss = 0.0 if i % 4 == 0 else float(rng.uniform(0.0, 5.0))
+        teacher.push_experience(mem, summary, lam, loss)
+        reference_push_experience(ref, ReferenceExperience(summary.copy(), lam, loss, i))
+        assert len(mem) == len(ref)
+        if i % 7 and i != n_push - 1:
+            continue
+        items = list(ref)
+        assert np.array_equal(mem.summary[:len(mem)], np.stack([e.summary for e in items]))
+        assert mem.lam[:len(mem)].tolist() == [e.lam_used for e in items]
+        assert mem.loss[:len(mem)].tolist() == [e.student_loss for e in items]
+
+        rows = teacher.sample_prioritized(mem, k, np.random.default_rng(i))
+        draws = reference_sample_prioritized(ref, k, np.random.default_rng(i))
+        assert np.array_equal(mem.summary[rows], np.stack([e.summary for e in draws]))
+        assert mem.lam[rows].tolist() == [e.lam_used for e in draws]
+        assert mem.loss[rows].tolist() == [e.student_loss for e in draws]
+
+        grads, hub = teacher.teacher_step(mem, params, k, np.random.default_rng(i), 1.0)
+        ref_grads, ref_hub = reference_teacher_step(ref, params, k,
+                                                    np.random.default_rng(i), 1.0)
+        assert hub == ref_hub
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert grads[name].dtype == dtype
+            assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 class TestPredict:
@@ -160,19 +227,19 @@ class TestTeacherStep:
         params = teacher.init_teacher(seed=0, summary_dim=4, hidden=8)
         for v in params.values():
             v[:] = 0.0
-        buf = deque(maxlen=5)
-        teacher.push_experience(buf, _exp(2.0))
-        _, hub = teacher.teacher_step(buf, params, k=1,
+        mem = _memory(5)
+        _push(mem, 2.0)
+        _, hub = teacher.teacher_step(mem, params, k=1,
                                       rng=np.random.default_rng(0), delta=1.0)
         assert hub == pytest.approx(1.5, abs=1e-12)
 
     def test_deterministic_given_rng(self):
         params = teacher.init_teacher(seed=1, summary_dim=4, hidden=8)
-        buf = deque(maxlen=5)
+        mem = _memory(5)
         for i in range(4):
-            teacher.push_experience(buf, _exp(1.0 + i, step=i, seed=i))
-        g1, h1 = teacher.teacher_step(buf, params, 8, np.random.default_rng(3), 1.0)
-        g2, h2 = teacher.teacher_step(buf, params, 8, np.random.default_rng(3), 1.0)
+            _push(mem, 1.0 + i, lam=float(i), seed=i)
+        g1, h1 = teacher.teacher_step(mem, params, 8, np.random.default_rng(3), 1.0)
+        g2, h2 = teacher.teacher_step(mem, params, 8, np.random.default_rng(3), 1.0)
         assert h1 == h2
         for k in g1:
             assert np.array_equal(g1[k], g2[k])
@@ -180,28 +247,25 @@ class TestTeacherStep:
     def test_finite_difference_agreement(self):
         params = teacher.init_teacher(seed=2, summary_dim=4, hidden=8,
                                       dtype=np.float64)
-        buf = deque(maxlen=10)
+        mem = _memory(10)
         rng = np.random.default_rng(5)
         for i in range(6):
             teacher.push_experience(
-                buf,
-                teacher.Experience(
-                    summary=rng.standard_normal(4),
-                    lam_used=float(rng.uniform(0.1, 0.9)),
-                    student_loss=float(rng.uniform(0.2, 3.0)),
-                    step=i,
-                ),
+                mem,
+                rng.standard_normal(4),
+                float(rng.uniform(0.1, 0.9)),
+                float(rng.uniform(0.2, 3.0)),
             )
-        grads, _ = teacher.teacher_step(buf, params, k=5,
+        grads, _ = teacher.teacher_step(mem, params, k=5,
                                         rng=np.random.default_rng(42), delta=1.0)
 
         def objective():
-            batch = teacher.sample_prioritized(buf, 5, np.random.default_rng(42))
-            preds = [teacher_predict(e.summary, e.lam_used, params)
-                     for e in batch]
+            rows = teacher.sample_prioritized(mem, 5, np.random.default_rng(42))
+            preds = [teacher_predict(mem.summary[r], mem.lam[r], params)
+                     for r in rows]
             return float(
-                np.mean([teacher.huber(p, e.student_loss, 1.0)
-                         for p, e in zip(preds, batch)])
+                np.mean([teacher.huber(p, mem.loss[r], 1.0)
+                         for p, r in zip(preds, rows)])
             )
 
         failures = finite_diff_failures(params, grads, objective)
@@ -243,17 +307,13 @@ class TestDlnFeedback:
         rng = np.random.default_rng(10)
         params = teacher.init_teacher(seed=5, summary_dim=32, hidden=16,
                                       dtype=np.float64)
-        buf = deque(maxlen=200)
-        for i in range(200):
+        mem = _memory(200, dim=32)
+        for _ in range(200):
             lam = float(rng.uniform(0.05, 0.95))
             summary = rng.standard_normal(32) * 0.1
-            teacher.push_experience(
-                buf,
-                teacher.Experience(summary=summary, lam_used=lam,
-                                   student_loss=2.0 * lam + 1.0, step=i),
-            )
+            teacher.push_experience(mem, summary, lam, 2.0 * lam + 1.0)
         for _ in range(400):
-            grads, _ = teacher.teacher_step(buf, params, 64, rng, delta=1.0)
+            grads, _ = teacher.teacher_step(mem, params, 64, rng, delta=1.0)
             for k in params:
                 params[k] -= 0.05 * grads[k]
 

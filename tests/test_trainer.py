@@ -187,7 +187,7 @@ def test_each_component_gets_its_own_optimizer_settings(tiny_flags, tmp_path):
         assert (opt.beta1, opt.beta2, opt.eps) == (0.8, 0.95, 1e-6)
         assert opt.t == 0
         assert set(opt.m) == set(opt.v) == set(params)
-    assert state.buffer.maxlen == 40 and len(state.buffer) == 0
+    assert state.buffer.loss.shape == (40,) and len(state.buffer) == 0
 
 
 class TestTrainStep:
@@ -228,13 +228,14 @@ class TestTrainStep:
                                                mode="baseline")
         dln_before = _params_checksum(state.dln_params)
         teacher_before = _params_checksum(state.teacher_params)
-        norm_count = state.norm_state.count
+        norm_before = state.norm_state.mean.copy(), state.norm_state.var.copy()
         for b in batches[:3]:
             m = trainer.train_step(state, b)
             assert m["lambda"] == 0.0
             assert m["loss"] == m["ce"]
         assert len(state.buffer) == 0
-        assert state.norm_state.count == norm_count
+        assert np.array_equal(state.norm_state.mean, norm_before[0])
+        assert np.array_equal(state.norm_state.var, norm_before[1])
         assert _params_checksum(state.dln_params) == dln_before
         assert _params_checksum(state.teacher_params) == teacher_before
 
@@ -258,31 +259,27 @@ class TestTrainStep:
 
 
 class TestTrainLoop:
-    def test_history_and_checkpoints(self, tiny_flags, tmp_path):
-        cfg = _tiny_run_config(tiny_flags, tmp_path / "run")
-        history, info = trainer.train(cfg)
+    def test_history_and_checkpoints(self, tiny_run):
+        history, info = tiny_run.history, tiny_run.info
         assert len(history.epochs) == 2
         for row in history.epochs:
             assert row["val_ppl"] == math.exp(row["val_loss"])
             assert row["seconds"] == 0.0  # deterministic mode zeroes timing
-        assert (tmp_path / "run" / "best.l2th").exists()
-        assert (tmp_path / "run" / "last.l2th").exists()
+        assert (tiny_run.out / "best.l2th").exists()
+        assert (tiny_run.out / "last.l2th").exists()
         assert info["best"]["epoch"] in (0, 1)
         assert info["corpus"]["vocab_size"] <= 100
 
-    def test_run_to_run_determinism(self, tiny_flags, tmp_path):
-        cfg1 = _tiny_run_config(tiny_flags, tmp_path / "a")
-        cfg2 = _tiny_run_config(tiny_flags, tmp_path / "b")
-        h1, i1 = trainer.train(cfg1)
-        h2, i2 = trainer.train(cfg2)
+    def test_run_to_run_determinism(self, tiny_run, tiny_flags, tmp_path):
+        # The session's run against a second run of the same config.
+        h1, i1 = tiny_run.history, tiny_run.info
+        h2, i2 = trainer.train(_tiny_run_config(tiny_flags, tmp_path / "b"))
         assert h1.steps == h2.steps
         assert h1.epochs == h2.epochs
         assert i1["best"] == i2["best"]
 
-    def test_lambda_tracks_dln_and_stays_in_unit_interval(self, tiny_flags,
-                                                          tmp_path):
-        cfg = _tiny_run_config(tiny_flags, tmp_path / "run")
-        history, _ = trainer.train(cfg)
+    def test_lambda_tracks_dln_and_stays_in_unit_interval(self, tiny_run):
+        history = tiny_run.history
         lams = [m["lambda"] for m in history.steps]
         assert all(0.0 < v < 1.0 for v in lams)
 
@@ -299,14 +296,13 @@ class TestTrainLoop:
             assert np.array_equal(archive["dln/" + k], v.astype(np.float32)), k
         for k, v in fresh.teacher_params.items():
             assert np.array_equal(archive["teacher/" + k], v.astype(np.float32)), k
-        assert archive["norm/count"] == 0.0
+        assert np.array_equal(archive["norm/mean"], fresh.norm_state.mean)
+        assert np.array_equal(archive["norm/var"], fresh.norm_state.var)
 
-    def test_vocab_dump_written(self, tiny_flags, tmp_path):
-        cfg = _tiny_run_config(tiny_flags, tmp_path / "run")
-        trainer.train(cfg)
-        vocab_lines = (tmp_path / "run" / "vocab.txt").read_text().splitlines()
+    def test_vocab_dump_written(self, tiny_run, tiny_flags):
+        vocab_lines = (tiny_run.out / "vocab.txt").read_text().splitlines()
         assert corpus.UNK_TOKEN in vocab_lines and corpus.EOS_TOKEN in vocab_lines
-        assert len(vocab_lines) <= cfg.max_vocab
+        assert len(vocab_lines) <= tiny_flags()["max_vocab"]
 
     def test_schedule_totals(self, tiny_flags, tmp_path):
         cfg = _tiny_run_config(tiny_flags, tmp_path / "run")
@@ -328,6 +324,7 @@ class TestFeatureNormFrozenDuringEval:
         batches = corpus.make_batches(ids, cfg.batch_size, cfg.seq_len)
         state = trainer.init_train_state(cfg, len(vocab), len(batches))
         trainer.train_step(state, batches[0])
-        count = state.norm_state.count
+        norm_before = state.norm_state.mean.copy(), state.norm_state.var.copy()
         trainer.evaluate(state.student, state.model_cfg, batches[:2])
-        assert state.norm_state.count == count
+        assert np.array_equal(state.norm_state.mean, norm_before[0])
+        assert np.array_equal(state.norm_state.var, norm_before[1])

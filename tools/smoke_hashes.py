@@ -4,11 +4,13 @@
 
 Writes the README's synthetic Markov corpus (``tests/helpers.py``'s
 ``write_markov_corpus``, structure seed 0, sample seeds 1 and 2) and its
-``smoke.cfg`` (deterministic, default seed 1) into a temporary directory,
-trains once per mode and prints one line per output file:
-``<mode> <file> <sha256>`` for ``metrics_step.csv``, ``metrics_epoch.csv``
-and ``last.l2th``. Two runs of the same code print the same lines, so a
-change that claims bit-identical runs must leave them as they are.
+``smoke.cfg`` (deterministic, default seed 1) into a temporary directory and
+trains three runs: one per mode, and an l2t run with ``buffer_capacity`` 20
+(``l2t-cap20``), whose replay memory fills and evicts. It prints one line per
+output file: ``<run> <file> <sha256>`` for ``metrics_step.csv``,
+``metrics_epoch.csv`` and ``last.l2th``. Two runs of the same code print the
+same lines, so a change that claims bit-identical runs must leave them as
+they are.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ activation_threshold: 16
 deterministic: true
 """
 OUTPUTS = ("metrics_step.csv", "metrics_epoch.csv", "last.l2th")
+RUNS = {
+    "baseline": ["--mode", "baseline"],
+    "l2t": ["--mode", "l2t"],
+    "l2t-cap20": ["--mode", "l2t", "--buffer-capacity", "20"],
+}
 
 
 def sha256(path: str) -> str:
@@ -56,16 +63,16 @@ def main() -> int:
         write_markov_corpus("valid.txt", 5_000, structure_seed=0, sample_seed=2)
         with open("smoke.cfg", "w", encoding="utf-8") as fh:
             fh.write(SMOKE_CFG)
-        for mode in ("baseline", "l2t"):
-            out_dir = os.path.join("runs", mode)
+        for run, flags in RUNS.items():
+            out_dir = os.path.join("runs", run)
             with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main(["train", "--config", "smoke.cfg", "--mode", mode,
+                rc = cli.main(["train", "--config", "smoke.cfg", *flags,
                                "--out-dir", out_dir])
             if rc != cli.EXIT_OK:
-                print(f"{mode}: train exited {rc}", file=sys.stderr)
+                print(f"{run}: train exited {rc}", file=sys.stderr)
                 return rc
             for name in OUTPUTS:
-                print(f"{mode} {name} {sha256(os.path.join(out_dir, name))}")
+                print(f"{run} {name} {sha256(os.path.join(out_dir, name))}")
         os.chdir(ROOT)
     return 0
 
