@@ -9,15 +9,14 @@ Exit codes: 0 success, else the ``exit_code`` of the raised error class
 (``errors.py``): 2 config, 3 data (also any ``OSError``), 4 numerical,
 5 checkpoint.
 
-All CSV floats are printed with 9 significant digits, and ``metrics.json``
-reuses the identical formatting so the two exports agree byte-for-byte on
-every shared value.
+``train`` resolves the config and hands it to ``trainer.train``, which
+alone writes the run directory. ``eval`` reads the ``vocab.txt`` training
+wrote beside ``--checkpoint``; it ignores ``train_path`` and ``max_vocab``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -27,71 +26,11 @@ from .errors import DataError, L2THyenaError
 
 EXIT_OK = 0
 
-STEP_COLUMNS = ("step", "loss", "ce", "l2", "lambda", "grad_norm_student")
-EPOCH_COLUMNS = (
-    "epoch", "train_loss", "val_loss", "val_ppl",
-    "mean_lambda", "teacher_huber", "lr_student", "seconds",
-)
 
-
-def _fmt(value) -> str:
-    """One value as printed in both CSV and JSON: floats get 9 sig. digits."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
-
-
-def _json_dumps(obj, indent: int = 0) -> str:
-    """Deterministic JSON with the same float formatting as the CSV files."""
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, int, float)):
-        return _fmt(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join("  " * (indent + 1) + _json_dumps(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            "  " * (indent + 1) + json.dumps(str(k)) + ": " + _json_dumps(v, indent + 1)
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _write_csv(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
+def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-
-
-def write_metrics(out_dir: str, cfg: config.RunConfig, history, info) -> None:
-    step_rows = [{c: m[c] for c in STEP_COLUMNS} for m in history.steps]
-    epoch_rows = [{c: r[c] for c in EPOCH_COLUMNS} for r in history.epochs]
-    _write_csv(os.path.join(out_dir, "metrics_step.csv"), STEP_COLUMNS, step_rows)
-    _write_csv(os.path.join(out_dir, "metrics_epoch.csv"), EPOCH_COLUMNS, epoch_rows)
-    doc = {
-        "mode": cfg.mode,
-        "config": dataclasses.asdict(cfg),
-        "corpus": info["corpus"],
-        "steps": step_rows,
-        "epochs": epoch_rows,
-        "best": info["best"],
-        "final": info["final"],
-        "notes": info["notes"],
-    }
-    with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-        fh.write(_json_dumps(doc) + "\n")
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _resolved_config(args) -> config.RunConfig:
@@ -106,25 +45,16 @@ def _resolved_config(args) -> config.RunConfig:
 
 def cmd_train(args) -> int:
     cfg = _resolved_config(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "config_resolved.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(config.echo_config(cfg))
-    history, info = trainer.train(cfg)
-    write_metrics(cfg.out_dir, cfg, history, info)
-    print(
-        f"best epoch {info['best']['epoch']}: "
-        f"val_ppl {info['best']['val_ppl']:.4f} -> {cfg.out_dir}"
-    )
+    best = trainer.train(cfg)["best"]
+    print(f"best epoch {best['epoch']}: val_ppl {best['val_ppl']:.4f} -> {cfg.out_dir}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     cfg = _resolved_config(args)
     archive = checkpoint.load_archive(args.checkpoint)
-    train_lines = corpus.read_lines(cfg.train_path)
+    vocab = corpus.load_vocab(os.path.join(os.path.dirname(args.checkpoint), "vocab.txt"))
     valid_lines = corpus.read_lines(cfg.valid_path)
-    vocab = corpus.build_vocab(train_lines, cfg.max_vocab)
     val_batches = corpus.make_batches(
         corpus.encode(valid_lines, vocab), cfg.batch_size, cfg.seq_len
     )
@@ -134,8 +64,7 @@ def cmd_eval(args) -> int:
     print(f"val_loss {val_loss:.6f} val_ppl {val_ppl:.4f}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     doc = {"checkpoint": args.checkpoint, "val_loss": val_loss, "val_ppl": val_ppl}
-    with open(os.path.join(cfg.out_dir, "eval.json"), "w", encoding="utf-8") as fh:
-        fh.write(_json_dumps(doc) + "\n")
+    _write_json(os.path.join(cfg.out_dir, "eval.json"), doc)
     return EXIT_OK
 
 
@@ -199,7 +128,7 @@ def cmd_compare(args) -> int:
     ]
     print(f"{'metric':<22}{'baseline':>14}{'l2t':>14}")
     for name, a, b in rows:
-        print(f"{name:<22}{_fmt(a):>14}{_fmt(b):>14}")
+        print(f"{name:<22}{a:>14.9g}{b:>14.9g}")
     print(
         f"perplexity reduction: {deltas['ppl_reduction_abs']:.4g} absolute, "
         f"{100.0 * deltas['ppl_reduction_rel']:.1f}% relative"
@@ -211,8 +140,7 @@ def cmd_compare(args) -> int:
     ratio = deltas["time_ratio"]
     print(f"training time ratio (l2t/baseline): {'n/a' if ratio is None else f'{ratio:.4g}'}")
     out_path = os.path.join(args.out, "compare.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(_json_dumps(report) + "\n")
+    _write_json(out_path, report)
     return EXIT_OK
 
 

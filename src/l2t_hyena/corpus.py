@@ -46,7 +46,7 @@ def read_lines(path: str) -> list[str]:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read().splitlines()
     except UnicodeDecodeError as exc:
-        raise DataError(f"corpus file {path!r} is not UTF-8 text: {exc}")
+        raise DataError(f"{path!r} is not UTF-8 text: {exc}")
 
 
 def build_vocab(lines: Iterable[str], max_size: int) -> Vocab:
@@ -139,7 +139,35 @@ def make_batches(ids: np.ndarray, batch_size: int, seq_len: int) -> list[TokenBa
 
 
 def save_vocab(vocab: Vocab, path: str) -> None:
-    """Write one token per line in id order, for inspection and pinning."""
+    """Write one token per line in id order; ``load_vocab`` reads it back."""
     with open(path, "w", encoding="utf-8") as fh:
         for tok in vocab.id_to_token:
             fh.write(tok + "\n")
+
+
+def load_vocab(path: str) -> Vocab:
+    """Read a ``save_vocab`` file back: line ``i`` holds the token of id ``i``.
+
+    Raises :class:`DataError` naming ``path`` when the file cannot be read,
+    is not UTF-8 text, holds a line that is not exactly one token (empty,
+    or with whitespace), repeats a token, or lacks ``<unk>`` or ``<eos>``.
+    """
+    try:
+        tokens = read_lines(path)
+    except OSError as exc:
+        raise DataError(f"cannot read vocabulary {path!r}: {exc.strerror}")
+    token_to_id: dict[str, int] = {}
+    for i, tok in enumerate(tokens):
+        if tok.split() != [tok]:
+            raise DataError(f"vocabulary {path!r} line {i + 1} is not one token: {tok!r}")
+        if token_to_id.setdefault(tok, i) != i:
+            raise DataError(f"vocabulary {path!r} repeats token {tok!r}")
+    for special in (UNK_TOKEN, EOS_TOKEN):
+        if special not in token_to_id:
+            raise DataError(f"vocabulary {path!r} has no {special} token")
+    return Vocab(
+        token_to_id=token_to_id,
+        id_to_token=tokens,
+        unk_id=token_to_id[UNK_TOKEN],
+        eos_id=token_to_id[EOS_TOKEN],
+    )

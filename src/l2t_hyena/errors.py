@@ -23,7 +23,7 @@ class ConfigError(L2THyenaError):
 
 
 class DataError(L2THyenaError):
-    """A corpus, token id or run directory cannot be used."""
+    """A corpus, vocabulary, token id or run directory cannot be used."""
 
     exit_code = 3
     kind = "data"

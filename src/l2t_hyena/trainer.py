@@ -9,22 +9,29 @@ overwrites the softmax; experience storage in the teacher's replay memory;
 and, once it holds enough history, one teacher and one DLN update from the
 DLN's tape.
 Baseline mode trains only the student with lambda = 0: plain cross-entropy.
+``train`` runs the epochs and is the one writer of the run directory.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import checkpoint, corpus, dln, hyena, teacher
-from .config import RunConfig
+from .config import RunConfig, echo_config
 from .errors import CheckpointError, NumericalError
 
 DECAY_FLOOR = 1e-6
+STEP_COLUMNS = ("step", "loss", "ce", "l2", "lambda", "grad_norm_student")
+EPOCH_COLUMNS = (
+    "epoch", "train_loss", "val_loss", "val_ppl",
+    "mean_lambda", "teacher_huber", "lr_student", "seconds",
+)
 _MAX_EXP_ARG = 709.78  # math.exp overflows above log(float max) = 709.7827...
 
 
@@ -110,12 +117,6 @@ def evaluate(
     if not val_loss < _MAX_EXP_ARG:  # also catches nan
         raise NumericalError(f"validation loss {val_loss} has no finite perplexity")
     return val_loss, math.exp(val_loss)
-
-
-@dataclass
-class TrainingHistory:
-    steps: list[dict] = field(default_factory=list)
-    epochs: list[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -296,11 +297,28 @@ def student_params_from_archive(archive: dict[str, np.ndarray],
     return params
 
 
-def train(run_cfg: RunConfig):
-    """Full training run: returns (history, info dict with best/final stats).
+def _fmt(value) -> str:
+    """One CSV cell: floats get 9 significant digits."""
+    return f"{value:.9g}" if isinstance(value, float) else str(value)
 
-    Writes ``best.l2th`` (lowest validation perplexity so far) and
-    ``last.l2th`` into the output directory as training progresses.
+
+def _append_rows(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
+    with open(path, "a", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+
+
+def train(run_cfg: RunConfig) -> dict:
+    """Full training run, the only writer of ``run_cfg.out_dir``.
+
+    Before the first step it writes ``config_resolved.txt``, ``vocab.txt``
+    and the headers of ``metrics_step.csv`` and ``metrics_epoch.csv``. As
+    each epoch ends it appends that epoch's step rows and epoch row and
+    saves ``last.l2th`` and, when validation perplexity is the lowest so
+    far, ``best.l2th``; a run that raises keeps its finished epochs. At the
+    end it writes the run's summary, ``metrics.json``, and returns it. The
+    checkpoints and summary of an earlier run in the directory are removed
+    first, so none is left beside another run's vocabulary.
     """
     train_lines = corpus.read_lines(run_cfg.train_path)
     valid_lines = corpus.read_lines(run_cfg.valid_path)
@@ -311,12 +329,23 @@ def train(run_cfg: RunConfig):
     val_batches = corpus.make_batches(valid_ids, run_cfg.batch_size, run_cfg.seq_len)
 
     state = init_train_state(run_cfg, len(vocab), len(batches))
-    os.makedirs(run_cfg.out_dir, exist_ok=True)
-    corpus.save_vocab(vocab, os.path.join(run_cfg.out_dir, "vocab.txt"))
-    best_path = os.path.join(run_cfg.out_dir, "best.l2th")
-    last_path = os.path.join(run_cfg.out_dir, "last.l2th")
 
-    history = TrainingHistory()
+    def path(name: str) -> str:
+        return os.path.join(run_cfg.out_dir, name)
+
+    os.makedirs(run_cfg.out_dir, exist_ok=True)
+    for name in ("best.l2th", "last.l2th", "metrics.json"):
+        # An earlier run's, which this run's vocab.txt would not describe.
+        if os.path.isfile(path(name)):
+            os.remove(path(name))
+    with open(path("config_resolved.txt"), "w", encoding="utf-8") as fh:
+        fh.write(echo_config(run_cfg))
+    corpus.save_vocab(vocab, path("vocab.txt"))
+    for name, columns in (("metrics_step.csv", STEP_COLUMNS),
+                          ("metrics_epoch.csv", EPOCH_COLUMNS)):
+        with open(path(name), "w", encoding="utf-8") as fh:
+            fh.write(",".join(columns) + "\n")
+
     best = {"epoch": -1, "val_loss": math.inf, "val_ppl": math.inf}
     total_seconds = 0.0
     train_loss_mean = math.nan
@@ -324,7 +353,6 @@ def train(run_cfg: RunConfig):
     for epoch in range(run_cfg.epochs):
         t0 = time.perf_counter()
         steps = [train_step(state, batch) for batch in batches]
-        history.steps.extend(steps)
         val_loss, val_ppl = evaluate(state.student, state.model_cfg, val_batches)
         seconds = time.perf_counter() - t0
         if run_cfg.deterministic:
@@ -343,18 +371,22 @@ def train(run_cfg: RunConfig):
             "lr_student": steps[-1]["lr_student"],
             "seconds": seconds,
         }
-        history.epochs.append(row)
+        _append_rows(path("metrics_step.csv"), STEP_COLUMNS, steps)
+        _append_rows(path("metrics_epoch.csv"), EPOCH_COLUMNS, [row])
         print(
             f"epoch {epoch}: train_loss {row['train_loss']:.4f} "
             f"val_loss {val_loss:.4f} val_ppl {val_ppl:.2f} "
             f"mean_lambda {row['mean_lambda']:.4f} ({seconds:.1f}s)"
         )
+        arrays = archive_arrays(state)
         if val_ppl < best["val_ppl"]:
             best = {"epoch": epoch, "val_loss": val_loss, "val_ppl": val_ppl}
-            checkpoint.save_archive(archive_arrays(state), best_path)
-        checkpoint.save_archive(archive_arrays(state), last_path)
+            checkpoint.save_archive(arrays, path("best.l2th"))
+        checkpoint.save_archive(arrays, path("last.l2th"))
 
-    info = {
+    summary = {
+        "mode": run_cfg.mode,
+        "config": asdict(run_cfg),
         "corpus": {
             "train_tokens": int(train_ids.size),
             "valid_tokens": int(valid_ids.size),
@@ -368,4 +400,7 @@ def train(run_cfg: RunConfig):
         # serialized form.
         "notes": {"replay_buffer_checkpointed": False},
     }
-    return history, info
+    with open(path("metrics.json"), "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2)
+        fh.write("\n")
+    return summary

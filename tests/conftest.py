@@ -81,7 +81,7 @@ def tiny_run(tiny_flags, tmp_path_factory):
     """The ``tiny_flags`` run, trained once per session through ``cli train``.
 
     ``cfg_path`` is the config file it was trained from, ``out`` its output
-    directory, ``stdout`` what it printed, and ``history`` and ``info`` what
+    directory, ``stdout`` what it printed, and ``info`` the summary
     ``trainer.train`` returned. Tests read it and write nothing into ``out``.
     """
     root = tmp_path_factory.mktemp("tiny_run")
@@ -100,6 +100,5 @@ def tiny_run(tiny_flags, tmp_path_factory):
         mp.setattr(trainer, "train", recording_train)
         rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out)])
     assert rc == 0
-    (history, info), = returned
-    return SimpleNamespace(cfg_path=cfg_path, out=out, stdout=stdout.getvalue(),
-                           history=history, info=info)
+    info, = returned
+    return SimpleNamespace(cfg_path=cfg_path, out=out, stdout=stdout.getvalue(), info=info)

@@ -7,8 +7,9 @@ a first-order Markov chain whose bigram structure a tiny model can learn
 quickly. ``hyena_operator`` and ``student_loss_and_grads`` are one-call entry
 points into the student's forward and reverse passes, for tests only, as are
 ``decode`` (ids back to tokens), ``teacher_predict`` (one teacher
-prediction) and ``param_count`` (the student's size); the library itself
-never needs them.
+prediction), ``param_count`` (the student's size), and ``csv_column`` and
+``run_dir_files`` (what a training run wrote); the library itself never
+needs them.
 
 References keep the code the library replaced with faster or shorter
 versions: the student passes with GELU and its derivative each computed from
@@ -24,8 +25,11 @@ teacher step (``reference_push_experience``, ``reference_sample_prioritized``,
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import json
 import math
+import os
 import struct
 from collections import Counter, deque
 
@@ -436,3 +440,34 @@ def write_markov_corpus(
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(0, len(tokens), line_len):
             fh.write(" ".join(tokens[i : i + line_len]) + "\n")
+
+
+RUN_DIR_FILES = {"config_resolved.txt", "vocab.txt", "metrics_step.csv",
+                 "metrics_epoch.csv", "metrics.json", "best.l2th", "last.l2th"}
+
+
+def csv_column(path, name: str) -> list[float]:
+    """One column of a run's metrics CSV, as floats."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [float(row[name]) for row in csv.DictReader(fh)]
+
+
+def run_dir_files(out) -> dict[str, bytes]:
+    """Every file in the run directory ``out``, by name, with its ``out_dir`` masked.
+
+    ``config_resolved.txt`` and ``metrics.json`` record the run's own
+    ``out_dir``, which is all that two identical runs into different
+    directories may write differently; that value becomes ``<out_dir>``.
+    """
+    masks = {"config_resolved.txt": f"out_dir: {out}",
+             "metrics.json": f'"out_dir": {json.dumps(str(out))}'}
+    files = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            blob = fh.read()
+        if name in masks:
+            mask = masks[name].encode("utf-8")
+            assert blob.count(mask) == 1, f"{name} does not record out_dir once"
+            blob = blob.replace(mask, b"<out_dir>")
+        files[name] = blob
+    return files

@@ -15,9 +15,12 @@ import pytest
 from scipy import stats
 
 from helpers import (
+    RUN_DIR_FILES,
+    csv_column,
     direct_causal_conv,
     finite_diff_failures,
     paper_student_config,
+    run_dir_files,
     student_loss_and_grads,
     teacher_predict,
     tiny_student_config,
@@ -291,18 +294,13 @@ def test_loss_identities():
 
 
 def test_determinism(det_run_pair):
-    a, b = det_run_pair
-    epoch_same = (a / "metrics_epoch.csv").read_bytes() == (
-        b / "metrics_epoch.csv"
-    ).read_bytes()
-    step_same = (a / "metrics_step.csv").read_bytes() == (
-        b / "metrics_step.csv"
-    ).read_bytes()
+    a, b = (run_dir_files(out) for out in det_run_pair)
+    differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
     _report(
         "determinism",
-        epoch_same and step_same,
-        f"metrics_epoch.csv identical: {epoch_same}; "
-        f"metrics_step.csv identical: {step_same}",
+        a.keys() == RUN_DIR_FILES and not differ,
+        f"files: {', '.join(sorted(a))}; differing but for out_dir: "
+        f"{', '.join(differ) or 'none'}",
     )
 
 
@@ -316,13 +314,12 @@ def test_learning_smoke(smoke_flags, tmp_path):
             smoke_flags(out, mode=mode, epochs=5, warmup_epochs=1)
         ))
         assert rc == 0
-        doc = json.loads((out / "metrics.json").read_text())
-        losses = [row["loss"] for row in doc["steps"]]
+        losses = csv_column(out / "metrics_step.csv", "loss")
         assert len(losses) >= 200
         drop = (losses[0] - losses[199]) / losses[0]
         results[mode] = drop
         if mode == "l2t":
-            lams = [row["lambda"] for row in doc["steps"]]
+            lams = csv_column(out / "metrics_step.csv", "lambda")
             lambda_ok = all(0.0 < v < 1.0 for v in lams)
     ok = results["baseline"] >= 0.20 and results["l2t"] >= 0.20 and lambda_ok
     _report(

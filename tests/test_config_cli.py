@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import overflowing_checkpoint_header, write_smoke_cfg
+from helpers import overflowing_checkpoint_header, write_markov_corpus, write_smoke_cfg
 
 from l2t_hyena import checkpoint, cli, config, corpus, hyena, trainer
 from l2t_hyena.errors import CheckpointError, ConfigError, DataError, NumericalError
@@ -163,19 +163,6 @@ class TestTrainCommand:
         direct = config.parse_config(str(cfg_path), {"out_dir": str(out)})
         assert echoed == direct
 
-    def test_csv_json_agreement(self, tiny_run):
-        out = tiny_run.out
-        doc_text = (out / "metrics.json").read_text()
-        doc = json.loads(doc_text)
-        epoch_lines = (out / "metrics_epoch.csv").read_text().splitlines()
-        header = epoch_lines[0].split(",")
-        for row, line in zip(doc["epochs"], epoch_lines[1:]):
-            for col, cell in zip(header, line.split(",")):
-                # the printed JSON token must equal the CSV cell exactly
-                assert f'"{col}": {cell}' in doc_text or cell == str(row[col])
-        step_lines = (out / "metrics_step.csv").read_text().splitlines()
-        assert len(doc["steps"]) == len(step_lines) - 1
-
 
 class TestEvalCommand:
     def test_eval_matches_training_best(self, tiny_run, tmp_path):
@@ -190,6 +177,27 @@ class TestEvalCommand:
         doc = json.loads((eval_out / "eval.json").read_text())
         assert doc["val_ppl"] == pytest.approx(metrics["best"]["val_ppl"],
                                                rel=1e-6)
+
+    def test_eval_reads_the_runs_vocabulary(self, tiny_run, tmp_path):
+        # Another corpus over the same 64 word types ranks them differently:
+        # a vocabulary rebuilt from it would score the checkpoint wrongly.
+        other = tmp_path / "other_train.txt"
+        write_markov_corpus(other, 50_000, structure_seed=5, sample_seed=1)
+        rc = cli.main(["eval", "--checkpoint", str(tiny_run.out / "best.l2th"),
+                       "--config", str(tiny_run.cfg_path), "--train-path", str(other),
+                       "--out-dir", str(tmp_path / "e")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "e" / "eval.json").read_text())
+        assert doc["val_ppl"] == pytest.approx(tiny_run.info["best"]["val_ppl"], rel=1e-6)
+
+    def test_missing_vocabulary_exits_data(self, tiny_run, tmp_path, capsys):
+        ckpt = tmp_path / "best.l2th"
+        ckpt.write_bytes((tiny_run.out / "best.l2th").read_bytes())
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(tiny_run.cfg_path),
+                       "--out-dir", str(tmp_path / "e")])
+        assert rc == DataError.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(tmp_path / "vocab.txt") in err
 
     def test_eval_fresh_process_matches(self, tiny_run, tmp_path):
         cfg_path, out = tiny_run.cfg_path, tiny_run.out
@@ -232,6 +240,7 @@ class TestEvalCommand:
         vocab = corpus.build_vocab(corpus.read_lines(cfg.train_path), cfg.max_vocab)
         params = hyena.init_model(trainer.model_config_from_run(cfg, len(vocab)), seed=0)
         params["tok_emb"] *= 1e5
+        corpus.save_vocab(vocab, tmp_path / "vocab.txt")
         ckpt = tmp_path / "diverged.l2th"
         checkpoint.save_archive({"student/" + k: v for k, v in params.items()}, ckpt)
         proc = self._eval_in_new_process(cfg_path, ckpt, tmp_path / "e")
@@ -246,6 +255,7 @@ class TestEvalCommand:
         vocab = corpus.build_vocab(corpus.read_lines(cfg.train_path), cfg.max_vocab)
         params = hyena.init_model(trainer.model_config_from_run(cfg, len(vocab)), seed=0)
         params["block0.w_out"][2, 3] = np.nan
+        corpus.save_vocab(vocab, tmp_path / "vocab.txt")
         ckpt = tmp_path / "nan.l2th"
         checkpoint.save_archive({"student/" + k: v for k, v in params.items()}, ckpt)
         rc = cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path),
@@ -328,6 +338,7 @@ class TestEvalCommand:
         vocab = corpus.build_vocab(lines, cfg.max_vocab)
         assert len(vocab) == 10_000
         state = trainer.init_train_state(cfg, len(vocab), batches_per_epoch=1)
+        corpus.save_vocab(vocab, tmp_path / "vocab.txt")
         ckpt = tmp_path / "init.l2th"
         checkpoint.save_archive(trainer.archive_arrays(state), ckpt)
         rc = cli.main(["eval", "--checkpoint", str(ckpt),

@@ -142,6 +142,25 @@ def test_corpus_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("blob, match", [
+    (None, "cannot read vocabulary"),
+    (b"<unk>\n<eos>\n\xe9t\xe9\n", "not UTF-8"),
+    (b"<unk>\n<eos>\na\na\n", "repeats token 'a'"),
+    (b"<unk>\n<eos>\na b\n", "line 3 is not one token"),
+    (b"<unk>\n\n<eos>\n", "line 2 is not one token"),
+    (b"<unk>\na\n", "no <eos>"),
+    (b"", "no <unk>"),
+], ids=["missing", "latin1", "duplicate", "whitespace", "empty-line", "no-eos",
+        "empty-file"])
+def test_load_vocab_rejects_unusable_file(tmp_path, blob, match):
+    path = tmp_path / "vocab.txt"
+    if blob is not None:
+        path.write_bytes(blob)
+    with pytest.raises(DataError, match=match) as info:
+        corpus.load_vocab(str(path))
+    assert str(path) in str(info.value)
+
+
 def test_oov_rate():
     vocab = corpus.build_vocab(["a b"], max_size=10)
     assert corpus.oov_rate(["a b"], vocab) == 0.0

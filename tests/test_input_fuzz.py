@@ -1,11 +1,11 @@
-"""Property: the three input readers turn any input into a result or an
+"""Property: the four input readers turn any input into a result or an
 ``L2THyenaError`` (which the CLI maps to its exit code), never another
 exception."""
 
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from l2t_hyena import checkpoint, config, corpus
@@ -82,3 +82,34 @@ def test_corpus_pipeline_any_bytes(fuzz_file, blob, max_vocab, batch_size, seq_l
         return corpus.make_batches(ids, batch_size, seq_len)
 
     _only_package_errors(pipeline, fuzz_file, blob)
+
+
+_vocab_line = st.one_of(st.sampled_from([corpus.UNK_TOKEN, corpus.EOS_TOKEN, "a", "b", "",
+                                         "a b", "\t"]),
+                        st.text(max_size=4))
+
+
+@_FUZZ
+@given(blob=st.one_of(
+    st.binary(max_size=256),
+    st.lists(_vocab_line, max_size=6).map(lambda ls: "\n".join(ls).encode("utf-8")),
+))
+def test_load_vocab_any_bytes(fuzz_file, blob):
+    fuzz_file.write_bytes(blob)
+    try:
+        vocab = corpus.load_vocab(str(fuzz_file))
+    except L2THyenaError:
+        return
+    assert isinstance(vocab, corpus.Vocab)
+    assert vocab.token_to_id == {tok: i for i, tok in enumerate(vocab.id_to_token)}
+    assert vocab.id_to_token[vocab.unk_id] == corpus.UNK_TOKEN
+    assert vocab.id_to_token[vocab.eos_id] == corpus.EOS_TOKEN
+
+
+@_FUZZ
+@given(lines=st.lists(st.text(max_size=24), max_size=6), max_vocab=st.integers(2, 12))
+def test_load_vocab_inverts_save_vocab(fuzz_file, lines, max_vocab):
+    assume(any(line.split() for line in lines))
+    built = corpus.build_vocab(lines, max_vocab)
+    corpus.save_vocab(built, str(fuzz_file))
+    assert corpus.load_vocab(str(fuzz_file)) == built

@@ -1,10 +1,12 @@
 import hashlib
 import math
+import os
+import shutil
 
 import numpy as np
 import pytest
 
-from helpers import paper_student_config
+from helpers import RUN_DIR_FILES, csv_column, paper_student_config, run_dir_files
 
 from l2t_hyena import config, corpus, dln, hyena, trainer
 from l2t_hyena.errors import NumericalError
@@ -260,27 +262,68 @@ class TestTrainStep:
 
 class TestTrainLoop:
     def test_history_and_checkpoints(self, tiny_run):
-        history, info = tiny_run.history, tiny_run.info
-        assert len(history.epochs) == 2
-        for row in history.epochs:
-            assert row["val_ppl"] == math.exp(row["val_loss"])
-            assert row["seconds"] == 0.0  # deterministic mode zeroes timing
-        assert (tiny_run.out / "best.l2th").exists()
-        assert (tiny_run.out / "last.l2th").exists()
+        info, out = tiny_run.info, tiny_run.out
+        assert info["best"]["val_ppl"] == math.exp(info["best"]["val_loss"])
+        # The CSV holds 9 significant digits.
+        val_loss = csv_column(out / "metrics_epoch.csv", "val_loss")
+        val_ppl = csv_column(out / "metrics_epoch.csv", "val_ppl")
+        assert len(val_ppl) == 2
+        assert val_ppl == pytest.approx([math.exp(v) for v in val_loss], rel=1e-8)
+        # deterministic mode zeroes timing
+        assert csv_column(out / "metrics_epoch.csv", "seconds") == [0.0, 0.0]
+        assert (out / "best.l2th").exists()
+        assert (out / "last.l2th").exists()
         assert info["best"]["epoch"] in (0, 1)
         assert info["corpus"]["vocab_size"] <= 100
+        assert "steps" not in info and "epochs" not in info
 
     def test_run_to_run_determinism(self, tiny_run, tiny_flags, tmp_path):
-        # The session's run against a second run of the same config.
-        h1, i1 = tiny_run.history, tiny_run.info
-        h2, i2 = trainer.train(_tiny_run_config(tiny_flags, tmp_path / "b"))
-        assert h1.steps == h2.steps
-        assert h1.epochs == h2.epochs
-        assert i1["best"] == i2["best"]
+        # The session's run (through the CLI) against a second run of the same
+        # config: every file either writes is the same but for its out_dir.
+        trainer.train(_tiny_run_config(tiny_flags, tmp_path / "b"))
+        first, second = run_dir_files(tiny_run.out), run_dir_files(tmp_path / "b")
+        assert first.keys() == RUN_DIR_FILES
+        assert first == second
+
+    @staticmethod
+    def _fail_at(monkeypatch, fail_step):
+        step = trainer.train_step
+
+        def failing_step(state, batch):
+            if state.step == fail_step:
+                raise NumericalError(f"step {state.step}: injected")
+            return step(state, batch)
+
+        monkeypatch.setattr(trainer, "train_step", failing_step)
+
+    def test_aborted_run_keeps_finished_epochs(self, tiny_run, tiny_flags, tmp_path,
+                                               monkeypatch):
+        per_epoch = tiny_run.info["corpus"]["batches_per_epoch"]
+        self._fail_at(monkeypatch, per_epoch + 3)  # partway through epoch 1
+        out = tmp_path / "aborted"
+        with pytest.raises(NumericalError, match="injected"):
+            trainer.train(_tiny_run_config(tiny_flags, out))
+        # Header plus epoch 0, byte-equal to the uninterrupted run's first rows.
+        for name, n_rows in (("metrics_step.csv", per_epoch), ("metrics_epoch.csv", 1)):
+            full = (tiny_run.out / name).read_text().splitlines(keepends=True)
+            assert (out / name).read_text() == "".join(full[: 1 + n_rows])
+        assert (out / "last.l2th").exists()
+        assert not (out / "metrics.json").exists()
+
+    def test_rerun_leaves_no_earlier_checkpoint(self, tiny_run, tiny_flags, tmp_path,
+                                                monkeypatch):
+        # A checkpoint left beside the new run's vocab.txt would be evaluated
+        # with a vocabulary it was not trained on.
+        out = tmp_path / "rerun"
+        shutil.copytree(tiny_run.out, out)
+        self._fail_at(monkeypatch, 2)  # before epoch 0 ends
+        with pytest.raises(NumericalError, match="injected"):
+            trainer.train(_tiny_run_config(tiny_flags, out))
+        assert sorted(os.listdir(out)) == ["config_resolved.txt", "metrics_epoch.csv",
+                                           "metrics_step.csv", "vocab.txt"]
 
     def test_lambda_tracks_dln_and_stays_in_unit_interval(self, tiny_run):
-        history = tiny_run.history
-        lams = [m["lambda"] for m in history.steps]
+        lams = csv_column(tiny_run.out / "metrics_step.csv", "lambda")
         assert all(0.0 < v < 1.0 for v in lams)
 
     def test_baseline_full_run_leaves_adaptive_params_at_init(self, tiny_flags,

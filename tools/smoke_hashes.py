@@ -8,9 +8,9 @@ Writes the README's synthetic Markov corpus (``tests/helpers.py``'s
 trains three runs: one per mode, and an l2t run with ``buffer_capacity`` 20
 (``l2t-cap20``), whose replay memory fills and evicts. It prints one line per
 output file: ``<run> <file> <sha256>`` for ``metrics_step.csv``,
-``metrics_epoch.csv`` and ``last.l2th``. Two runs of the same code print the
-same lines, so a change that claims bit-identical runs must leave them as
-they are.
+``metrics_epoch.csv``, ``last.l2th`` and the summary ``metrics.json``. Two
+runs of the same code print the same lines, so a change that claims
+bit-identical runs must leave them as they are.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ lr_student: 0.001
 activation_threshold: 16
 deterministic: true
 """
-OUTPUTS = ("metrics_step.csv", "metrics_epoch.csv", "last.l2th")
+OUTPUTS = ("metrics_step.csv", "metrics_epoch.csv", "last.l2th", "metrics.json")
 RUNS = {
     "baseline": ["--mode", "baseline"],
     "l2t": ["--mode", "l2t"],
