@@ -2,16 +2,18 @@
 
     l2t-hyena train --config cfg.txt [--mode baseline|l2t] [--seed N]
                     [--deterministic] [--<any-config-key> value ...]
-    l2t-hyena eval --checkpoint runs/l2t/best.l2th --config cfg.txt
-    l2t-hyena compare runs/baseline runs/l2t
+    l2t-hyena eval --checkpoint runs/l2t/best.l2th [--valid-path FILE] [--out DIR]
+    l2t-hyena compare runs/baseline runs/l2t [--out DIR]
 
 Exit codes: 0 success, else the ``exit_code`` of the raised error class
 (``errors.py``): 2 config, 3 data (also any ``OSError``), 4 numerical,
 5 checkpoint.
 
 ``train`` resolves the config and hands it to ``trainer.train``, which
-alone writes the run directory. ``eval`` reads the ``vocab.txt`` training
-wrote beside ``--checkpoint``; it ignores ``train_path`` and ``max_vocab``.
+alone writes the run directory. ``eval`` reads the student, config and
+vocabulary of the checkpoint's run (``trainer.load_student``) and scores
+``--valid-path``, by default the run's ``valid_path``. ``eval`` and
+``compare`` write their report into ``--out``, creating it if needed.
 """
 
 from __future__ import annotations
@@ -21,50 +23,43 @@ import json
 import os
 import sys
 
-from . import checkpoint, config, corpus, trainer
+from . import config, corpus, trainer
 from .errors import DataError, L2THyenaError
 
 EXIT_OK = 0
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_json(out_dir: str, name: str, doc: dict) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
-def _resolved_config(args) -> config.RunConfig:
+def cmd_train(args) -> int:
     flag_values = {}
     for key in config.FIELD_TYPES:
-        raw = getattr(args, key, None)
-        if raw is None:
-            continue
-        flag_values[key] = raw if isinstance(raw, bool) else config.parse_value(key, raw)
-    return config.parse_config(args.config, flag_values)
-
-
-def cmd_train(args) -> int:
-    cfg = _resolved_config(args)
+        raw = getattr(args, key)
+        if raw is not None:
+            flag_values[key] = raw if isinstance(raw, bool) else config.parse_value(key, raw)
+    cfg = config.parse_config(args.config, flag_values)
     best = trainer.train(cfg)["best"]
     print(f"best epoch {best['epoch']}: val_ppl {best['val_ppl']:.4f} -> {cfg.out_dir}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    cfg = _resolved_config(args)
-    archive = checkpoint.load_archive(args.checkpoint)
-    vocab = corpus.load_vocab(os.path.join(os.path.dirname(args.checkpoint), "vocab.txt"))
-    valid_lines = corpus.read_lines(cfg.valid_path)
+    run_cfg, vocab, model_cfg, params = trainer.load_student(args.checkpoint)
+    valid_path = args.valid_path or run_cfg.valid_path
     val_batches = corpus.make_batches(
-        corpus.encode(valid_lines, vocab), cfg.batch_size, cfg.seq_len
+        corpus.encode(corpus.read_lines(valid_path), vocab),
+        run_cfg.batch_size, run_cfg.seq_len,
     )
-    model_cfg = trainer.model_config_from_run(cfg, len(vocab))
-    params = trainer.student_params_from_archive(archive, model_cfg)
     val_loss, val_ppl = trainer.evaluate(params, model_cfg, val_batches)
     print(f"val_loss {val_loss:.6f} val_ppl {val_ppl:.4f}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    doc = {"checkpoint": args.checkpoint, "val_loss": val_loss, "val_ppl": val_ppl}
-    _write_json(os.path.join(cfg.out_dir, "eval.json"), doc)
+    _write_json(args.out, "eval.json", {"checkpoint": args.checkpoint,
+                                        "valid_path": valid_path,
+                                        "val_loss": val_loss, "val_ppl": val_ppl})
     return EXIT_OK
 
 
@@ -139,18 +134,8 @@ def cmd_compare(args) -> int:
     )
     ratio = deltas["time_ratio"]
     print(f"training time ratio (l2t/baseline): {'n/a' if ratio is None else f'{ratio:.4g}'}")
-    out_path = os.path.join(args.out, "compare.json")
-    _write_json(out_path, report)
+    _write_json(args.out, "compare.json", report)
     return EXIT_OK
-
-
-def _add_override_flags(sp: argparse.ArgumentParser) -> None:
-    for key, typ in config.FIELD_TYPES.items():
-        flag = "--" + key.replace("_", "-")
-        if typ is bool:
-            sp.add_argument(flag, dest=key, action="store_true", default=None)
-        else:
-            sp.add_argument(flag, dest=key, default=None, metavar=typ.__name__.upper())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,13 +145,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train a model and export metrics")
     t.add_argument("--config", default=None, help="flat key-value config file")
-    _add_override_flags(t)
+    for key, typ in config.FIELD_TYPES.items():
+        flag = "--" + key.replace("_", "-")
+        if typ is bool:
+            t.add_argument(flag, dest=key, action="store_true", default=None)
+        else:
+            t.add_argument(flag, dest=key, default=None, metavar=typ.__name__.upper())
     t.set_defaults(func=cmd_train)
 
-    e = sub.add_parser("eval", help="evaluate a checkpoint on the validation set")
-    e.add_argument("--checkpoint", required=True)
-    e.add_argument("--config", default=None)
-    _add_override_flags(e)
+    e = sub.add_parser("eval", help="evaluate a checkpoint with its training run's config")
+    e.add_argument("--checkpoint", required=True, help="a checkpoint train wrote")
+    e.add_argument("--valid-path", help="corpus to score (default: the run's valid_path)")
+    e.add_argument("--out", default=".", help="directory for eval.json")
     e.set_defaults(func=cmd_eval)
 
     c = sub.add_parser("compare", help="compare a baseline run with an l2t run")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -24,10 +24,17 @@ EOS_TOKEN = "<eos>"
 
 @dataclass
 class Vocab:
-    token_to_id: dict[str, int]
+    """Tokens in id order; the token-to-id table and special ids derive from them."""
+
     id_to_token: list[str]
-    unk_id: int
-    eos_id: int
+    token_to_id: dict[str, int] = field(init=False)
+    unk_id: int = field(init=False)
+    eos_id: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
+        self.unk_id = self.token_to_id[UNK_TOKEN]
+        self.eos_id = self.token_to_id[EOS_TOKEN]
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -74,14 +81,7 @@ def build_vocab(lines: Iterable[str], max_size: int) -> Vocab:
     words = [kv for kv in freq.items() if kv[0] not in specials]
     chosen = heapq.nsmallest(max_size - 2, words, key=rank)
     chosen += [(tok, freq[tok]) for tok in specials]  # a missing <unk> counts 0
-    id_to_token = [tok for tok, _ in sorted(chosen, key=rank)]
-    token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
-    return Vocab(
-        token_to_id=token_to_id,
-        id_to_token=id_to_token,
-        unk_id=token_to_id[UNK_TOKEN],
-        eos_id=token_to_id[EOS_TOKEN],
-    )
+    return Vocab([tok for tok, _ in sorted(chosen, key=rank)])
 
 
 def encode(lines: Iterable[str], vocab: Vocab) -> np.ndarray:
@@ -156,18 +156,14 @@ def load_vocab(path: str) -> Vocab:
         tokens = read_lines(path)
     except OSError as exc:
         raise DataError(f"cannot read vocabulary {path!r}: {exc.strerror}")
-    token_to_id: dict[str, int] = {}
+    seen: set[str] = set()
     for i, tok in enumerate(tokens):
         if tok.split() != [tok]:
             raise DataError(f"vocabulary {path!r} line {i + 1} is not one token: {tok!r}")
-        if token_to_id.setdefault(tok, i) != i:
+        if tok in seen:
             raise DataError(f"vocabulary {path!r} repeats token {tok!r}")
+        seen.add(tok)
     for special in (UNK_TOKEN, EOS_TOKEN):
-        if special not in token_to_id:
+        if special not in seen:
             raise DataError(f"vocabulary {path!r} has no {special} token")
-    return Vocab(
-        token_to_id=token_to_id,
-        id_to_token=tokens,
-        unk_id=token_to_id[UNK_TOKEN],
-        eos_id=token_to_id[EOS_TOKEN],
-    )
+    return Vocab(tokens)

@@ -9,7 +9,8 @@ overwrites the softmax; experience storage in the teacher's replay memory;
 and, once it holds enough history, one teacher and one DLN update from the
 DLN's tape.
 Baseline mode trains only the student with lambda = 0: plain cross-entropy.
-``train`` runs the epochs and is the one writer of the run directory.
+``train`` runs the epochs and is the one writer of the run directory;
+``load_student`` is its reader.
 """
 
 from __future__ import annotations
@@ -18,15 +19,17 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import checkpoint, corpus, dln, hyena, teacher
-from .config import RunConfig, echo_config
+from .config import RunConfig, echo_config, parse_config
 from .errors import CheckpointError, NumericalError
 
 DECAY_FLOOR = 1e-6
+CONFIG_FILE = "config_resolved.txt"
+VOCAB_FILE = "vocab.txt"
 STEP_COLUMNS = ("step", "loss", "ce", "l2", "lambda", "grad_norm_student")
 EPOCH_COLUMNS = (
     "epoch", "train_loss", "val_loss", "val_ppl",
@@ -279,24 +282,6 @@ def archive_arrays(state: TrainState) -> dict[str, np.ndarray]:
     return arrays
 
 
-def student_params_from_archive(archive: dict[str, np.ndarray],
-                                model_cfg: hyena.HyenaConfig):
-    """The ``student/`` arrays of a loaded archive (see ``archive_arrays``), checked."""
-    params = {}
-    for name, shape in hyena.param_shapes(model_cfg).items():
-        key = "student/" + name
-        if key not in archive:
-            raise CheckpointError(f"checkpoint is missing array {key!r}")
-        arr = archive[key]
-        if arr.shape != shape:
-            raise CheckpointError(
-                f"shape mismatch for {key!r}: checkpoint {arr.shape}, "
-                f"config implies {shape}"
-            )
-        params[name] = arr
-    return params
-
-
 def _fmt(value) -> str:
     """One CSV cell: floats get 9 significant digits."""
     return f"{value:.9g}" if isinstance(value, float) else str(value)
@@ -335,12 +320,12 @@ def train(run_cfg: RunConfig) -> dict:
 
     os.makedirs(run_cfg.out_dir, exist_ok=True)
     for name in ("best.l2th", "last.l2th", "metrics.json"):
-        # An earlier run's, which this run's vocab.txt would not describe.
+        # An earlier run's, which this run's vocabulary would not describe.
         if os.path.isfile(path(name)):
             os.remove(path(name))
-    with open(path("config_resolved.txt"), "w", encoding="utf-8") as fh:
+    with open(path(CONFIG_FILE), "w", encoding="utf-8") as fh:
         fh.write(echo_config(run_cfg))
-    corpus.save_vocab(vocab, path("vocab.txt"))
+    corpus.save_vocab(vocab, path(VOCAB_FILE))
     for name, columns in (("metrics_step.csv", STEP_COLUMNS),
                           ("metrics_epoch.csv", EPOCH_COLUMNS)):
         with open(path(name), "w", encoding="utf-8") as fh:
@@ -386,7 +371,6 @@ def train(run_cfg: RunConfig) -> dict:
 
     summary = {
         "mode": run_cfg.mode,
-        "config": asdict(run_cfg),
         "corpus": {
             "train_tokens": int(train_ids.size),
             "valid_tokens": int(valid_ids.size),
@@ -404,3 +388,31 @@ def train(run_cfg: RunConfig) -> dict:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     return summary
+
+
+def load_student(checkpoint_path: str) -> tuple[RunConfig, corpus.Vocab,
+                                                 hyena.HyenaConfig, dict[str, np.ndarray]]:
+    """The student a ``train`` run saved: its run config, vocabulary, shape and arrays.
+
+    The checkpoint is opened first (``CheckpointError``, exit 5), then the
+    ``config_resolved.txt`` (``ConfigError``, exit 2) and ``vocab.txt``
+    (``DataError``, exit 3) that ``train`` wrote beside it. Each
+    ``student/`` array must have the shape the config and vocabulary imply.
+    """
+    archive = checkpoint.load_archive(checkpoint_path)
+    run_dir = os.path.dirname(checkpoint_path)
+    run_cfg = parse_config(os.path.join(run_dir, CONFIG_FILE))
+    vocab = corpus.load_vocab(os.path.join(run_dir, VOCAB_FILE))
+    model_cfg = model_config_from_run(run_cfg, len(vocab))
+    params = {}
+    for name, shape in hyena.param_shapes(model_cfg).items():
+        key = "student/" + name
+        if key not in archive:
+            raise CheckpointError(f"checkpoint is missing array {key!r}")
+        if archive[key].shape != shape:
+            raise CheckpointError(
+                f"shape mismatch for {key!r}: checkpoint {archive[key].shape}, "
+                f"config implies {shape}"
+            )
+        params[name] = archive[key]
+    return run_cfg, vocab, model_cfg, params

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 import os
 import struct
@@ -455,19 +454,15 @@ def csv_column(path, name: str) -> list[float]:
 def run_dir_files(out) -> dict[str, bytes]:
     """Every file in the run directory ``out``, by name, with its ``out_dir`` masked.
 
-    ``config_resolved.txt`` and ``metrics.json`` record the run's own
+    ``config_resolved.txt`` is the one file that records the run's own
     ``out_dir``, which is all that two identical runs into different
     directories may write differently; that value becomes ``<out_dir>``.
     """
-    masks = {"config_resolved.txt": f"out_dir: {out}",
-             "metrics.json": f'"out_dir": {json.dumps(str(out))}'}
     files = {}
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
-            blob = fh.read()
-        if name in masks:
-            mask = masks[name].encode("utf-8")
-            assert blob.count(mask) == 1, f"{name} does not record out_dir once"
-            blob = blob.replace(mask, b"<out_dir>")
-        files[name] = blob
+            files[name] = fh.read()
+    mask = f"out_dir: {out}".encode("utf-8")
+    assert files["config_resolved.txt"].count(mask) == 1, "out_dir is not recorded once"
+    files["config_resolved.txt"] = files["config_resolved.txt"].replace(mask, b"<out_dir>")
     return files

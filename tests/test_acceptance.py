@@ -330,7 +330,7 @@ def test_learning_smoke(smoke_flags, tmp_path):
     )
 
 
-def test_checkpoint_round_trip(det_run_pair, smoke_flags, tmp_path):
+def test_checkpoint_round_trip(det_run_pair, tmp_path):
     run = det_run_pair[0]
     best = run / "best.l2th"
 
@@ -341,14 +341,7 @@ def test_checkpoint_round_trip(det_run_pair, smoke_flags, tmp_path):
 
     metrics = json.loads((run / "metrics.json").read_text())
     eval_dir = tmp_path / "eval"
-    flags = smoke_flags(eval_dir)
-    rc = cli.main([
-        "eval", "--checkpoint", str(best),
-        "--train-path", flags["train_path"], "--valid-path", flags["valid_path"],
-        "--out-dir", str(eval_dir),
-        "--batch-size", "32", "--seq-len", "32", "--dim", "64",
-        "--n-blocks", "2", "--max-vocab", "200",
-    ])
+    rc = cli.main(["eval", "--checkpoint", str(best), "--out", str(eval_dir)])
     assert rc == 0
     reloaded = json.loads((eval_dir / "eval.json").read_text())["val_ppl"]
     in_process = metrics["best"]["val_ppl"]

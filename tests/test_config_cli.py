@@ -7,7 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import overflowing_checkpoint_header, write_markov_corpus, write_smoke_cfg
+from helpers import (
+    RUN_DIR_FILES,
+    overflowing_checkpoint_header,
+    write_markov_corpus,
+    write_smoke_cfg,
+)
 
 from l2t_hyena import checkpoint, cli, config, corpus, hyena, trainer
 from l2t_hyena.errors import CheckpointError, ConfigError, DataError, NumericalError
@@ -164,153 +169,172 @@ class TestTrainCommand:
         assert echoed == direct
 
 
+def _hand_built_run(run_dir, cfg, vocab, arrays, name):
+    """A checkpoint with the config and vocabulary ``train`` would write beside it."""
+    (run_dir / "config_resolved.txt").write_text(config.echo_config(cfg))
+    corpus.save_vocab(vocab, run_dir / "vocab.txt")
+    ckpt = run_dir / name
+    checkpoint.save_archive(arrays, ckpt)
+    return ckpt
+
+
 class TestEvalCommand:
     def test_eval_matches_training_best(self, tiny_run, tmp_path):
-        cfg_path, out = tiny_run.cfg_path, tiny_run.out
+        out = tiny_run.out
         metrics = json.loads((out / "metrics.json").read_text())
         eval_out = tmp_path / "eval"
-        rc = cli.main([
-            "eval", "--checkpoint", str(out / "best.l2th"),
-            "--config", str(cfg_path), "--out-dir", str(eval_out),
-        ])
+        rc = cli.main(["eval", "--checkpoint", str(out / "best.l2th"), "--out", str(eval_out)])
         assert rc == 0
         doc = json.loads((eval_out / "eval.json").read_text())
         assert doc["val_ppl"] == pytest.approx(metrics["best"]["val_ppl"],
                                                rel=1e-6)
 
-    def test_eval_reads_the_runs_vocabulary(self, tiny_run, tmp_path):
-        # Another corpus over the same 64 word types ranks them differently:
-        # a vocabulary rebuilt from it would score the checkpoint wrongly.
-        other = tmp_path / "other_train.txt"
-        write_markov_corpus(other, 50_000, structure_seed=5, sample_seed=1)
-        rc = cli.main(["eval", "--checkpoint", str(tiny_run.out / "best.l2th"),
-                       "--config", str(tiny_run.cfg_path), "--train-path", str(other),
-                       "--out-dir", str(tmp_path / "e")])
+    def test_checkpoint_alone_reproduces_best_exactly(self, tiny_run, synth_corpus,
+                                                      tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["eval", "--checkpoint", str(tiny_run.out / "best.l2th")]) == 0
+        doc = json.loads((tmp_path / "eval.json").read_text())
+        metrics = json.loads((tiny_run.out / "metrics.json").read_text())
+        assert doc["val_ppl"] == metrics["best"]["val_ppl"]
+        assert doc["valid_path"] == synth_corpus["valid"]
+
+    def test_eval_writes_only_into_out(self, tiny_run, tmp_path, monkeypatch):
+        # eval.json once went to the config's out_dir, by default runs/<mode>.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["eval", "--checkpoint", str(tiny_run.out / "best.l2th")]) == 0
+        assert set(os.listdir(tiny_run.out)) == RUN_DIR_FILES
+        assert os.listdir(tmp_path) == ["eval.json"]
+
+    def test_valid_path_scores_another_file(self, tiny_run, tmp_path):
+        ckpt = str(tiny_run.out / "best.l2th")
+        other = tmp_path / "other_valid.txt"
+        write_markov_corpus(other, 5_000, structure_seed=5, sample_seed=2)
+        rc = cli.main(["eval", "--checkpoint", ckpt,
+                       "--valid-path", str(other), "--out", str(tmp_path / "e")])
         assert rc == 0
         doc = json.loads((tmp_path / "e" / "eval.json").read_text())
-        assert doc["val_ppl"] == pytest.approx(tiny_run.info["best"]["val_ppl"], rel=1e-6)
+        assert doc["valid_path"] == str(other)
+        run_cfg, vocab, model_cfg, params = trainer.load_student(ckpt)
+        batches = corpus.make_batches(corpus.encode(corpus.read_lines(other), vocab),
+                                      run_cfg.batch_size, run_cfg.seq_len)
+        assert doc["val_ppl"] == trainer.evaluate(params, model_cfg, batches)[1]
+        assert doc["val_ppl"] != tiny_run.info["best"]["val_ppl"]
 
-    def test_missing_vocabulary_exits_data(self, tiny_run, tmp_path, capsys):
+    def test_missing_run_config_exits_config(self, tiny_run, tmp_path, capsys):
         ckpt = tmp_path / "best.l2th"
         ckpt.write_bytes((tiny_run.out / "best.l2th").read_bytes())
-        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(tiny_run.cfg_path),
-                       "--out-dir", str(tmp_path / "e")])
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")])
+        assert rc == ConfigError.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(tmp_path / "config_resolved.txt") in err
+
+    def test_missing_vocabulary_exits_data(self, tiny_run, tmp_path, capsys):
+        for name in ("best.l2th", "config_resolved.txt"):
+            (tmp_path / name).write_bytes((tiny_run.out / name).read_bytes())
+        rc = cli.main(["eval", "--checkpoint", str(tmp_path / "best.l2th"),
+                       "--out", str(tmp_path / "e")])
         assert rc == DataError.exit_code
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(tmp_path / "vocab.txt") in err
 
     def test_eval_fresh_process_matches(self, tiny_run, tmp_path):
-        cfg_path, out = tiny_run.cfg_path, tiny_run.out
+        out = tiny_run.out
         eval_a = tmp_path / "eval_a"
         assert cli.main(["eval", "--checkpoint", str(out / "best.l2th"),
-                         "--config", str(cfg_path),
-                         "--out-dir", str(eval_a)]) == 0
+                         "--out", str(eval_a)]) == 0
         eval_b = tmp_path / "eval_b"
-        proc = self._eval_in_new_process(cfg_path, out / "best.l2th", eval_b)
+        proc = self._eval_in_new_process(out / "best.l2th", eval_b)
         assert proc.returncode == 0, proc.stderr
         a = json.loads((eval_a / "eval.json").read_text())
         b = json.loads((eval_b / "eval.json").read_text())
         assert a["val_ppl"] == pytest.approx(b["val_ppl"], rel=1e-6)
 
     @staticmethod
-    def _eval_in_new_process(cfg_path, ckpt, out):
+    def _eval_in_new_process(ckpt, out):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "l2t_hyena", "eval", "--checkpoint", str(ckpt),
-             "--config", str(cfg_path), "--out-dir", str(out)],
+             "--out", str(out)],
             capture_output=True, text=True, env=env,
         )
 
-    def test_overflowing_header_exits_checkpoint(self, tiny_flags, tmp_path):
-        cfg_path = tmp_path / "smoke.cfg"
-        write_smoke_cfg(cfg_path, tiny_flags)
+    def test_overflowing_header_exits_checkpoint(self, tmp_path):
         bad = tmp_path / "overflow.l2th"
         bad.write_bytes(overflowing_checkpoint_header())
-        proc = self._eval_in_new_process(cfg_path, bad, tmp_path / "e")
+        proc = self._eval_in_new_process(bad, tmp_path / "e")
         assert proc.returncode == CheckpointError.exit_code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("checkpoint error:")
 
     def test_diverged_model_exits_numerical(self, tiny_flags, tmp_path):
-        cfg_path = tmp_path / "smoke.cfg"
-        write_smoke_cfg(cfg_path, tiny_flags)
-        cfg = config.parse_config(str(cfg_path), {})
+        cfg = config.resolve_config(flag_values=tiny_flags())
         vocab = corpus.build_vocab(corpus.read_lines(cfg.train_path), cfg.max_vocab)
         params = hyena.init_model(trainer.model_config_from_run(cfg, len(vocab)), seed=0)
         params["tok_emb"] *= 1e5
-        corpus.save_vocab(vocab, tmp_path / "vocab.txt")
-        ckpt = tmp_path / "diverged.l2th"
-        checkpoint.save_archive({"student/" + k: v for k, v in params.items()}, ckpt)
-        proc = self._eval_in_new_process(cfg_path, ckpt, tmp_path / "e")
+        ckpt = _hand_built_run(tmp_path, cfg, vocab,
+                               {"student/" + k: v for k, v in params.items()}, "diverged.l2th")
+        proc = self._eval_in_new_process(ckpt, tmp_path / "e")
         assert proc.returncode == NumericalError.exit_code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("numerical error:")
 
     def test_nan_weight_exits_checkpoint(self, tiny_flags, tmp_path):
-        cfg_path = tmp_path / "smoke.cfg"
-        write_smoke_cfg(cfg_path, tiny_flags)
-        cfg = config.parse_config(str(cfg_path), {})
+        cfg = config.resolve_config(flag_values=tiny_flags())
         vocab = corpus.build_vocab(corpus.read_lines(cfg.train_path), cfg.max_vocab)
         params = hyena.init_model(trainer.model_config_from_run(cfg, len(vocab)), seed=0)
         params["block0.w_out"][2, 3] = np.nan
-        corpus.save_vocab(vocab, tmp_path / "vocab.txt")
-        ckpt = tmp_path / "nan.l2th"
-        checkpoint.save_archive({"student/" + k: v for k, v in params.items()}, ckpt)
-        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path),
-                       "--out-dir", str(tmp_path / "e")])
+        ckpt = _hand_built_run(tmp_path, cfg, vocab,
+                               {"student/" + k: v for k, v in params.items()}, "nan.l2th")
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")])
         assert rc == CheckpointError.exit_code
 
-    def test_non_utf8_corpus_exits_data(self, synth_corpus, tiny_run, tmp_path, capsys):
-        # A readable checkpoint: eval opens it before either corpus.
+    def test_non_utf8_corpus_exits_data(self, tiny_run, tmp_path, capsys):
+        # A readable checkpoint: eval opens it before the corpus.
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(b"w001 w002\n\xe9t\xe9\n")
         rc = cli.main(["eval", "--checkpoint", str(tiny_run.out / "best.l2th"),
-                       "--train-path", synth_corpus["train"], "--valid-path", str(bad),
-                       "--out-dir", str(tmp_path / "o")])
+                       "--valid-path", str(bad), "--out", str(tmp_path / "o")])
         assert rc == DataError.exit_code
         assert "latin1.txt" in capsys.readouterr().err
 
     def test_missing_checkpoint_reported_before_missing_corpus(self, tmp_path, capsys):
         ckpt = tmp_path / "absent.l2th"
         rc = cli.main(["eval", "--checkpoint", str(ckpt),
-                       "--train-path", str(tmp_path / "absent.txt"),
                        "--valid-path", str(tmp_path / "absent.txt"),
-                       "--out-dir", str(tmp_path / "o")])
+                       "--out", str(tmp_path / "o")])
         assert rc == CheckpointError.exit_code
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error:") and str(ckpt) in err
 
     def test_truncated_checkpoint(self, tiny_run, tmp_path, capsys):
-        cfg_path, out = tiny_run.cfg_path, tiny_run.out
-        blob = (out / "best.l2th").read_bytes()
+        blob = (tiny_run.out / "best.l2th").read_bytes()
         bad = tmp_path / "cut.l2th"
         bad.write_bytes(blob[: len(blob) // 2])
-        rc = cli.main(["eval", "--checkpoint", str(bad),
-                       "--config", str(cfg_path),
-                       "--out-dir", str(tmp_path / "e")])
+        rc = cli.main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "e")])
         assert rc == CheckpointError.exit_code
 
     @pytest.mark.parametrize("is_dir", [False, True], ids=["missing", "directory"])
-    def test_unreadable_checkpoint_exits_checkpoint(self, tiny_flags, tmp_path, capsys,
-                                                    is_dir):
-        cfg_path = tmp_path / "smoke.cfg"
-        write_smoke_cfg(cfg_path, tiny_flags)
+    def test_unreadable_checkpoint_exits_checkpoint(self, tmp_path, capsys, is_dir):
+        # Nothing else is beside it: the checkpoint is read before the run's files.
         ckpt = tmp_path / "nope.l2th"
         if is_dir:
             ckpt.mkdir()
-        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path),
-                       "--out-dir", str(tmp_path / "e")])
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")])
         assert rc == CheckpointError.exit_code
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error:") and str(ckpt) in err
 
     def test_mismatched_model_shape(self, tiny_run, tmp_path):
-        cfg_path, out = tiny_run.cfg_path, tiny_run.out
-        rc = cli.main(["eval", "--checkpoint", str(out / "best.l2th"),
-                       "--config", str(cfg_path), "--dim", "32",
-                       "--out-dir", str(tmp_path / "e")])
+        for name in ("best.l2th", "vocab.txt"):
+            (tmp_path / name).write_bytes((tiny_run.out / name).read_bytes())
+        resolved = (tiny_run.out / "config_resolved.txt").read_text()
+        assert resolved.count("\ndim: 16\n") == 1
+        (tmp_path / "config_resolved.txt").write_text(
+            resolved.replace("\ndim: 16\n", "\ndim: 32\n"))
+        rc = cli.main(["eval", "--checkpoint", str(tmp_path / "best.l2th"),
+                       "--out", str(tmp_path / "e")])
         assert rc == CheckpointError.exit_code
 
     def test_random_init_full_size_model_near_uniform(self, tmp_path):
@@ -338,13 +362,8 @@ class TestEvalCommand:
         vocab = corpus.build_vocab(lines, cfg.max_vocab)
         assert len(vocab) == 10_000
         state = trainer.init_train_state(cfg, len(vocab), batches_per_epoch=1)
-        corpus.save_vocab(vocab, tmp_path / "vocab.txt")
-        ckpt = tmp_path / "init.l2th"
-        checkpoint.save_archive(trainer.archive_arrays(state), ckpt)
-        rc = cli.main(["eval", "--checkpoint", str(ckpt),
-                       "--train-path", str(train_path),
-                       "--valid-path", str(valid_path),
-                       "--out-dir", str(tmp_path / "out"), "--seed", "11"])
+        ckpt = _hand_built_run(tmp_path, cfg, vocab, trainer.archive_arrays(state), "init.l2th")
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
         assert rc == 0
         doc = json.loads((tmp_path / "out" / "eval.json").read_text())
         assert abs(doc["val_ppl"] - 10_000) / 10_000 < 0.02
@@ -410,6 +429,16 @@ class TestCompareCommand:
         assert rc == DataError.exit_code
         assert "must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / "compare.json").exists()
+
+    def test_missing_out_directory_is_created(self, tmp_path, capsys):
+        a, b = tmp_path / "base", tmp_path / "l2t"
+        self._fake_run(a, 50.0, 3.9, 2, 3.0, 10.0)
+        self._fake_run(b, 49.0, 3.8, 2, 2.9, 10.0)
+        out = tmp_path / "reports" / "new"
+        assert cli.main(["compare", str(a), str(b), "--out", str(out)]) == 0
+        report = json.loads((out / "compare.json").read_text())
+        assert report["l2t"]["best_val_ppl"] == 49.0
+        assert capsys.readouterr().err == ""
 
     def test_missing_metrics_is_report_error(self, tmp_path, capsys):
         a = tmp_path / "a"

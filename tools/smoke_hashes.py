@@ -8,9 +8,11 @@ Writes the README's synthetic Markov corpus (``tests/helpers.py``'s
 trains three runs: one per mode, and an l2t run with ``buffer_capacity`` 20
 (``l2t-cap20``), whose replay memory fills and evicts. It prints one line per
 output file: ``<run> <file> <sha256>`` for ``metrics_step.csv``,
-``metrics_epoch.csv``, ``last.l2th`` and the summary ``metrics.json``. Two
-runs of the same code print the same lines, so a change that claims
-bit-identical runs must leave them as they are.
+``metrics_epoch.csv``, ``last.l2th`` and the summary ``metrics.json``. It
+then scores each run's ``best.l2th`` with the README's ``eval`` line and
+prints the hash of its ``eval.json``; it exits 1 unless that ``val_ppl``
+equals the run's best. Two runs of the same code print the same lines, so
+a change that claims bit-identical runs must leave them as they are.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -56,6 +59,14 @@ def sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def quiet_cli(run: str, argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    if rc != cli.EXIT_OK:
+        print(f"{run}: {argv[0]} exited {rc}", file=sys.stderr)
+    return rc
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # the config names the corpus files relative to here
@@ -65,14 +76,26 @@ def main() -> int:
             fh.write(SMOKE_CFG)
         for run, flags in RUNS.items():
             out_dir = os.path.join("runs", run)
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main(["train", "--config", "smoke.cfg", *flags,
-                               "--out-dir", out_dir])
+            rc = quiet_cli(run, ["train", "--config", "smoke.cfg", *flags,
+                                 "--out-dir", out_dir])
             if rc != cli.EXIT_OK:
-                print(f"{run}: train exited {rc}", file=sys.stderr)
                 return rc
             for name in OUTPUTS:
                 print(f"{run} {name} {sha256(os.path.join(out_dir, name))}")
+            eval_dir = os.path.join("evals", run)
+            rc = quiet_cli(run, ["eval", "--checkpoint", os.path.join(out_dir, "best.l2th"),
+                                 "--out", eval_dir])
+            if rc != cli.EXIT_OK:
+                return rc
+            with open(os.path.join(eval_dir, "eval.json"), encoding="utf-8") as fh:
+                scored = json.load(fh)["val_ppl"]
+            with open(os.path.join(out_dir, "metrics.json"), encoding="utf-8") as fh:
+                best = json.load(fh)["best"]["val_ppl"]
+            if scored != best:
+                print(f"{run}: eval val_ppl {scored!r} is not the run's best {best!r}",
+                      file=sys.stderr)
+                return 1
+            print(f"{run} eval.json {sha256(os.path.join(eval_dir, 'eval.json'))}")
         os.chdir(ROOT)
     return 0
 
