@@ -50,7 +50,7 @@ def save_archive(arrays: dict[str, np.ndarray], path: str) -> None:
             fh.write(struct.pack("<I", arr.ndim))
             for dim in arr.shape:
                 fh.write(struct.pack("<I", dim))
-            fh.write(arr.tobytes())
+            fh.write(arr.data)
     os.replace(tmp, path)
 
 
@@ -101,13 +101,14 @@ def load_archive(path: str) -> dict[str, np.ndarray]:
             if nbytes > left:
                 raise CheckpointError(
                     f"truncated checkpoint: {name!r} needs {nbytes} bytes, {left} left")
-            data = fh.read(nbytes)
             if name in arrays:
                 raise CheckpointError(f"duplicate array {name!r}")
             try:
-                arr = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
+                arr = np.empty(dims, dtype="<f4")
             except ValueError as exc:  # a zero dim beside dims too large for numpy
                 raise CheckpointError(f"bad dims {dims} for {name!r}: {exc}") from exc
+            if fh.readinto(arr) != nbytes:
+                raise CheckpointError(f"truncated checkpoint while reading {name!r}")
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(f"non-finite values in {name!r}")
             arrays[name] = arr

@@ -17,11 +17,14 @@ filter taps, which are then windowed by per-channel exponential decay.
 Parameters live in a flat ``dict[str, np.ndarray]`` whose names, shapes and
 order ``param_shapes`` declares once; it is also the checkpoint schema. All
 gradients are computed analytically by the ``loss_and_grads_from_logits``
-reverse pass, which starts from the step's one ``softmax_xent`` (the DLN
-reads the same softmax); no autograd. Each block caches its GELU's normal CDF
-for the reverse pass. The dense-layer reverse pass ``linear_backward`` and
-the ReLU MLP helpers (``init_mlp``, ``mlp_forward``, ``mlp_backward``) also
-serve the DLN and the teacher.
+reverse pass; no autograd. The logits are the step's only (B, L, V) array:
+``softmax_xent`` walks them in row blocks and keeps per-position terms only
+(row max, sum of exponentials, log-sum-exp, cross-entropy, target
+probability, max probability and E_p[z], which the DLN reads), and the loss
+then overwrites each block of the logits with its dlogits. Each Hyena block
+caches its GELU's normal CDF for the reverse pass. The dense-layer reverse
+pass ``linear_backward`` and the ReLU MLP helpers (``init_mlp``,
+``mlp_forward``, ``mlp_backward``) also serve the DLN and the teacher.
 
 The long convolutions are FFT products computed with ``scipy.fft``, which
 transforms a float32 array in float32 and a float64 array in float64;
@@ -55,6 +58,12 @@ from scipy.special import erf
 from .errors import DataError, NumericalError
 
 LN_EPS = 1e-5
+# Elements per block of the passes over the big arrays: the loss walks row
+# blocks of the (B*L, V) logits, max(1, BLOCK // V) rows at a time, and the
+# gradient norm and AdamW walk block-sized slices of the larger arrays. Each
+# goes through scratch buffers of one block, which stay in cache between its
+# operations.
+BLOCK = 1 << 16
 
 
 @dataclass
@@ -481,45 +490,117 @@ def _backward(
 # ---------------------------------------------------------------------------
 
 class SoftmaxXent(NamedTuple):
-    """The row softmax of (B, L, V) logits and its per-position terms."""
+    """Per-position terms of the row softmax of (B, L, V) logits, each (B, L).
 
-    z: np.ndarray    # (B, L, V) logits minus their row max
-    p: np.ndarray    # (B, L, V) softmax; the training loss turns it into dlogits
-    lse: np.ndarray  # (B, L) log-sum-exp of z
-    ce: np.ndarray   # (B, L) cross-entropy lse - z[target]
-    idx: np.ndarray  # (B, L, 1) targets as int64
-    pt: np.ndarray   # (B, L, 1) p[target]
+    The softmax itself is not kept: with z = logits - shift it is
+    exp(z) / sum_e, which the loss recomputes block by block. Without
+    ``features``, ``conf`` and ``mean_z`` are None.
+    """
+
+    shift: np.ndarray    # row max of the logits
+    sum_e: np.ndarray    # sum of exp(z)
+    lse: np.ndarray      # log(sum_e), the log-sum-exp of z
+    ce: np.ndarray       # cross-entropy lse - z[target]
+    pt: np.ndarray       # p[target]
+    targets: np.ndarray  # target ids
+    conf: np.ndarray     # max p
+    mean_z: np.ndarray   # E_p[z], the row sum of p * z
+    vocab: int           # V
 
 
-def _shifted_xent(logits: np.ndarray, targets: np.ndarray):
-    """Max-shifted logits z, exp(z), its row sums, log-sum-exp, target ids and CE."""
+def softmax_xent(logits: np.ndarray, targets: np.ndarray,
+                 features: bool = True) -> SoftmaxXent:
+    """Row softmax terms and next-token cross-entropy, in one pass over the logits.
+
+    The pass walks row blocks of ``logits.reshape(-1, V)`` through one
+    block buffer for z and, for the DLN's ``features``, one for p; logits
+    are only read. Every term is the same elementwise operation or row
+    reduction as on the whole array, so no bit depends on the block size.
+    """
     if logits.shape[:2] != targets.shape:
         raise ValueError(f"logits {logits.shape} vs targets {targets.shape}")
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    sum_e = e.sum(axis=-1, keepdims=True)
-    lse = np.log(sum_e[..., 0])
-    idx = targets[..., None].astype(np.int64)
-    ce = lse - np.take_along_axis(z, idx, axis=-1)[..., 0]
-    return z, e, sum_e, lse, idx, ce
-
-
-def softmax_xent(logits: np.ndarray, targets: np.ndarray) -> SoftmaxXent:
-    """Max-shifted softmax and next-token cross-entropy, computed once."""
-    z, p, sum_p, lse, idx, ce = _shifted_xent(logits, targets)
-    p /= sum_p
-    return SoftmaxXent(z, p, lse, ce, idx, np.take_along_axis(p, idx, axis=-1))
+    V = logits.shape[-1]
+    x, t = logits.reshape(-1, V), targets.reshape(-1)
+    n, rows = len(x), max(1, BLOCK // V)
+    z = np.empty((min(rows, n), V), x.dtype)
+    p = np.empty_like(z) if features else z
+    shift, zt, sum_e, *feats = np.empty((5 if features else 3, n), x.dtype)
+    conf, mean_z = feats if features else (None, None)
+    ar = np.arange(len(z))
+    for a in range(0, n, rows):
+        xb = x[a:a + rows]
+        k = len(xb)
+        b, zb, pb = a + k, z[:k], p[:k]
+        xb.max(axis=-1, out=shift[a:b])
+        np.subtract(xb, shift[a:b, None], out=zb)
+        zt[a:b] = zb[ar[:k], t[a:b]]
+        np.exp(zb, out=pb)
+        pb.sum(axis=-1, out=sum_e[a:b])
+        if features:
+            pb /= sum_e[a:b, None]
+            pb.max(axis=-1, out=conf[a:b])
+            pb *= zb
+            pb.sum(axis=-1, out=mean_z[a:b])
+    lse = np.log(sum_e)
+    terms = (shift, sum_e, lse, lse - zt, np.exp(zt) / sum_e, t, conf, mean_z)
+    return SoftmaxXent(*(a if a is None else a.reshape(targets.shape) for a in terms), V)
 
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean next-token cross-entropy; eval needs no normalized softmax."""
-    *_, ce = _shifted_xent(logits, targets)
-    return float(ce.mean())
+    """Mean next-token cross-entropy; eval needs no feature terms."""
+    return float(softmax_xent(logits, targets, features=False).ce.mean())
+
+
+def _sum_squares(x: np.ndarray, buf: np.ndarray):
+    """``np.sum(np.square(x, dtype=buf.dtype))`` of a flat ``x``, squared through ``buf``.
+
+    Splits ``x`` where NumPy's pairwise summation splits it: in halves, the
+    split rounded down to a multiple of 8. Each part that fits ``buf`` (at
+    least 128 elements unless it is all of ``x``) is one ``np.sum``, so the
+    result has the same bits as the whole-array sum without its temporary.
+    """
+    n = len(x)
+    if n <= len(buf):
+        return np.square(x, out=buf[:n], dtype=buf.dtype).sum()
+    half = n // 2
+    half -= half % 8
+    return _sum_squares(x[:half], buf) + _sum_squares(x[half:], buf)
 
 
 def logit_l2(logits: np.ndarray) -> float:
     """Mean squared logit over every (batch, position, vocab) entry."""
-    return float(np.mean(np.square(logits)))
+    n = logits.size
+    total = _sum_squares(logits.reshape(-1), np.empty(min(n, BLOCK), logits.dtype))
+    # np.mean's rounding: the sum divided in float64, then cast to the dtype.
+    return float(logits.dtype.type(float(total) / n))
+
+
+def _to_dlogits(x: np.ndarray, sx: SoftmaxXent, lam_beta: float) -> None:
+    """Overwrite the (B*L, V) logits ``x`` with dlogits, one row block at a time.
+
+    Each block's softmax is recomputed from ``sx.shift`` and ``sx.sum_e``,
+    which gives the same bits as the one the features read.
+    """
+    n, V = x.shape
+    shift, sum_e, t = sx.shift.reshape(-1), sx.sum_e.reshape(-1), sx.targets.reshape(-1)
+    pt_minus_1 = (sx.pt - 1.0).reshape(-1)
+    rows = max(1, BLOCK // V)
+    z = np.empty((min(rows, n), V), x.dtype)
+    reg = np.empty_like(z) if lam_beta != 0.0 else None
+    ar = np.arange(len(z))
+    for a in range(0, n, rows):
+        xb = x[a:a + rows]
+        k = len(xb)
+        b, zb = a + k, z[:k]
+        np.subtract(xb, shift[a:b, None], out=zb)
+        np.exp(zb, out=zb)
+        if reg is not None:
+            np.multiply(xb, 2.0 * lam_beta / (n * V), out=reg[:k])
+        np.divide(zb, sum_e[a:b, None], out=xb)
+        xb[ar[:k], t[a:b]] = pt_minus_1[a:b]
+        xb /= n
+        if reg is not None:
+            xb += reg[:k]
 
 
 def loss_and_grads_from_logits(
@@ -533,9 +614,10 @@ def loss_and_grads_from_logits(
     """Loss = CE + lam * beta * logit_l2 and its exact parameter gradients.
 
     Starts from a cached ``forward`` and its ``softmax_xent``, and overwrites
-    ``sx.p`` with dlogits. Baseline mode is ``lam = 0``: the loss is plain
-    cross-entropy and no regularization gradient flows. Returns
-    (loss, ce, l2, grads) with grads keyed exactly like ``params``.
+    ``logits`` with dlogits, one row block at a time. Baseline mode is
+    ``lam = 0``: the loss is plain cross-entropy and no regularization
+    gradient flows. Returns (loss, ce, l2, grads) with grads keyed exactly
+    like ``params``.
     """
     B, L, V = logits.shape
     ce = float(sx.ce.mean())
@@ -546,11 +628,7 @@ def loss_and_grads_from_logits(
     if not math.isfinite(loss):
         raise NumericalError(f"non-finite student loss (ce={ce}, l2={l2})")
 
-    dlogits = sx.p
-    np.put_along_axis(dlogits, sx.idx, sx.pt - 1.0, axis=-1)
-    dlogits /= B * L
-    if lam_beta != 0.0:
-        dlogits += (2.0 * lam_beta / (B * L * V)) * logits
-
-    grads = _backward(dlogits.astype(logits.dtype, copy=False), cache, params)
+    x = logits.reshape(-1, V)
+    _to_dlogits(x, sx, lam_beta)
+    grads = _backward(x.reshape(B, L, V), cache, params)
     return loss, ce, l2, grads

@@ -2,12 +2,13 @@
 
 Each component (student, teacher, DLN) has an AdamW state holding its own
 weight decay and Adam settings, and a cosine-annealed learning rate with
-linear warmup; ``_update`` clips, checks and steps every one of them. A
-training step runs: student forward and its one row softmax; features from
-that softmax and the DLN's weight proposal; the student update, whose loss
-overwrites the softmax; experience storage in the teacher's replay memory;
-and, once it holds enough history, one teacher and one DLN update from the
-DLN's tape.
+linear warmup; ``_update`` clips, checks and steps every one of them, and
+AdamW walks each large array in block-sized slices. A training step runs:
+student forward and one pass over the logits' row softmax, which keeps
+per-position terms only; features from those terms and the DLN's weight
+proposal; the student update, whose loss overwrites the logits with
+dlogits; experience storage in the teacher's replay memory; and, once it
+holds enough history, one teacher and one DLN update from the DLN's tape.
 Baseline mode trains only the student with lambda = 0: plain cross-entropy.
 ``train`` runs the epochs and is the one writer of the run directory;
 ``load_student`` is its reader.
@@ -52,6 +53,26 @@ class AdamWState:
         self.t = 0
 
 
+def _adamw_slice(p, g, m, v, t1, t2, consts: tuple) -> None:
+    # adamw_step's operations on one slice, in the order of its formula; t1
+    # and t2 are scratch. Each product is commutative, so the bits match.
+    beta1, beta2, bc1, bc2, eps, weight_decay, lr_now = consts
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, t1)
+    v *= beta2
+    np.square(g, t1)
+    t1 *= 1.0 - beta2
+    v += t1
+    np.divide(v, bc2, t1)
+    np.sqrt(t1, t1)
+    t1 += eps
+    np.divide(m, bc1, t2)
+    t2 /= t1
+    t2 += np.multiply(p, weight_decay, t1)
+    t2 *= lr_now
+    p -= t2
+
+
 def adamw_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
@@ -61,22 +82,28 @@ def adamw_step(
     """Decoupled-weight-decay Adam update, in place.
 
     p <- p - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p), with the
-    usual bias-corrected moment estimates. Gradients are not checked here:
+    usual bias-corrected moment estimates. An array larger than
+    ``hyena.BLOCK`` is updated in slices of that many elements through two
+    scratch buffers of its dtype, so no temporary is the size of a large
+    parameter; its parameter and moments must be C-contiguous, as every
+    array the package creates is. Gradients are not checked here:
     ``_update`` has already rejected a non-finite global norm.
     """
     opt.t += 1
-    bc1 = 1.0 - opt.beta1 ** opt.t
-    bc2 = 1.0 - opt.beta2 ** opt.t
+    consts = (opt.beta1, opt.beta2, 1.0 - opt.beta1 ** opt.t, 1.0 - opt.beta2 ** opt.t,
+              opt.eps, opt.weight_decay, lr_now)
+    block = hyena.BLOCK
     for name, p in params.items():
-        g = grads[name]
-        m = opt.m[name]
-        v = opt.v[name]
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * np.square(g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
-        p -= lr_now * (update + opt.weight_decay * p)
+        arrays = (p, grads[name], opt.m[name], opt.v[name])
+        if p.size <= block:  # one slice: the arrays themselves
+            _adamw_slice(*arrays, np.empty_like(p), np.empty_like(p), consts)
+            continue
+        flat = [a.reshape(-1) for a in arrays]
+        t1, t2 = np.empty((2, block), p.dtype)
+        for a in range(0, p.size, block):
+            parts = [f[a:a + block] for f in flat]
+            n = len(parts[0])
+            _adamw_slice(*parts, t1[:n], t2[:n], consts)
 
 
 def cosine_warmup_lr(
@@ -91,10 +118,15 @@ def cosine_warmup_lr(
 
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Global-norm clipping across all arrays, in place. Returns the pre-clip norm."""
+    """Global-norm clipping across all arrays, in place. Returns the pre-clip norm.
+
+    Each array's float64 sum of squares is ``np.sum``'s, squared through one
+    buffer of at most ``hyena.BLOCK`` elements instead of a float64 copy.
+    """
+    buf = np.empty(min(max((g.size for g in grads.values()), default=0), hyena.BLOCK))
     sq = 0.0
     for g in grads.values():
-        sq += float(np.sum(np.square(g, dtype=np.float64)))
+        sq += float(hyena._sum_squares(g.reshape(-1), buf))
     total = math.sqrt(sq)
     if total > max_norm:
         scale = max_norm / total
@@ -215,10 +247,10 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
         logits, cache = hyena.forward(batch.inputs, state.student, state.model_cfg,
                                       want_cache=True)
 
-        sx = hyena.softmax_xent(logits, batch.targets)
+        sx = hyena.softmax_xent(logits, batch.targets, features=l2t)
         lam = 0.0
         if l2t:
-            # Features first: the loss below overwrites sx.p with dlogits.
+            # The loss below needs the DLN's weight, and overwrites logits.
             feats = dln.extract_features(sx)
             f_norm = dln.normalize_features(feats, state.norm_state)
             tape = dln.dln_forward(f_norm, state.dln_params)

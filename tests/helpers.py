@@ -17,10 +17,15 @@ scratch (``reference_forward``/``reference_backward``), the per-position GRU
 with its ``np.outer`` BPTT (``gru_reference``/``gru_reference_grads``), the
 student initializer that spelled out every block array
 (``reference_init_model``), and the ``build_vocab`` that evicted the tail to
-seat the specials (``reference_build_vocab``), and the replay memory as a
+seat the specials (``reference_build_vocab``), the replay memory as a
 bounded deque of ``ReferenceExperience`` records with its push, sampler and
 teacher step (``reference_push_experience``, ``reference_sample_prioritized``,
-``reference_teacher_step``).
+``reference_teacher_step``), and the whole-array loss, norm and optimizer
+passes that the library now walks in blocks: the (B, L, V) softmax with its
+features and dlogits (``reference_softmax_xent``,
+``reference_extract_features``, ``reference_dlogits``),
+``reference_logit_l2``, ``reference_clip_grad_norm`` and
+``reference_adamw_step``.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import math
 import os
 import struct
 from collections import Counter, deque
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -313,6 +319,81 @@ def reference_teacher_step(buffer: deque, params, k: int, rng: np.random.Generat
     dpred = (np.clip(pred - targets, -delta, delta) / k).astype(dtype)[:, None]
     _, grads = hyena.mlp_backward(dpred, acts, params)
     return grads, loss
+
+
+class ReferenceSoftmaxXent(NamedTuple):
+    z: np.ndarray    # (B, L, V) logits minus their row max
+    p: np.ndarray    # (B, L, V) softmax
+    lse: np.ndarray  # (B, L) log-sum-exp of z
+    ce: np.ndarray   # (B, L) cross-entropy lse - z[target]
+    idx: np.ndarray  # (B, L, 1) targets as int64
+    pt: np.ndarray   # (B, L, 1) p[target]
+
+
+def reference_softmax_xent(logits: np.ndarray, targets: np.ndarray) -> ReferenceSoftmaxXent:
+    """The whole-array softmax that ``hyena.softmax_xent`` walks in row blocks."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    p = np.exp(z)
+    sum_p = p.sum(axis=-1, keepdims=True)
+    lse = np.log(sum_p[..., 0])
+    idx = targets[..., None].astype(np.int64)
+    ce = lse - np.take_along_axis(z, idx, axis=-1)[..., 0]
+    p /= sum_p
+    return ReferenceSoftmaxXent(z, p, lse, ce, idx, np.take_along_axis(p, idx, axis=-1))
+
+
+def reference_extract_features(sx: ReferenceSoftmaxXent) -> np.ndarray:
+    """``dln.extract_features`` read off the whole (B, L, V) softmax."""
+    pt = sx.pt[..., 0]
+    conf = sx.p.max(axis=-1)
+    entropy = (sx.lse - (sx.p * sx.z).sum(axis=-1)) / math.log(sx.p.shape[-1])
+    return np.stack([conf, pt, conf - pt, entropy, sx.ce], axis=-1).mean(axis=0)
+
+
+def reference_dlogits(logits: np.ndarray, sx: ReferenceSoftmaxXent,
+                      lam_beta: float) -> np.ndarray:
+    """dlogits of the student loss; overwrites ``sx.p`` as the whole-array loss did."""
+    B, L, V = logits.shape
+    dlogits = sx.p
+    np.put_along_axis(dlogits, sx.idx, sx.pt - 1.0, axis=-1)
+    dlogits /= B * L
+    if lam_beta != 0.0:
+        dlogits += (2.0 * lam_beta / (B * L * V)) * logits
+    return dlogits
+
+
+def reference_logit_l2(logits: np.ndarray) -> float:
+    return float(np.mean(np.square(logits)))
+
+
+def reference_clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """``trainer.clip_grad_norm`` with a float64 square of each whole array."""
+    sq = 0.0
+    for g in grads.values():
+        sq += float(np.sum(np.square(g, dtype=np.float64)))
+    total = math.sqrt(sq)
+    if total > max_norm:
+        scale = max_norm / total
+        for g in grads.values():
+            g *= scale
+    return total
+
+
+def reference_adamw_step(params, grads, opt: trainer.AdamWState, lr_now: float) -> None:
+    """``trainer.adamw_step`` as whole-array expressions, each with its temporaries."""
+    opt.t += 1
+    bc1 = 1.0 - opt.beta1 ** opt.t
+    bc2 = 1.0 - opt.beta2 ** opt.t
+    for name, p in params.items():
+        g = grads[name]
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * np.square(g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        p -= lr_now * (update + opt.weight_decay * p)
 
 
 def overflowing_checkpoint_header() -> bytes:

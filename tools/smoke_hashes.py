@@ -5,8 +5,11 @@
 Writes the README's synthetic Markov corpus (``tests/helpers.py``'s
 ``write_markov_corpus``, structure seed 0, sample seeds 1 and 2) and its
 ``smoke.cfg`` (deterministic, default seed 1) into a temporary directory and
-trains three runs: one per mode, and an l2t run with ``buffer_capacity`` 20
-(``l2t-cap20``), whose replay memory fills and evicts. It prints one line per
+trains four runs: one per mode; an l2t run with ``buffer_capacity`` 20
+(``l2t-cap20``), whose replay memory fills and evicts; and a wider l2t run
+(``l2t-wide``: dim 192, one block, seq_len 64), whose ``mlp_w1``/``mlp_w2``
+and (batch, seq_len, vocab) logits each span several of the blocks that the
+loss, the gradient norm and AdamW walk. It prints one line per
 output file: ``<run> <file> <sha256>`` for ``metrics_step.csv``,
 ``metrics_epoch.csv``, ``last.l2th`` and the summary ``metrics.json``. It
 then scores each run's ``best.l2th`` with the README's ``eval`` line and
@@ -51,6 +54,8 @@ RUNS = {
     "baseline": ["--mode", "baseline"],
     "l2t": ["--mode", "l2t"],
     "l2t-cap20": ["--mode", "l2t", "--buffer-capacity", "20"],
+    "l2t-wide": ["--mode", "l2t", "--dim", "192", "--n-blocks", "1", "--seq-len", "64",
+                 "--activation-threshold", "8"],
 }
 
 
