@@ -6,13 +6,14 @@
     l2t-hyena compare runs/baseline runs/l2t [--out DIR]
 
 Exit codes: 0 success, else the ``exit_code`` of the raised error class
-(``errors.py``): 2 config, 3 data (also any ``OSError``), 4 numerical,
-5 checkpoint.
+(``errors.py``): 2 config (also a ``MemoryError``: arrays the config sizes
+that do not fit), 3 data (also any ``OSError``), 4 numerical, 5 checkpoint.
 
 ``train`` resolves the config and hands it to ``trainer.train``, which
 alone writes the run directory. ``eval`` reads the student, config and
 vocabulary of the checkpoint's run (``trainer.load_student``) and scores
-``--valid-path``, by default the run's ``valid_path``. ``eval`` and
+``--valid-path``, by default the run's ``valid_path``. ``compare`` reads
+each run's summary through ``trainer.load_summary``. ``eval`` and
 ``compare`` write their report into ``--out``, creating it if needed.
 """
 
@@ -24,7 +25,7 @@ import os
 import sys
 
 from . import config, corpus, trainer
-from .errors import DataError, L2THyenaError
+from .errors import ConfigError, DataError, L2THyenaError
 
 EXIT_OK = 0
 
@@ -63,57 +64,23 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _load_run_metrics(run_dir: str) -> dict:
-    path = os.path.join(run_dir, "metrics.json")
-    if not os.path.isfile(path):
-        raise DataError(f"no metrics.json in {run_dir!r}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        metrics = {
-            "best_val_ppl": float(doc["best"]["val_ppl"]),
-            "best_val_loss": float(doc["best"]["val_loss"]),
-            "best_epoch": int(doc["best"]["epoch"]),
-            "final_train_loss": float(doc["final"]["train_loss"]),
-            "total_seconds": float(doc["final"]["total_seconds"]),
-        }
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed metrics.json in {run_dir!r}: {exc}")
-    for key in ("best_val_ppl", "final_train_loss"):  # compare_runs divides by both
-        if not 0.0 < metrics[key] < float("inf"):  # also rejects nan
-            raise DataError(f"{key} in {path!r} must be finite and > 0, got {metrics[key]}")
-    return metrics
-
-
-def compare_runs(run_dir_baseline: str, run_dir_l2t: str) -> dict:
-    """Side-by-side report of two run directories plus reduction arithmetic."""
-    base = _load_run_metrics(run_dir_baseline)
-    l2t = _load_run_metrics(run_dir_l2t)
-    ppl_abs = base["best_val_ppl"] - l2t["best_val_ppl"]
-    report = {
-        "baseline": base,
-        "l2t": l2t,
-        "deltas": {
-            "ppl_reduction_abs": ppl_abs,
-            "ppl_reduction_rel": ppl_abs / base["best_val_ppl"],
-            "final_train_loss_reduction_rel": (
-                (base["final_train_loss"] - l2t["final_train_loss"])
-                / base["final_train_loss"]
-            ),
-            # --deterministic runs write total_seconds 0: no ratio to report.
-            "time_ratio": (
-                l2t["total_seconds"] / base["total_seconds"]
-                if base["total_seconds"] > 0 and l2t["total_seconds"] > 0
-                else None
-            ),
-        },
-    }
-    return report
-
-
 def cmd_compare(args) -> int:
-    report = compare_runs(args.dir_baseline, args.dir_l2t)
-    base, l2t, deltas = report["baseline"], report["l2t"], report["deltas"]
+    base = trainer.load_summary(args.dir_baseline)
+    l2t = trainer.load_summary(args.dir_l2t)
+    ppl_abs = base["best_val_ppl"] - l2t["best_val_ppl"]
+    deltas = {
+        "ppl_reduction_abs": ppl_abs,
+        "ppl_reduction_rel": ppl_abs / base["best_val_ppl"],
+        "final_train_loss_reduction_rel": (
+            (base["final_train_loss"] - l2t["final_train_loss"]) / base["final_train_loss"]
+        ),
+        # --deterministic runs write total_seconds 0: no ratio to report.
+        "time_ratio": (
+            l2t["total_seconds"] / base["total_seconds"]
+            if base["total_seconds"] > 0 and l2t["total_seconds"] > 0
+            else None
+        ),
+    }
     rows = [
         ("best val perplexity", base["best_val_ppl"], l2t["best_val_ppl"]),
         ("best val loss", base["best_val_loss"], l2t["best_val_loss"]),
@@ -134,7 +101,7 @@ def cmd_compare(args) -> int:
     )
     ratio = deltas["time_ratio"]
     print(f"training time ratio (l2t/baseline): {'n/a' if ratio is None else f'{ratio:.4g}'}")
-    _write_json(args.out, "compare.json", report)
+    _write_json(args.out, "compare.json", {"baseline": base, "l2t": l2t, "deltas": deltas})
     return EXIT_OK
 
 
@@ -171,7 +138,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (L2THyenaError, OSError) as exc:
+    except (L2THyenaError, OSError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # arrays sized by the config do not fit
+            exc = ConfigError(f"out of memory: {str(exc) or 'an allocation failed'}")
         cls = type(exc) if isinstance(exc, L2THyenaError) else DataError
         print(f"{cls.kind} error: {exc}", file=sys.stderr)
         return cls.exit_code

@@ -11,7 +11,8 @@ dlogits; experience storage in the teacher's replay memory; and, once it
 holds enough history, one teacher and one DLN update from the DLN's tape.
 Baseline mode trains only the student with lambda = 0: plain cross-entropy.
 ``train`` runs the epochs and is the one writer of the run directory;
-``load_student`` is its reader.
+``load_student`` and ``load_summary`` are its readers, and only this module
+names its files.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ import numpy as np
 
 from . import checkpoint, corpus, dln, hyena, teacher
 from .config import RunConfig, echo_config, parse_config
-from .errors import CheckpointError, NumericalError
+from .errors import CheckpointError, DataError, NumericalError
 
 DECAY_FLOOR = 1e-6
 CONFIG_FILE = "config_resolved.txt"
 VOCAB_FILE = "vocab.txt"
+SUMMARY_FILE = "metrics.json"
 STEP_COLUMNS = ("step", "loss", "ce", "l2", "lambda", "grad_norm_student")
 EPOCH_COLUMNS = (
     "epoch", "train_loss", "val_loss", "val_ppl",
@@ -333,9 +335,10 @@ def train(run_cfg: RunConfig) -> dict:
     each epoch ends it appends that epoch's step rows and epoch row and
     saves ``last.l2th`` and, when validation perplexity is the lowest so
     far, ``best.l2th``; a run that raises keeps its finished epochs. At the
-    end it writes the run's summary, ``metrics.json``, and returns it. The
-    checkpoints and summary of an earlier run in the directory are removed
-    first, so none is left beside another run's vocabulary.
+    end it writes the run's summary, ``metrics.json``, whose ``final`` stats
+    derive from the epoch rows, and returns it. The checkpoints and summary
+    of an earlier run in the directory are removed first, so none is left
+    beside another run's vocabulary.
     """
     train_lines = corpus.read_lines(run_cfg.train_path)
     valid_lines = corpus.read_lines(run_cfg.valid_path)
@@ -351,7 +354,7 @@ def train(run_cfg: RunConfig) -> dict:
         return os.path.join(run_cfg.out_dir, name)
 
     os.makedirs(run_cfg.out_dir, exist_ok=True)
-    for name in ("best.l2th", "last.l2th", "metrics.json"):
+    for name in ("best.l2th", "last.l2th", SUMMARY_FILE):
         # An earlier run's, which this run's vocabulary would not describe.
         if os.path.isfile(path(name)):
             os.remove(path(name))
@@ -364,8 +367,7 @@ def train(run_cfg: RunConfig) -> dict:
             fh.write(",".join(columns) + "\n")
 
     best = {"epoch": -1, "val_loss": math.inf, "val_ppl": math.inf}
-    total_seconds = 0.0
-    train_loss_mean = math.nan
+    rows = []
 
     for epoch in range(run_cfg.epochs):
         t0 = time.perf_counter()
@@ -374,13 +376,11 @@ def train(run_cfg: RunConfig) -> dict:
         seconds = time.perf_counter() - t0
         if run_cfg.deterministic:
             seconds = 0.0  # wall-clock would break bit-reproducible metrics
-        total_seconds += seconds
 
-        train_loss_mean = sum(m["loss"] for m in steps) / len(steps)
         hubers = [m["teacher_huber"] for m in steps if m["teacher_active"]]
         row = {
             "epoch": epoch,
-            "train_loss": train_loss_mean,
+            "train_loss": sum(m["loss"] for m in steps) / len(steps),
             "val_loss": val_loss,
             "val_ppl": val_ppl,
             "mean_lambda": sum(m["lambda"] for m in steps) / len(steps),
@@ -388,6 +388,7 @@ def train(run_cfg: RunConfig) -> dict:
             "lr_student": steps[-1]["lr_student"],
             "seconds": seconds,
         }
+        rows.append(row)
         _append_rows(path("metrics_step.csv"), STEP_COLUMNS, steps)
         _append_rows(path("metrics_epoch.csv"), EPOCH_COLUMNS, [row])
         print(
@@ -411,12 +412,13 @@ def train(run_cfg: RunConfig) -> dict:
             "batches_per_epoch": len(batches),
         },
         "best": best,
-        "final": {"train_loss": train_loss_mean, "total_seconds": total_seconds},
+        "final": {"train_loss": rows[-1]["train_loss"],
+                  "total_seconds": sum(r["seconds"] for r in rows)},
         # Resuming restarts memory accumulation: the replay buffer has no
         # serialized form.
         "notes": {"replay_buffer_checkpointed": False},
     }
-    with open(path("metrics.json"), "w", encoding="utf-8") as fh:
+    with open(path(SUMMARY_FILE), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     return summary
@@ -448,3 +450,30 @@ def load_student(checkpoint_path: str) -> tuple[RunConfig, corpus.Vocab,
             )
         params[name] = archive[key]
     return run_cfg, vocab, model_cfg, params
+
+
+def load_summary(run_dir: str) -> dict:
+    """``compare``'s figures from the summary ``train`` wrote in ``run_dir``.
+
+    A missing or malformed ``metrics.json``, or a best perplexity or final
+    train loss that is not finite and > 0, raises ``DataError`` (exit 3).
+    """
+    path = os.path.join(run_dir, SUMMARY_FILE)
+    if not os.path.isfile(path):
+        raise DataError(f"no {SUMMARY_FILE} in {run_dir!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        summary = {
+            "best_val_ppl": float(doc["best"]["val_ppl"]),
+            "best_val_loss": float(doc["best"]["val_loss"]),
+            "best_epoch": int(doc["best"]["epoch"]),
+            "final_train_loss": float(doc["final"]["train_loss"]),
+            "total_seconds": float(doc["final"]["total_seconds"]),
+        }
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"malformed {SUMMARY_FILE} in {run_dir!r}: {exc}")
+    for key in ("best_val_ppl", "final_train_loss"):  # compare divides by both
+        if not 0.0 < summary[key] < float("inf"):  # also rejects nan
+            raise DataError(f"{key} in {path!r} must be finite and > 0, got {summary[key]}")
+    return summary

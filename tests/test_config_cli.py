@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -161,6 +162,49 @@ class TestTrainCommand:
         assert rc == ConfigError.exit_code
         assert "clip_norm must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 8.00 TiB for an array with shape (1099511627776,)",
+         "Unable to allocate 8.00 TiB for an array with shape (1099511627776,)"),
+        ("", "an allocation failed"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_config(self, tiny_flags, tmp_path, capsys, monkeypatch,
+                                        message, shown):
+        # A config whose arrays do not fit: NumPy raises MemoryError allocating them.
+        def allocate(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(hyena, "init_model", allocate)
+        cfg_path = tmp_path / "smoke.cfg"
+        write_smoke_cfg(cfg_path, tiny_flags)
+        rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+        assert rc == ConfigError.exit_code
+        err = capsys.readouterr().err
+        assert err == f"config error: out of memory: {shown}\n"
+
+    def test_out_of_memory_exits_config_in_new_process(self, tiny_flags, tmp_path):
+        # The child caps its address space, so the 8 TiB request fails at once
+        # instead of meeting a host that overcommits.
+        import resource
+
+        cap = 3_000_000_000
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        cfg_path = tmp_path / "smoke.cfg"
+        write_smoke_cfg(cfg_path, tiny_flags)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "l2t_hyena", "train", "--config", str(cfg_path),
+             "--dim", "1099511627776", "--out-dir", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, preexec_fn=limit,
+        )
+        assert proc.returncode == ConfigError.exit_code, proc.stderr
+        assert proc.stderr.startswith("config error: out of memory: Unable to allocate")
+        assert "Traceback" not in proc.stderr
 
     def test_resolved_config_reproduces_run_config(self, tiny_run):
         cfg_path, out = tiny_run.cfg_path, tiny_run.out
@@ -445,6 +489,31 @@ class TestCompareCommand:
         os.makedirs(a)
         rc = cli.main(["compare", str(a), str(a), "--out", str(tmp_path)])
         assert rc == DataError.exit_code
+
+    def test_compare_reads_the_summary_train_wrote(self, tiny_run, tmp_path):
+        out = tmp_path / "report"
+        assert cli.main(["compare", str(tiny_run.out), str(tiny_run.out),
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "compare.json").read_text())
+        deltas = report["deltas"]
+        assert deltas["ppl_reduction_abs"] == 0.0
+        assert deltas["ppl_reduction_rel"] == 0.0
+        assert deltas["final_train_loss_reduction_rel"] == 0.0
+        assert deltas["time_ratio"] is None  # a --deterministic run is untimed
+        for side in ("baseline", "l2t"):
+            assert report[side]["best_val_ppl"] == tiny_run.info["best"]["val_ppl"]
+
+
+def test_readme_smoke_cfg_is_the_one_the_hash_tool_runs():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "smoke_hashes", os.path.join(root, "tools", "smoke_hashes.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    _, heredoc = readme.split("cat > smoke.cfg <<'EOF'\n", 1)
+    assert heredoc.split("EOF\n", 1)[0] == tool.SMOKE_CFG
 
 
 class TestEvalIdentity:

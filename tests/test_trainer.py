@@ -277,6 +277,20 @@ class TestTrainLoop:
         assert info["corpus"]["vocab_size"] <= 100
         assert "steps" not in info and "epochs" not in info
 
+    def test_summary_is_read_back_and_final_comes_from_the_epoch_rows(self, tiny_run):
+        info, out = tiny_run.info, tiny_run.out
+        # The CSV holds 9 significant digits; deterministic seconds are 0.0.
+        last_loss = csv_column(out / "metrics_epoch.csv", "train_loss")[-1]
+        assert info["final"]["train_loss"] == pytest.approx(last_loss, rel=1e-8)
+        assert info["final"]["total_seconds"] == 0.0
+        assert trainer.load_summary(str(out)) == {
+            "best_val_ppl": info["best"]["val_ppl"],
+            "best_val_loss": info["best"]["val_loss"],
+            "best_epoch": info["best"]["epoch"],
+            "final_train_loss": info["final"]["train_loss"],
+            "total_seconds": info["final"]["total_seconds"],
+        }
+
     def test_run_to_run_determinism(self, tiny_run, tiny_flags, tmp_path):
         # The session's run (through the CLI) against a second run of the same
         # config: every file either writes is the same but for its out_dir.

@@ -14,8 +14,11 @@ output file: ``<run> <file> <sha256>`` for ``metrics_step.csv``,
 ``metrics_epoch.csv``, ``last.l2th`` and the summary ``metrics.json``. It
 then scores each run's ``best.l2th`` with the README's ``eval`` line and
 prints the hash of its ``eval.json``; it exits 1 unless that ``val_ppl``
-equals the run's best. Two runs of the same code print the same lines, so
-a change that claims bit-identical runs must leave them as they are.
+equals the run's best (read through ``trainer.load_summary``). Last, it
+runs the README's ``compare`` line on the ``baseline`` and ``l2t`` runs and
+prints the hash of its ``compare.json``. Two runs of the same code print
+the same lines, so a change that claims bit-identical runs must leave them
+as they are.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from helpers import write_markov_corpus  # noqa: E402
 
-from l2t_hyena import cli  # noqa: E402
+from l2t_hyena import cli, trainer  # noqa: E402
 
 SMOKE_CFG = """\
 train_path: train.txt
@@ -94,13 +97,17 @@ def main() -> int:
                 return rc
             with open(os.path.join(eval_dir, "eval.json"), encoding="utf-8") as fh:
                 scored = json.load(fh)["val_ppl"]
-            with open(os.path.join(out_dir, "metrics.json"), encoding="utf-8") as fh:
-                best = json.load(fh)["best"]["val_ppl"]
+            best = trainer.load_summary(out_dir)["best_val_ppl"]
             if scored != best:
                 print(f"{run}: eval val_ppl {scored!r} is not the run's best {best!r}",
                       file=sys.stderr)
                 return 1
             print(f"{run} eval.json {sha256(os.path.join(eval_dir, 'eval.json'))}")
+        rc = quiet_cli("compare", ["compare", os.path.join("runs", "baseline"),
+                                   os.path.join("runs", "l2t"), "--out", "compare"])
+        if rc != cli.EXIT_OK:
+            return rc
+        print(f"compare compare.json {sha256(os.path.join('compare', 'compare.json'))}")
         os.chdir(ROOT)
     return 0
 
