@@ -21,10 +21,25 @@ reverse pass; no autograd. The logits are the step's only (B, L, V) array:
 ``softmax_xent`` walks them in row blocks and keeps per-position terms only
 (row max, sum of exponentials, log-sum-exp, cross-entropy, target
 probability, max probability and E_p[z], which the DLN reads), and the loss
-then overwrites each block of the logits with its dlogits. Each Hyena block
-caches its GELU's normal CDF for the reverse pass. The dense-layer reverse
-pass ``linear_backward`` and the ReLU MLP helpers (``init_mlp``,
-``mlp_forward``, ``mlp_backward``) also serve the DLN and the teacher.
+then overwrites each block of the logits with its dlogits.
+
+``forward`` runs each block's operations in order and ``_backward`` runs
+them in reverse, in one loop each. What a block keeps for its reverse pass
+is one flat tuple, built in ``forward`` and unpacked in ``_backward``:
+
+    (ln1, a, z, streams, filt, zs, convs, ln2, c, u1, phi)
+
+``ln1``/``ln2`` are the layer norms' ``(xhat, inv)`` and ``a``/``c`` their
+outputs; ``z`` is the input projection before the short conv and
+``streams`` the ``order + 1`` views of its output; ``filt`` is
+``generate_filters``' cache, which holds the taps ``h``; ``zs`` are the
+inputs of the long convolutions plus the gated output, ``convs`` the
+convolution outputs; ``u1`` is the MLP's pre-activation and ``phi`` its
+GELU's normal CDF.
+
+The dense-layer reverse pass ``linear_backward`` and the ReLU MLP helpers
+(``init_mlp``, ``mlp_forward``, ``mlp_backward``) also serve the DLN and
+the teacher.
 
 The long convolutions are FFT products computed with ``scipy.fft``, which
 transforms a float32 array in float32 and a float64 array in float64;
@@ -221,25 +236,20 @@ def positional_filter_features(L: int, pos_dim: int) -> np.ndarray:
     return out
 
 
-def generate_filters(
-    filt_w1: np.ndarray,
-    filt_b1: np.ndarray,
-    filt_w2: np.ndarray,
-    filt_b2: np.ndarray,
-    decay: np.ndarray,
-    L: int,
-):
-    """Long-convolution taps h (order, L, dim) from the implicit filter net.
+def generate_filters(bp: dict[str, np.ndarray], L: int):
+    """Long-convolution taps h (order, L, dim) from a block's implicit filter net.
 
-    h[n, t, d] = ffn(features(t))[n, d] * exp(-decay[n, d] * t / L). Pure
-    function of its arguments; repeated calls are bit-identical.
+    h[n, t, d] = ffn(features(t))[n, d] * exp(-decay[n, d] * t / L), with the
+    net's ``filt_*`` arrays and ``decay`` read from ``bp``. Pure function of
+    its arguments; repeated calls are bit-identical.
     """
-    dtype = filt_w1.dtype
+    w1, decay = bp["filt_w1"], bp["decay"]
+    dtype = w1.dtype
     N, D = decay.shape
-    feats = positional_filter_features(L, filt_w1.shape[0]).astype(dtype)
-    s1 = feats @ filt_w1 + filt_b1
+    feats = positional_filter_features(L, w1.shape[0]).astype(dtype)
+    s1 = feats @ w1 + bp["filt_b1"]
     sin1 = np.sin(s1)
-    raw = (sin1 @ filt_w2 + filt_b2).reshape(L, N, D).transpose(1, 0, 2)
+    raw = (sin1 @ bp["filt_w2"] + bp["filt_b2"]).reshape(L, N, D).transpose(1, 0, 2)
     t_frac = (np.arange(L, dtype=np.float64) / max(L, 1)).astype(dtype)[None, :, None]
     win = np.exp(-decay[:, None, :] * t_frac)
     h = (raw * win).astype(dtype)
@@ -343,55 +353,6 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
-# the gated-convolution operator
-# ---------------------------------------------------------------------------
-
-def _hyena_op_forward(a: np.ndarray, bp: dict[str, np.ndarray]):
-    B, L, D = a.shape
-    order = bp["decay"].shape[0]
-    z = a @ bp["w_in"] + bp["b_in"]
-    zc = short_conv(z, bp["short_kernels"])
-    streams = [zc[:, :, n * D : (n + 1) * D] for n in range(order + 1)]
-    h, filt_cache = generate_filters(
-        bp["filt_w1"], bp["filt_b1"], bp["filt_w2"], bp["filt_b2"], bp["decay"], L
-    )
-    zs = [streams[0]]  # z^1 = v, then each gated conv output
-    convs = []
-    for n in range(order):
-        c = fft_causal_conv(zs[-1], h[n])
-        convs.append(c)
-        zs.append(streams[n + 1] * c)
-    y = zs[-1] @ bp["w_out"] + bp["b_out"]
-    cache = (a, z, streams, h, filt_cache, zs, convs)
-    return y, cache
-
-
-def _hyena_op_backward(dy: np.ndarray, cache, bp: dict[str, np.ndarray]):
-    a, z, streams, h, filt_cache, zs, convs = cache
-    order = len(convs)
-    g: dict[str, np.ndarray] = {}
-    dcur, g["w_out"], g["b_out"] = linear_backward(dy, zs[-1], bp["w_out"])
-
-    D = a.shape[2]
-    dstreams = [None] * (order + 1)
-    dh = np.empty_like(h)
-    for n in range(order - 1, -1, -1):
-        dstreams[n + 1] = dcur * convs[n]
-        dc = dcur * streams[n + 1]
-        dcur, dh[n] = _fft_causal_conv_backward(dc, zs[n], h[n])
-    dstreams[0] = dcur
-
-    g["filt_w1"], g["filt_b1"], g["filt_w2"], g["filt_b2"], g["decay"] = (
-        _generate_filters_backward(dh, filt_cache, bp)
-    )
-
-    dzc = np.concatenate(dstreams, axis=2)
-    dz, g["short_kernels"] = _short_conv_backward(dzc, z, bp["short_kernels"])
-    da, g["w_in"], g["b_in"] = linear_backward(dz, a, bp["w_in"])
-    return da, g
-
-
-# ---------------------------------------------------------------------------
 # full model
 # ---------------------------------------------------------------------------
 
@@ -403,8 +364,9 @@ def forward(
 ):
     """Logits (B, L, V) for a batch of token ids.
 
-    With ``want_cache`` the per-layer intermediates needed by the reverse
-    pass are returned as well.
+    With ``want_cache`` the arrays the reverse pass reads are returned as
+    well: ``(tokens, blocks, lnf, xf)``, with one flat tuple per block (see
+    the module docstring).
     """
     tokens = np.asarray(tokens)
     B, L = tokens.shape
@@ -415,32 +377,44 @@ def forward(
             f"token ids must lie in [0, {cfg.vocab_size}); "
             f"got range [{tokens.min()}, {tokens.max()}]"
         )
+    D = cfg.dim
     tok_emb = params["tok_emb"]
     x = tok_emb[tokens] + params["pos_emb"][:L]
 
-    block_caches = []
+    blocks = []
     for i in range(cfg.n_blocks):
         bp = block_params(params, i)
-        a, ln1_cache = _layer_norm(x, bp["norm1_g"], bp["norm1_b"])
-        hy, op_cache = _hyena_op_forward(a, bp)
-        x = x + hy
-        c, ln2_cache = _layer_norm(x, bp["norm2_g"], bp["norm2_b"])
+        # x + hyena(norm1(x)): project to order + 1 streams, short conv,
+        # then alternate long convolutions with gating by the next stream.
+        a, ln1 = _layer_norm(x, bp["norm1_g"], bp["norm1_b"])
+        z = a @ bp["w_in"] + bp["b_in"]
+        zc = short_conv(z, bp["short_kernels"])
+        streams = [zc[:, :, n * D : (n + 1) * D] for n in range(cfg.order + 1)]
+        h, filt = generate_filters(bp, L)
+        zs = [streams[0]]  # z^1 = v, then each gated conv output
+        convs = []
+        for n in range(cfg.order):
+            convs.append(fft_causal_conv(zs[-1], h[n]))
+            zs.append(streams[n + 1] * convs[-1])
+        x = x + (zs[-1] @ bp["w_out"] + bp["b_out"])
+        # x + mlp(norm2(x)), GELU through its normal CDF phi.
+        c, ln2 = _layer_norm(x, bp["norm2_g"], bp["norm2_b"])
         u1 = c @ bp["mlp_w1"] + bp["mlp_b1"]
         phi = 0.5 * (1.0 + erf(u1 * _INV_SQRT2))
         x = x + ((u1 * phi) @ bp["mlp_w2"] + bp["mlp_b2"])
         if want_cache:
-            block_caches.append((ln1_cache, op_cache, ln2_cache, c, u1, phi))
-    xf, lnf_cache = _layer_norm(x, params["final_norm_g"], params["final_norm_b"])
+            blocks.append((ln1, a, z, streams, filt, zs, convs, ln2, c, u1, phi))
+    xf, lnf = _layer_norm(x, params["final_norm_g"], params["final_norm_b"])
     logits = xf @ tok_emb.T
     if not want_cache:
         return logits
-    return logits, (tokens, block_caches, lnf_cache, xf)
+    return logits, (tokens, blocks, lnf, xf)
 
 
 def _backward(
     dlogits: np.ndarray, cache, params: dict[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
-    tokens, block_caches, lnf_cache, xf = cache
+    tokens, blocks, lnf, xf = cache
     tok_emb = params["tok_emb"]
     B, L, V = dlogits.shape
 
@@ -450,32 +424,40 @@ def _backward(
     dtok = dlogits.reshape(-1, V).T @ xf.reshape(-1, xf.shape[-1])  # (V, D), no bias
     dxf = dlogits @ tok_emb
     dx, grads["final_norm_g"], grads["final_norm_b"] = _layer_norm_backward(
-        dxf, lnf_cache, params["final_norm_g"]
+        dxf, lnf, params["final_norm_g"]
     )
 
-    for i in range(len(block_caches) - 1, -1, -1):
+    for i in range(len(blocks) - 1, -1, -1):
         bp = block_params(params, i)
-        ln1_cache, op_cache, ln2_cache, c, u1, phi = block_caches[i]
-        p = f"block{i}."
+        ln1, a, z, streams, filt, zs, convs, ln2, c, u1, phi = blocks[i]
+        h = filt[4]  # the taps, kept in generate_filters' cache
+        g: dict[str, np.ndarray] = {}  # this block's gradients, in clip_grad_norm's order
 
-        dg1, grads[p + "mlp_w2"], grads[p + "mlp_b2"] = linear_backward(
-            dx, u1 * phi, bp["mlp_w2"]
-        )
-        dc, grads[p + "mlp_w1"], grads[p + "mlp_b1"] = linear_backward(
+        # The MLP and norm2, then the operator and norm1, each in reverse.
+        dg1, g["mlp_w2"], g["mlp_b2"] = linear_backward(dx, u1 * phi, bp["mlp_w2"])
+        dc, g["mlp_w1"], g["mlp_b1"] = linear_backward(
             dg1 * (phi + u1 * np.exp(-0.5 * u1 * u1) * _INV_SQRT2PI), c, bp["mlp_w1"]
         )
-        dln2, grads[p + "norm2_g"], grads[p + "norm2_b"] = _layer_norm_backward(
-            dc, ln2_cache, bp["norm2_g"]
-        )
+        dln2, g["norm2_g"], g["norm2_b"] = _layer_norm_backward(dc, ln2, bp["norm2_g"])
         dx = dx + dln2
 
-        da, op_grads = _hyena_op_backward(dx, op_cache, bp)
-        for name, val in op_grads.items():
-            grads[p + name] = val
-        dln1, grads[p + "norm1_g"], grads[p + "norm1_b"] = _layer_norm_backward(
-            da, ln1_cache, bp["norm1_g"]
+        dcur, g["w_out"], g["b_out"] = linear_backward(dx, zs[-1], bp["w_out"])
+        dstreams = [None] * len(streams)
+        dh = np.empty_like(h)
+        for n in range(len(convs) - 1, -1, -1):
+            dstreams[n + 1] = dcur * convs[n]
+            dcur, dh[n] = _fft_causal_conv_backward(dcur * streams[n + 1], zs[n], h[n])
+        dstreams[0] = dcur
+        g["filt_w1"], g["filt_b1"], g["filt_w2"], g["filt_b2"], g["decay"] = (
+            _generate_filters_backward(dh, filt, bp)
         )
+        dz, g["short_kernels"] = _short_conv_backward(
+            np.concatenate(dstreams, axis=2), z, bp["short_kernels"]
+        )
+        da, g["w_in"], g["b_in"] = linear_backward(dz, a, bp["w_in"])
+        dln1, g["norm1_g"], g["norm1_b"] = _layer_norm_backward(da, ln1, bp["norm1_g"])
         dx = dx + dln1
+        grads.update((f"block{i}.{k}", v) for k, v in g.items())
 
     np.add.at(dtok, tokens, dx)
     grads["tok_emb"] = dtok

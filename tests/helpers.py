@@ -4,18 +4,21 @@ Everything here is deliberately simple and separate from the library code:
 the direct convolution and its reverse pass are visible O(L^2) sums,
 gradients come from central finite differences, and the synthetic corpus is
 a first-order Markov chain whose bigram structure a tiny model can learn
-quickly. ``hyena_operator`` and ``student_loss_and_grads`` are one-call entry
-points into the student's forward and reverse passes, for tests only, as are
-``decode`` (ids back to tokens), ``teacher_predict`` (one teacher
-prediction), ``param_count`` (the student's size), and ``csv_column`` and
-``run_dir_files`` (what a training run wrote); the library itself never
-needs them.
+quickly. ``student_loss_and_grads`` is a one-call entry point into the
+student's forward and reverse passes, for tests only, as are ``decode`` (ids
+back to tokens), ``teacher_predict`` (one teacher prediction),
+``param_count`` (the student's size), ``cache_nbytes`` (the memory a
+``hyena.forward`` cache holds), and ``csv_column`` and ``run_dir_files``
+(what a training run wrote); the library itself never needs them.
 
 References keep the code the library replaced with faster or shorter
 versions: the student passes with GELU and its derivative each computed from
-scratch (``reference_forward``/``reference_backward``), the per-position GRU
-with its ``np.outer`` BPTT (``gru_reference``/``gru_reference_grads``), the
-student initializer that spelled out every block array
+scratch and the gated long convolution as a function of its own, with its
+nested cache (``reference_forward``/``reference_backward`` and
+``reference_operator_forward``/``reference_operator_backward``), the
+per-position GRU with its ``np.outer`` BPTT
+(``gru_reference``/``gru_reference_grads``), the student initializer that
+spelled out every block array
 (``reference_init_model``), and the ``build_vocab`` that evicted the tail to
 seat the specials (``reference_build_vocab``), the replay memory as a
 bounded deque of ``ReferenceExperience`` records with its push, sampler and
@@ -111,17 +114,28 @@ def finite_diff_failures(params, grads, loss_fn, eps=1e-6, abs_tol=1e-4, rel_tol
     return failures
 
 
-def hyena_operator(u: np.ndarray, bp: dict[str, np.ndarray]) -> np.ndarray:
-    """Order-N gated long convolution of (B, L, D) input ``u``."""
-    y, _ = hyena._hyena_op_forward(u, bp)
-    return y
-
-
 def student_loss_and_grads(tokens, targets, params, cfg, lam, beta):
     """(loss, ce, l2, grads) of ``hyena.loss_and_grads_from_logits`` from fresh tokens."""
     logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
     sx = hyena.softmax_xent(logits, targets)
     return hyena.loss_and_grads_from_logits(logits, cache, sx, params, lam, beta)
+
+
+def cache_nbytes(cache) -> int:
+    """Summed ``nbytes`` of the distinct base buffers under a ``hyena.forward`` cache."""
+    bases: dict[int, np.ndarray] = {}
+
+    def walk(obj):
+        if isinstance(obj, (tuple, list)):
+            for item in obj:
+                walk(item)
+        elif isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj
+
+    walk(cache)
+    return sum(a.nbytes for a in bases.values())
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -136,6 +150,46 @@ def gelu_grad_reference(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
 
 
+def reference_operator_forward(a, bp):
+    """(y, cache) of the gated long convolution, as its own function."""
+    D = a.shape[2]
+    order = bp["decay"].shape[0]
+    z = a @ bp["w_in"] + bp["b_in"]
+    zc = hyena.short_conv(z, bp["short_kernels"])
+    streams = [zc[:, :, n * D : (n + 1) * D] for n in range(order + 1)]
+    h, filt_cache = hyena.generate_filters(bp, a.shape[1])
+    zs = [streams[0]]
+    convs = []
+    for n in range(order):
+        c = hyena.fft_causal_conv(zs[-1], h[n])
+        convs.append(c)
+        zs.append(streams[n + 1] * c)
+    y = zs[-1] @ bp["w_out"] + bp["b_out"]
+    return y, (a, z, streams, h, filt_cache, zs, convs)
+
+
+def reference_operator_backward(dy, cache, bp):
+    """(da, grads) of ``reference_operator_forward``, grads keyed without a prefix."""
+    a, z, streams, h, filt_cache, zs, convs = cache
+    order = len(convs)
+    g = {}
+    dcur, g["w_out"], g["b_out"] = hyena.linear_backward(dy, zs[-1], bp["w_out"])
+    dstreams = [None] * (order + 1)
+    dh = np.empty_like(h)
+    for n in range(order - 1, -1, -1):
+        dstreams[n + 1] = dcur * convs[n]
+        dc = dcur * streams[n + 1]
+        dcur, dh[n] = hyena._fft_causal_conv_backward(dc, zs[n], h[n])
+    dstreams[0] = dcur
+    g["filt_w1"], g["filt_b1"], g["filt_w2"], g["filt_b2"], g["decay"] = (
+        hyena._generate_filters_backward(dh, filt_cache, bp)
+    )
+    dzc = np.concatenate(dstreams, axis=2)
+    dz, g["short_kernels"] = hyena._short_conv_backward(dzc, z, bp["short_kernels"])
+    da, g["w_in"], g["b_in"] = hyena.linear_backward(dz, a, bp["w_in"])
+    return da, g
+
+
 def reference_forward(tokens, params, cfg):
     """(logits, cache) of ``hyena.forward``; the cache keeps each block's GELU output."""
     L = tokens.shape[1]
@@ -144,7 +198,7 @@ def reference_forward(tokens, params, cfg):
     for i in range(cfg.n_blocks):
         bp = hyena.block_params(params, i)
         a, ln1_cache = hyena._layer_norm(x, bp["norm1_g"], bp["norm1_b"])
-        hy, op_cache = hyena._hyena_op_forward(a, bp)
+        hy, op_cache = reference_operator_forward(a, bp)
         x = x + hy
         c, ln2_cache = hyena._layer_norm(x, bp["norm2_g"], bp["norm2_b"])
         u1 = c @ bp["mlp_w1"] + bp["mlp_b1"]
@@ -178,7 +232,7 @@ def reference_backward(dlogits, cache, params):
             dc, ln2_cache, bp["norm2_g"]
         )
         dx = dx + dln2
-        da, op_grads = hyena._hyena_op_backward(dx, op_cache, bp)
+        da, op_grads = reference_operator_backward(dx, op_cache, bp)
         for name, val in op_grads.items():
             grads[p + name] = val
         dln1, grads[p + "norm1_g"], grads[p + "norm1_b"] = hyena._layer_norm_backward(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    hyena_operator,
+    cache_nbytes,
     paper_student_config,
     param_count,
     reference_backward,
@@ -92,32 +92,39 @@ class TestOperator:
     def test_zero_input_zero_output_with_zero_biases(self):
         cfg = tiny_student_config()
         params = hyena.init_model(cfg, seed=2)
-        bp = hyena.block_params(params, 0)
-        u = np.zeros((2, 6, 4), np.float32)
-        y = hyena_operator(u, bp)
-        assert np.abs(y).max() == 0.0
+        params["tok_emb"][:] = 0.0
+        params["pos_emb"][:] = 0.0
+        tokens = np.zeros((2, 6), np.int64)
+        _, (_, blocks, _, _) = hyena.forward(tokens, params, cfg, want_cache=True)
+        _, _, z, _, _, zs, convs, *_ = blocks[0]
+        for y in [z, *zs, *convs]:
+            assert np.abs(y).max() == 0.0
 
     def test_order_one_collapses_to_plain_convolution(self):
         cfg = tiny_student_config(order=1)
         params = hyena.init_model(cfg, seed=3, dtype=np.float64)
         bp = hyena.block_params(params, 0)
-        D = cfg.dim
+        D, L = cfg.dim, 6
         # Force the gate stream to a constant 1 and make every short kernel
-        # the identity tap, so the operator is out_proj(conv(v, h)).
+        # the identity tap, so the operator is out_proj(conv(v, h)); zero the
+        # MLP's output so the block is x + operator(norm1(x)).
         bp["w_in"][:, D:] = 0.0
         bp["b_in"][D:] = 1.0
         bp["short_kernels"][:] = 0.0
         bp["short_kernels"][:, 0] = 1.0
+        bp["mlp_w2"][:] = 0.0
+        bp["mlp_b2"][:] = 0.0
         rng = np.random.default_rng(4)
-        u = rng.standard_normal((2, 6, D))
-        y = hyena_operator(u, bp)
-        h, _ = hyena.generate_filters(
-            bp["filt_w1"], bp["filt_b1"], bp["filt_w2"], bp["filt_b2"],
-            bp["decay"], 6,
-        )
-        v = u @ bp["w_in"][:, :D]
-        expected = hyena.fft_causal_conv(v, h[0]) @ bp["w_out"] + bp["b_out"]
-        assert np.allclose(y, expected, atol=1e-12)
+        tokens = rng.integers(0, cfg.vocab_size, (2, L))
+        logits = hyena.forward(tokens, params, cfg)
+        x = params["tok_emb"][tokens] + params["pos_emb"][:L]
+        u, _ = hyena._layer_norm(x, bp["norm1_g"], bp["norm1_b"])
+        h, _ = hyena.generate_filters(bp, L)
+        v = u @ bp["w_in"][:, :D] + bp["b_in"][:D]
+        x = x + (hyena.fft_causal_conv(v, h[0]) @ bp["w_out"] + bp["b_out"])
+        xf, _ = hyena._layer_norm(x, params["final_norm_g"], params["final_norm_b"])
+        expected = xf @ params["tok_emb"].T
+        assert np.allclose(logits, expected, atol=1e-12)
 
     def test_causality_single_perturbation(self):
         for seed in range(6):
@@ -283,28 +290,57 @@ class TestStudentLoss:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cached_gelu_matches_reference_bit_for_bit(self, dtype, monkeypatch):
-        # The block cache keeps the normal CDF instead of GELU(u1); logits,
-        # loss and every gradient must equal the from-scratch formulas exactly.
-        cfg = tiny_student_config(dim=8, n_blocks=2)
-        params = hyena.init_model(cfg, seed=12, dtype=dtype)
-        rng = np.random.default_rng(8)
-        tokens = rng.integers(0, 7, (3, 6))
-        targets = rng.integers(0, 7, (3, 6))
-        loss, ce, l2, grads = student_loss_and_grads(
-            tokens, targets, params, cfg, 0.4, 0.01
-        )
-        ref_logits, ref_cache = reference_forward(tokens, params, cfg)
-        assert np.array_equal(hyena.forward(tokens, params, cfg), ref_logits)
-        monkeypatch.setattr(hyena, "_backward", reference_backward)
-        sx = hyena.softmax_xent(ref_logits, targets)
-        *ref_losses, ref_grads = hyena.loss_and_grads_from_logits(
-            ref_logits, ref_cache, sx, params, 0.4, 0.01
-        )
-        assert [loss, ce, l2] == ref_losses
-        assert list(grads) == list(ref_grads)
-        for k in grads:
-            assert grads[k].dtype == dtype
-            assert np.array_equal(grads[k], ref_grads[k]), k
+        # The block cache keeps the normal CDF instead of GELU(u1), and each
+        # block's passes run inline; logits, loss and every gradient, in key
+        # order, must equal the references' from-scratch formulas exactly.
+        for order in (1, 2, 3):
+            for short_kernel in (1, 3, 5):
+                for n_blocks in (1, 3):
+                    case = f"order={order} k={short_kernel} blocks={n_blocks}"
+                    cfg = tiny_student_config(dim=8, n_blocks=n_blocks, order=order,
+                                              short_kernel=short_kernel)
+                    params = hyena.init_model(cfg, seed=12, dtype=dtype)
+                    rng = np.random.default_rng(8)
+                    tokens = rng.integers(0, 7, (3, 6))
+                    targets = rng.integers(0, 7, (3, 6))
+                    loss, ce, l2, grads = student_loss_and_grads(
+                        tokens, targets, params, cfg, 0.4, 0.01
+                    )
+                    ref_logits, ref_cache = reference_forward(tokens, params, cfg)
+                    logits = hyena.forward(tokens, params, cfg)
+                    assert np.array_equal(logits, ref_logits), case
+                    sx = hyena.softmax_xent(ref_logits, targets)
+                    with monkeypatch.context() as m:
+                        m.setattr(hyena, "_backward", reference_backward)
+                        *ref_losses, ref_grads = hyena.loss_and_grads_from_logits(
+                            ref_logits, ref_cache, sx, params, 0.4, 0.01
+                        )
+                    assert [loss, ce, l2] == ref_losses, case
+                    assert list(grads) == list(ref_grads), case
+                    for k in grads:
+                        assert grads[k].dtype == dtype, (case, k)
+                        assert np.array_equal(grads[k], ref_grads[k]), (case, k)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_cache_nbytes_closed_form(self, order, dtype):
+        # What forward keeps for the reverse pass, byte for byte: per block
+        # the layer norms, a, z and its streams, the filter net, zs, convs,
+        # c, u1 and phi; then the tokens, xf and the final norm.
+        cfg = tiny_student_config(vocab_size=11, dim=8, n_blocks=2, order=order,
+                                  max_seq_len=10, filter_pos_dim=5, filter_hidden=6,
+                                  mlp_expansion=3)
+        params = hyena.init_model(cfg, seed=5, dtype=dtype)
+        B, L = 3, 10
+        tokens = np.random.default_rng(6).integers(0, 11, (B, L))
+        _, cache = hyena.forward(tokens, params, cfg, want_cache=True)
+        s = np.dtype(dtype).itemsize
+        D, N, e = cfg.dim, cfg.order, cfg.mlp_expansion
+        P, F = cfg.filter_pos_dim, cfg.filter_hidden
+        block = s * (B * L * D * (4 * N + 6 + 2 * e) + 2 * B * L + L * P
+                     + 2 * L * F + 2 * N * L * D + L)
+        rest = tokens.nbytes + s * (2 * B * L * D + B * L)
+        assert cache_nbytes(cache) == cfg.n_blocks * block + rest
 
 
 class TestWeightTying:

@@ -27,43 +27,44 @@ class TestPositionalFeatures:
 
 
 def _filter_args(rng, P=5, F=8, N=2, D=3, dtype=np.float64):
-    return (
-        rng.standard_normal((P, F)).astype(dtype),
-        rng.standard_normal(F).astype(dtype),
-        rng.standard_normal((F, N * D)).astype(dtype),
-        rng.standard_normal(N * D).astype(dtype),
-        np.full((N, D), 1.0, dtype),
-    )
+    return {
+        "filt_w1": rng.standard_normal((P, F)).astype(dtype),
+        "filt_b1": rng.standard_normal(F).astype(dtype),
+        "filt_w2": rng.standard_normal((F, N * D)).astype(dtype),
+        "filt_b2": rng.standard_normal(N * D).astype(dtype),
+        "decay": np.full((N, D), 1.0, dtype),
+    }
 
 
 class TestGenerateFilters:
     def test_zero_decay_equals_raw_ffn(self):
         rng = np.random.default_rng(0)
-        w1, b1, w2, b2, decay = _filter_args(rng)
+        fp = _filter_args(rng)
+        w1, b1, w2, b2, decay = fp.values()
         decay[:] = 0.0
-        h, _ = hyena.generate_filters(w1, b1, w2, b2, decay, L=10)
+        h, _ = hyena.generate_filters(fp, L=10)
         feats = hyena.positional_filter_features(10, 5)
         raw = (np.sin(feats @ w1 + b1) @ w2 + b2).reshape(10, 2, 3).transpose(1, 0, 2)
         assert np.array_equal(h, raw)
 
     def test_large_decay_suppresses_tail(self):
         rng = np.random.default_rng(1)
-        w1, b1, w2, b2, decay = _filter_args(rng)
-        decay[:] = 1e3
-        h, _ = hyena.generate_filters(w1, b1, w2, b2, decay, L=20)
+        fp = _filter_args(rng)
+        fp["decay"][:] = 1e3
+        h, _ = hyena.generate_filters(fp, L=20)
         ratio = np.abs(h[:, 2:, :]) / np.maximum(np.abs(h[:, :1, :]), 1e-12)
         assert np.all(ratio < 1e-4)  # t/L >= 0.1 from index 2 of 20
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
-        args = _filter_args(rng)
-        h1, _ = hyena.generate_filters(*args, L=64)
-        h2, _ = hyena.generate_filters(*args, L=64)
+        fp = _filter_args(rng)
+        h1, _ = hyena.generate_filters(fp, L=64)
+        h2, _ = hyena.generate_filters(fp, L=64)
         assert np.array_equal(h1, h2)
 
     def test_shape(self):
         rng = np.random.default_rng(3)
-        h, _ = hyena.generate_filters(*_filter_args(rng), L=12)
+        h, _ = hyena.generate_filters(_filter_args(rng), L=12)
         assert h.shape == (2, 12, 3)
 
 
