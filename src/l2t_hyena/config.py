@@ -16,6 +16,8 @@ import math
 import typing
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
 
 
@@ -155,6 +157,18 @@ def validate_config(cfg: RunConfig) -> None:
         v = getattr(cfg, key)
         if not 0.0 <= v < 1.0:
             raise ConfigError(f"{key} must be in [0, 1), got {v}")
+    # The largest float32 arrays the keys size, with max_vocab as V. Past
+    # NumPy's index range an allocation raises "array is too big", which is
+    # not a MemoryError; products of several keys can get there.
+    D, V, n = cfg.dim, cfg.max_vocab, cfg.batch_size * cfg.seq_len
+    limit = int(np.iinfo(np.intp).max)
+    for name, size in (("tok_emb", V * D), ("logits", n * V),
+                       ("MLP activations", n * cfg.mlp_expansion * D),
+                       ("w_in", D * (cfg.order + 1) * D),
+                       ("replay memory", cfg.buffer_capacity * cfg.dln_hidden)):
+        if 4 * size > limit:
+            raise ConfigError(f"{name} would take {4 * size} bytes, past NumPy's "
+                              f"limit of {limit}")
 
 
 def resolve_config(file_values: dict | None = None, flag_values: dict | None = None) -> RunConfig:

@@ -183,8 +183,9 @@ class TestTrainCommand:
         assert err == f"config error: out of memory: {shown}\n"
 
     def test_out_of_memory_exits_config_in_new_process(self, tiny_flags, tmp_path):
-        # The child caps its address space, so the 8 TiB request fails at once
-        # instead of meeting a host that overcommits.
+        # The child caps its address space, so the 4 GiB request fails at once
+        # instead of meeting a host that overcommits. A larger dim is rejected
+        # before any allocation, by validate_config's index-range check.
         import resource
 
         cap = 3_000_000_000
@@ -192,19 +193,48 @@ class TestTrainCommand:
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
+        proc = self._train_in_new_process(tiny_flags, tmp_path, "536870912", limit)
+        assert proc.returncode == ConfigError.exit_code, proc.stderr
+        assert proc.stderr.startswith("config error: out of memory: Unable to allocate")
+        assert "Traceback" not in proc.stderr
+
+    @staticmethod
+    def _train_in_new_process(tiny_flags, tmp_path, dim, preexec_fn=None):
         cfg_path = tmp_path / "smoke.cfg"
         write_smoke_cfg(cfg_path, tiny_flags)
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "l2t_hyena", "train", "--config", str(cfg_path),
-             "--dim", "1099511627776", "--out-dir", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, preexec_fn=limit,
+             "--dim", dim, "--out-dir", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, preexec_fn=preexec_fn,
         )
+
+    @pytest.mark.parametrize("flag, value, array", [
+        ("--dim", 2 ** 62, "tok_emb"),
+        ("--max-vocab", 10 ** 17, "logits"),
+        ("--mlp-expansion", 2 ** 55, "MLP activations"),
+        ("--order", 2 ** 55, "w_in"),
+        ("--buffer-capacity", 2 ** 60, "replay memory"),
+    ])
+    def test_array_past_index_range_exits_config(self, tiny_flags, tmp_path, capsys,
+                                                 flag, value, array):
+        # NumPy would raise "array is too big" (a ValueError) allocating it.
+        cfg_path = tmp_path / "smoke.cfg"
+        write_smoke_cfg(cfg_path, tiny_flags)
+        rc = cli.main(["train", "--config", str(cfg_path), flag, str(value),
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == ConfigError.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {array} would take ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_array_past_index_range_exits_config_in_new_process(self, tiny_flags, tmp_path):
+        proc = self._train_in_new_process(tiny_flags, tmp_path, "4611686018427387904")
         assert proc.returncode == ConfigError.exit_code, proc.stderr
-        assert proc.stderr.startswith("config error: out of memory: Unable to allocate")
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: tok_emb would take ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     def test_resolved_config_reproduces_run_config(self, tiny_run):
         cfg_path, out = tiny_run.cfg_path, tiny_run.out

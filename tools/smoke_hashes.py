@@ -14,7 +14,9 @@ output file: ``<run> <file> <sha256>`` for ``metrics_step.csv``,
 ``metrics_epoch.csv``, ``last.l2th`` and the summary ``metrics.json``. It
 then scores each run's ``best.l2th`` with the README's ``eval`` line and
 prints the hash of its ``eval.json``; it exits 1 unless that ``val_ppl``
-equals the run's best (read through ``trainer.load_summary``). Last, it
+equals the run's best (read through ``trainer.load_summary``), which it
+prints as ``<run> best_val_ppl <repr>``, so a change that moves the bits
+also shows how far the metrics moved. Last, it
 runs the README's ``compare`` line on the ``baseline`` and ``l2t`` runs and
 prints the hash of its ``compare.json``. Two runs of the same code print
 the same lines, so a change that claims bit-identical runs must leave them
@@ -103,6 +105,7 @@ def main() -> int:
                       file=sys.stderr)
                 return 1
             print(f"{run} eval.json {sha256(os.path.join(eval_dir, 'eval.json'))}")
+            print(f"{run} best_val_ppl {best!r}")
         rc = quiet_cli("compare", ["compare", os.path.join("runs", "baseline"),
                                    os.path.join("runs", "l2t"), "--out", "compare"])
         if rc != cli.EXIT_OK:
