@@ -157,17 +157,24 @@ def validate_config(cfg: RunConfig) -> None:
         v = getattr(cfg, key)
         if not 0.0 <= v < 1.0:
             raise ConfigError(f"{key} must be in [0, 1), got {v}")
-    # The largest float32 arrays the keys size, with max_vocab as V. Past
-    # NumPy's index range an allocation raises "array is too big", which is
-    # not a MemoryError; products of several keys can get there.
-    D, V, n = cfg.dim, cfg.max_vocab, cfg.batch_size * cfg.seq_len
+    # The largest arrays the keys size, with max_vocab as V, at 8 bytes an
+    # element: parameters are drawn in float64 before the cast. Past NumPy's
+    # index range an allocation raises "array is too big", which is not a
+    # MemoryError; products of several keys can get there.
+    D, V, n, N = cfg.dim, cfg.max_vocab, cfg.batch_size * cfg.seq_len, cfg.order
+    F, P, S, H = cfg.filter_hidden, cfg.filter_pos_dim, cfg.dln_hidden, cfg.teacher_hidden
     limit = int(np.iinfo(np.intp).max)
     for name, size in (("tok_emb", V * D), ("logits", n * V),
                        ("MLP activations", n * cfg.mlp_expansion * D),
-                       ("w_in", D * (cfg.order + 1) * D),
-                       ("replay memory", cfg.buffer_capacity * cfg.dln_hidden)):
-        if 4 * size > limit:
-            raise ConfigError(f"{name} would take {4 * size} bytes, past NumPy's "
+                       ("w_in", D * (N + 1) * D),
+                       ("short_kernels", (N + 1) * D * cfg.short_kernel),
+                       ("filt_w1", P * F), ("filt_w2", F * N * D),
+                       ("positional features", cfg.seq_len * P),
+                       ("replay memory", cfg.buffer_capacity * S),
+                       ("teacher w1", (S + 1) * H), ("teacher w2", H * H),
+                       ("teacher batch", cfg.teacher_k * (S + 1))):
+        if 8 * size > limit:
+            raise ConfigError(f"{name} would take {8 * size} bytes, past NumPy's "
                               f"limit of {limit}")
 
 

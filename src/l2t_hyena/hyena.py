@@ -17,11 +17,12 @@ filter taps, which are then windowed by per-channel exponential decay.
 Parameters live in a flat ``dict[str, np.ndarray]`` whose names, shapes and
 order ``param_shapes`` declares once; it is also the checkpoint schema. All
 gradients are computed analytically by the ``loss_and_grads_from_logits``
-reverse pass; no autograd. The logits are the step's only (B, L, V) array:
-``softmax_xent`` walks them in row blocks and keeps per-position terms only
-(row max, sum of exponentials, log-sum-exp, cross-entropy, target
-probability, max probability and E_p[z], which the DLN reads), and the loss
-then overwrites each block of the logits with its dlogits.
+reverse pass; no autograd. The logits are the step's only (B, L, V) array,
+and two walks over their row blocks read them: ``softmax_xent`` keeps
+per-position terms only (row max, sum of exponentials, log-sum-exp,
+cross-entropy, target probability and E_p[z], which the DLN reads), and
+``loss_and_dlogits`` squares each block for the regularizer's mean squared
+logit, then overwrites it with its dlogits.
 
 ``forward`` runs each block's operations in order and ``_backward`` runs
 them in reverse, in one loop each. What a block keeps for its reverse pass
@@ -541,8 +542,9 @@ class SoftmaxXent(NamedTuple):
     """Per-position terms of the row softmax of (B, L, V) logits, each (B, L).
 
     The softmax itself is not kept: with z = logits - shift it is
-    exp(z) / sum_e, which the loss recomputes block by block. Without
-    ``features``, ``conf`` and ``mean_z`` are None.
+    exp(z) / sum_e, which the loss recomputes block by block. Its largest
+    entry is 1 / sum_e, since the row max has z = 0. Without ``features``,
+    ``mean_z`` is None.
     """
 
     shift: np.ndarray    # row max of the logits
@@ -551,7 +553,6 @@ class SoftmaxXent(NamedTuple):
     ce: np.ndarray       # cross-entropy lse - z[target]
     pt: np.ndarray       # p[target]
     targets: np.ndarray  # target ids
-    conf: np.ndarray     # max p
     mean_z: np.ndarray   # E_p[z], the row sum of p * z
     vocab: int           # V
 
@@ -572,8 +573,7 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray,
     n, rows = len(x), max(1, BLOCK // V)
     z = np.empty((min(rows, n), V), x.dtype)
     p = np.empty_like(z) if features else z
-    shift, zt, sum_e, *feats = np.empty((5 if features else 3, n), x.dtype)
-    conf, mean_z = feats if features else (None, None)
+    shift, zt, sum_e, mean_z = np.empty((4, n), x.dtype)
     ar = np.arange(len(z))
     for a in range(0, n, rows):
         xb = x[a:a + rows]
@@ -586,11 +586,10 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray,
         pb.sum(axis=-1, out=sum_e[a:b])
         if features:
             pb /= sum_e[a:b, None]
-            pb.max(axis=-1, out=conf[a:b])
             pb *= zb
             pb.sum(axis=-1, out=mean_z[a:b])
     lse = np.log(sum_e)
-    terms = (shift, sum_e, lse, lse - zt, np.exp(zt) / sum_e, t, conf, mean_z)
+    terms = (shift, sum_e, lse, lse - zt, np.exp(zt) / sum_e, t, mean_z if features else None)
     return SoftmaxXent(*(a if a is None else a.reshape(targets.shape) for a in terms), V)
 
 
@@ -599,56 +598,47 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(softmax_xent(logits, targets, features=False).ce.mean())
 
 
-def _sum_squares(x: np.ndarray, buf: np.ndarray):
-    """``np.sum(np.square(x, dtype=buf.dtype))`` of a flat ``x``, squared through ``buf``.
+def loss_and_dlogits(logits: np.ndarray, sx: SoftmaxXent, lam: float, beta: float):
+    """Loss = CE + lam * beta * l2, l2 the mean squared logit, as (loss, ce, l2).
 
-    Splits ``x`` where NumPy's pairwise summation splits it: in halves, the
-    split rounded down to a multiple of 8. Each part that fits ``buf`` (at
-    least 128 elements unless it is all of ``x``) is one ``np.sum``, so the
-    result has the same bits as the whole-array sum without its temporary.
+    Overwrites the (B, L, V) ``logits`` with dlogits in one walk over their
+    row blocks. Each block is squared for l2 before it is overwritten: its
+    row sums, in the logits' dtype, are totalled in float64. The block's CE
+    dlogits, (softmax - onehot) / n, are built in a scratch block, the
+    softmax recomputed from ``sx.shift`` and ``sx.sum_e`` with the bits the
+    features read; the block becomes x * 2 lam beta / (n V) plus them.
+    Baseline mode is ``lam = 0``. Raises NumericalError if the loss is not
+    finite.
     """
+    V = logits.shape[-1]
+    x = logits.reshape(-1, V)
     n = len(x)
-    if n <= len(buf):
-        return np.square(x, out=buf[:n], dtype=buf.dtype).sum()
-    half = n // 2
-    half -= half % 8
-    return _sum_squares(x[:half], buf) + _sum_squares(x[half:], buf)
-
-
-def logit_l2(logits: np.ndarray) -> float:
-    """Mean squared logit over every (batch, position, vocab) entry."""
-    n = logits.size
-    total = _sum_squares(logits.reshape(-1), np.empty(min(n, BLOCK), logits.dtype))
-    # np.mean's rounding: the sum divided in float64, then cast to the dtype.
-    return float(logits.dtype.type(float(total) / n))
-
-
-def _to_dlogits(x: np.ndarray, sx: SoftmaxXent, lam_beta: float) -> None:
-    """Overwrite the (B*L, V) logits ``x`` with dlogits, one row block at a time.
-
-    Each block's softmax is recomputed from ``sx.shift`` and ``sx.sum_e``,
-    which gives the same bits as the one the features read.
-    """
-    n, V = x.shape
     shift, sum_e, t = sx.shift.reshape(-1), sx.sum_e.reshape(-1), sx.targets.reshape(-1)
     pt_minus_1 = (sx.pt - 1.0).reshape(-1)
+    lam_beta = float(lam) * float(beta)
     rows = max(1, BLOCK // V)
     z = np.empty((min(rows, n), V), x.dtype)
-    reg = np.empty_like(z) if lam_beta != 0.0 else None
+    row_sq = np.empty(n, x.dtype)
     ar = np.arange(len(z))
     for a in range(0, n, rows):
         xb = x[a:a + rows]
         k = len(xb)
         b, zb = a + k, z[:k]
+        np.square(xb, out=zb)
+        zb.sum(axis=-1, out=row_sq[a:b])
         np.subtract(xb, shift[a:b, None], out=zb)
         np.exp(zb, out=zb)
-        if reg is not None:
-            np.multiply(xb, 2.0 * lam_beta / (n * V), out=reg[:k])
-        np.divide(zb, sum_e[a:b, None], out=xb)
-        xb[ar[:k], t[a:b]] = pt_minus_1[a:b]
-        xb /= n
-        if reg is not None:
-            xb += reg[:k]
+        zb /= sum_e[a:b, None]
+        zb[ar[:k], t[a:b]] = pt_minus_1[a:b]
+        zb /= n
+        xb *= 2.0 * lam_beta / (n * V)
+        xb += zb
+    ce = float(sx.ce.mean())
+    l2 = float(row_sq.sum(dtype=np.float64)) / (n * V)
+    loss = ce + lam_beta * l2
+    if not math.isfinite(loss):
+        raise NumericalError(f"non-finite student loss (ce={ce}, l2={l2})")
+    return loss, ce, l2
 
 
 def loss_and_grads_from_logits(
@@ -659,24 +649,11 @@ def loss_and_grads_from_logits(
     lam: float,
     beta: float,
 ):
-    """Loss = CE + lam * beta * logit_l2 and its exact parameter gradients.
+    """``loss_and_dlogits``, then the reverse pass from the dlogits.
 
-    Starts from a cached ``forward`` and its ``softmax_xent``, and overwrites
-    ``logits`` with dlogits, one row block at a time. Baseline mode is
-    ``lam = 0``: the loss is plain cross-entropy and no regularization
-    gradient flows. Returns (loss, ce, l2, grads) with grads keyed exactly
+    Starts from a cached ``forward`` and its ``softmax_xent``; ``logits``
+    end as dlogits. Returns (loss, ce, l2, grads) with grads keyed exactly
     like ``params``.
     """
-    B, L, V = logits.shape
-    ce = float(sx.ce.mean())
-    l2 = logit_l2(logits)
-
-    lam_beta = float(lam) * float(beta)
-    loss = ce + lam_beta * l2
-    if not math.isfinite(loss):
-        raise NumericalError(f"non-finite student loss (ce={ce}, l2={l2})")
-
-    x = logits.reshape(-1, V)
-    _to_dlogits(x, sx, lam_beta)
-    grads = _backward(x.reshape(B, L, V), cache, params)
-    return loss, ce, l2, grads
+    loss, ce, l2 = loss_and_dlogits(logits, sx, lam, beta)
+    return loss, ce, l2, _backward(logits, cache, params)

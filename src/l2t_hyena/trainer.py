@@ -119,6 +119,22 @@ def cosine_warmup_lr(
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * progress))
 
 
+def _sum_squares(x: np.ndarray, buf: np.ndarray):
+    """``np.sum(np.square(x, dtype=buf.dtype))`` of a flat ``x``, squared through ``buf``.
+
+    Splits ``x`` where NumPy's pairwise summation splits it: in halves, the
+    split rounded down to a multiple of 8. Each part that fits ``buf`` (at
+    least 128 elements unless it is all of ``x``) is one ``np.sum``, so the
+    result has the same bits as the whole-array sum without its temporary.
+    """
+    n = len(x)
+    if n <= len(buf):
+        return np.square(x, out=buf[:n], dtype=buf.dtype).sum()
+    half = n // 2
+    half -= half % 8
+    return _sum_squares(x[:half], buf) + _sum_squares(x[half:], buf)
+
+
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Global-norm clipping across all arrays, in place. Returns the pre-clip norm.
 
@@ -128,7 +144,7 @@ def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     buf = np.empty(min(max((g.size for g in grads.values()), default=0), hyena.BLOCK))
     sq = 0.0
     for g in grads.values():
-        sq += float(hyena._sum_squares(g.reshape(-1), buf))
+        sq += float(_sum_squares(g.reshape(-1), buf))
     total = math.sqrt(sq)
     if total > max_norm:
         scale = max_norm / total

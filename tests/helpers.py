@@ -27,8 +27,7 @@ teacher step (``reference_push_experience``, ``reference_sample_prioritized``,
 passes that the library now walks in blocks: the (B, L, V) softmax with its
 features and dlogits (``reference_softmax_xent``,
 ``reference_extract_features``, ``reference_dlogits``),
-``reference_logit_l2``, ``reference_clip_grad_norm`` and
-``reference_adamw_step``.
+``reference_clip_grad_norm`` and ``reference_adamw_step``.
 """
 
 from __future__ import annotations
@@ -414,10 +413,6 @@ def reference_dlogits(logits: np.ndarray, sx: ReferenceSoftmaxXent,
     if lam_beta != 0.0:
         dlogits += (2.0 * lam_beta / (B * L * V)) * logits
     return dlogits
-
-
-def reference_logit_l2(logits: np.ndarray) -> float:
-    return float(np.mean(np.square(logits)))
 
 
 def reference_clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:

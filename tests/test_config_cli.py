@@ -213,10 +213,16 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flag, value, array", [
         ("--dim", 2 ** 62, "tok_emb"),
-        ("--max-vocab", 10 ** 17, "logits"),
+        ("--max-vocab", 10 ** 16, "logits"),
         ("--mlp-expansion", 2 ** 55, "MLP activations"),
         ("--order", 2 ** 55, "w_in"),
         ("--buffer-capacity", 2 ** 60, "replay memory"),
+        ("--order", 6 * 10 ** 15, "w_in"),  # 8-byte elements only: drawn in float64
+        ("--short-kernel", 2 ** 62 - 1, "short_kernels"),
+        ("--filter-hidden", 2 ** 62, "filt_w1"),
+        ("--filter-pos-dim", 2 ** 62 - 1, "filt_w1"),
+        ("--teacher-hidden", 2 ** 62, "teacher w1"),
+        ("--teacher-k", 2 ** 62, "teacher batch"),
     ])
     def test_array_past_index_range_exits_config(self, tiny_flags, tmp_path, capsys,
                                                  flag, value, array):

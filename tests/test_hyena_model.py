@@ -238,11 +238,15 @@ class TestLosses:
         assert hyena.cross_entropy(logits, targets) == ce
 
     def test_logit_l2(self):
-        assert hyena.logit_l2(np.zeros((2, 3, 4))) == 0.0
-        assert hyena.logit_l2(np.full((2, 3, 4), 2.0)) == 4.0
+        def l2(logits):
+            sx = hyena.softmax_xent(logits, np.zeros(logits.shape[:2], dtype=int))
+            return hyena.loss_and_dlogits(logits, sx, 0.5, 0.01)[2]
+
+        assert l2(np.zeros((2, 3, 4))) == 0.0
+        assert l2(np.full((2, 3, 4), 2.0)) == 4.0
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 2, 3))
-        assert hyena.logit_l2(x) == pytest.approx((x ** 2).mean(), abs=0)
+        assert l2(x.copy()) == pytest.approx((x ** 2).mean(), abs=0)
 
 
 class TestStudentLoss:
