@@ -28,15 +28,19 @@ logit, then overwrites it with its dlogits.
 them in reverse, in one loop each. What a block keeps for its reverse pass
 is one flat tuple, built in ``forward`` and unpacked in ``_backward``:
 
-    (ln1, a, z, streams, filt, zs, convs, ln2, c, u1, phi)
+    (ln1, z, streams, filt, convs, ln2, u1, phi)
 
-``ln1``/``ln2`` are the layer norms' ``(xhat, inv)`` and ``a``/``c`` their
-outputs; ``z`` is the input projection before the short conv and
-``streams`` the ``order + 1`` views of its output; ``filt`` is
-``generate_filters``' cache, which holds the taps ``h``; ``zs`` are the
-inputs of the long convolutions plus the gated output, ``convs`` the
-convolution outputs; ``u1`` is the MLP's pre-activation and ``phi`` its
-GELU's normal CDF.
+``ln1``/``ln2`` are the layer norms' ``(xhat, inv)``; ``z`` is the input
+projection before the short conv and ``streams`` the ``order + 1`` views
+of its output; ``filt`` is ``generate_filters``' cache, which holds the
+taps ``h``; ``convs`` are the long convolutions' outputs; ``u1`` is the
+MLP's pre-activation and ``phi`` its GELU's normal CDF. What one
+elementwise pass rebuilds bit for bit is not kept: ``_backward`` recomputes
+the layer norms' outputs ``a``/``c`` as ``g * xhat + b`` and the gated
+products ``zs`` (the long convolutions' inputs, then the gated output) as
+``streams[n + 1] * convs[n]``, as ``forward`` computed them. It pops each
+block's tuple off the cache, so a block's arrays are freed once its
+reverse pass ends, and a cache serves one reverse pass.
 
 ``_normal_cdf`` computes ``phi``. In float64 it is SciPy's exact ``erf``,
 which the float64 gradient checks need. In float32 it is a rational ``erf``
@@ -335,10 +339,11 @@ def _short_conv_backward(dy: np.ndarray, u: np.ndarray, kernels: np.ndarray):
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # np.var's own arithmetic on the one centred copy, which becomes xhat.
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / x.shape[-1]
     inv = 1.0 / np.sqrt(var + np.asarray(LN_EPS, x.dtype))
-    xhat = (x - mu) * inv
+    xhat *= inv
     return g * xhat + b, (xhat, inv)
 
 
@@ -470,7 +475,7 @@ def forward(
         phi = _normal_cdf(u1)
         x = x + ((u1 * phi) @ bp["mlp_w2"] + bp["mlp_b2"])
         if want_cache:
-            blocks.append((ln1, a, z, streams, filt, zs, convs, ln2, c, u1, phi))
+            blocks.append((ln1, z, streams, filt, convs, ln2, u1, phi))
     xf, lnf = _layer_norm(x, params["final_norm_g"], params["final_norm_b"])
     logits = xf @ tok_emb.T
     if not want_cache:
@@ -482,6 +487,12 @@ def _backward(
     dlogits: np.ndarray, cache, params: dict[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
     tokens, blocks, lnf, xf = cache
+    n_blocks = sum(1 for k in params if k.endswith(".w_in"))
+    if len(blocks) != n_blocks:
+        raise ValueError(
+            f"cache holds {len(blocks)} blocks for a {n_blocks}-block student; "
+            "a forward cache serves one reverse pass"
+        )
     tok_emb = params["tok_emb"]
     B, L, V = dlogits.shape
 
@@ -496,18 +507,24 @@ def _backward(
 
     for i in range(len(blocks) - 1, -1, -1):
         bp = block_params(params, i)
-        ln1, a, z, streams, filt, zs, convs, ln2, c, u1, phi = blocks[i]
+        # pop() frees the block's arrays once its reverse pass ends.
+        ln1, z, streams, filt, convs, ln2, u1, phi = blocks.pop()
         h = filt[4]  # the taps, kept in generate_filters' cache
         g: dict[str, np.ndarray] = {}  # this block's gradients, in clip_grad_norm's order
 
-        # The MLP and norm2, then the operator and norm1, each in reverse.
+        # The MLP and norm2, then the operator and norm1, each in reverse;
+        # c, zs and a are rebuilt by forward's own expressions, bit for bit.
         dg1, g["mlp_w2"], g["mlp_b2"] = linear_backward(dx, u1 * phi, bp["mlp_w2"])
+        c = bp["norm2_g"] * ln2[0] + bp["norm2_b"]
         dc, g["mlp_w1"], g["mlp_b1"] = linear_backward(
             _gelu_backward(dg1, u1, phi), c, bp["mlp_w1"]
         )
         dln2, g["norm2_g"], g["norm2_b"] = _layer_norm_backward(dc, ln2, bp["norm2_g"])
         dx = dx + dln2
 
+        zs = [streams[0]]
+        for n in range(len(convs)):
+            zs.append(streams[n + 1] * convs[n])
         dcur, g["w_out"], g["b_out"] = linear_backward(dx, zs[-1], bp["w_out"])
         dstreams = [None] * len(streams)
         dh = np.empty_like(h)
@@ -521,6 +538,7 @@ def _backward(
         dz, g["short_kernels"] = _short_conv_backward(
             np.concatenate(dstreams, axis=2), z, bp["short_kernels"]
         )
+        a = bp["norm1_g"] * ln1[0] + bp["norm1_b"]
         da, g["w_in"], g["b_in"] = linear_backward(dz, a, bp["w_in"])
         dln1, g["norm1_g"], g["norm1_b"] = _layer_norm_backward(da, ln1, bp["norm1_g"])
         dx = dx + dln1

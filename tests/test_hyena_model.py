@@ -96,8 +96,8 @@ class TestOperator:
         params["pos_emb"][:] = 0.0
         tokens = np.zeros((2, 6), np.int64)
         _, (_, blocks, _, _) = hyena.forward(tokens, params, cfg, want_cache=True)
-        _, _, z, _, _, zs, convs, *_ = blocks[0]
-        for y in [z, *zs, *convs]:
+        _, z, streams, _, convs, *_ = blocks[0]
+        for y in [z, *streams, *convs]:
             assert np.abs(y).max() == 0.0
 
     def test_order_one_collapses_to_plain_convolution(self):
@@ -199,6 +199,23 @@ class TestLayerNormContract:
         assert np.abs(xhat.mean(axis=-1)).max() <= 1e-5
         assert np.abs(xhat.var(axis=-1) - 1.0).max() <= 1e-3
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 64, 256), (2, 33, 64), (3, 7, 5)])
+    def test_matches_mean_var_form_bit_for_bit(self, dtype, shape):
+        # One centred copy with np.var's own arithmetic gives x.var's bits.
+        rng = np.random.default_rng(21)
+        x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
+        g = rng.standard_normal(shape[-1]).astype(dtype)
+        b = rng.standard_normal(shape[-1]).astype(dtype)
+        y, (xhat, inv) = hyena._layer_norm(x, g, b)
+        mu = x.mean(axis=-1, keepdims=True)
+        ref_inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + np.asarray(hyena.LN_EPS, dtype))
+        ref_xhat = (x - mu) * ref_inv
+        assert np.array_equal(inv, ref_inv)
+        assert np.array_equal(xhat, ref_xhat)
+        assert np.array_equal(y, g * ref_xhat + b)
+        assert y.dtype == xhat.dtype == inv.dtype == dtype
+
 
 class TestLosses:
     def test_uniform_two_way(self):
@@ -291,6 +308,26 @@ class TestStudentLoss:
         with pytest.raises(NumericalError):
             student_loss_and_grads(tokens, targets, params, cfg, 0.3, 0.01)
 
+    def test_cache_serves_one_reverse_pass(self):
+        # The reverse pass consumes the cache's blocks; a second pass over
+        # it, or a cache of another depth, is refused rather than skipping
+        # blocks.
+        cfg, params, tokens, targets = self._setup()
+        logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
+        sx = hyena.softmax_xent(logits, targets)
+        hyena.loss_and_grads_from_logits(logits, cache, sx, params, 0.3, 0.01)
+        assert cache[1] == []
+        with pytest.raises(ValueError, match="one reverse pass"):
+            hyena._backward(logits, cache, params)
+
+        deep = tiny_student_config(n_blocks=cfg.n_blocks + 1)
+        deep_params = hyena.init_model(deep, seed=10, dtype=np.float64)
+        logits, cache = hyena.forward(tokens, deep_params, deep, want_cache=True)
+        n = len(cache[1])
+        with pytest.raises(ValueError, match="one reverse pass"):
+            hyena._backward(logits, cache, params)
+        assert len(cache[1]) == n
+
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cached_gelu_matches_reference_bit_for_bit(self, dtype, monkeypatch):
@@ -329,8 +366,8 @@ class TestStudentLoss:
     @pytest.mark.parametrize("order", [2, 3])
     def test_cache_nbytes_closed_form(self, order, dtype):
         # What forward keeps for the reverse pass, byte for byte: per block
-        # the layer norms, a, z and its streams, the filter net, zs, convs,
-        # c, u1 and phi; then the tokens, xf and the final norm.
+        # the layer norms, z and its streams, the filter net, convs, u1 and
+        # phi; then the tokens, xf and the final norm.
         cfg = tiny_student_config(vocab_size=11, dim=8, n_blocks=2, order=order,
                                   max_seq_len=10, filter_pos_dim=5, filter_hidden=6,
                                   mlp_expansion=3)
@@ -341,7 +378,7 @@ class TestStudentLoss:
         s = np.dtype(dtype).itemsize
         D, N, e = cfg.dim, cfg.order, cfg.mlp_expansion
         P, F = cfg.filter_pos_dim, cfg.filter_hidden
-        block = s * (B * L * D * (4 * N + 6 + 2 * e) + 2 * B * L + L * P
+        block = s * (B * L * D * (3 * N + 4 + 2 * e) + 2 * B * L + L * P
                      + 2 * L * F + 2 * N * L * D + L)
         rest = tokens.nbytes + s * (2 * B * L * D + B * L)
         assert cache_nbytes(cache) == cfg.n_blocks * block + rest
