@@ -48,6 +48,14 @@ in NumPy, walked in ``BLOCK``-sized slices: SciPy's float32 ``erf`` widens
 each element to double and calls a scalar routine, about 5x slower at
 (4, 1024, 256).
 
+Every dense product of the student, in both passes (``w_in``, ``w_out``,
+``mlp_w1``, ``mlp_w2``, the tied head and its reverse, and
+``linear_backward``'s ``dy @ w.T``), is one 2-D GEMM over all ``B*L`` rows
+(``_gemm``): NumPy's stacked matmul of a (B, L, K) operand runs one small
+GEMM per batch row, slowest against a transposed weight, where one GEMM
+gets larger panels. A test pins its bits to those of the stacked
+products. Activations stay (B, L, .) between products.
+
 The dense-layer reverse pass ``linear_backward`` and the ReLU MLP helpers
 (``init_mlp``, ``mlp_forward``, ``mlp_backward``) also serve the DLN and
 the teacher.
@@ -151,10 +159,15 @@ def glorot(rng: np.random.Generator, shape: tuple[int, int], dtype) -> np.ndarra
     return rng.uniform(-bound, bound, shape).astype(dtype)
 
 
+def _gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w as one 2-D GEMM over all rows of x's leading axes, shaped (..., N)."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+
+
 def linear_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
     """(dx, dw, db) of y = x @ w + b, with the leading axes of x and dy as the batch."""
     dy2 = dy.reshape(-1, dy.shape[-1])
-    return dy @ w.T, x.reshape(-1, x.shape[-1]).T @ dy2, dy2.sum(axis=0)
+    return _gemm(dy, w.T), x.reshape(-1, x.shape[-1]).T @ dy2, dy2.sum(axis=0)
 
 
 def init_mlp(rng: np.random.Generator, widths, dtype, prefix: str = "") -> dict[str, np.ndarray]:
@@ -263,7 +276,7 @@ def generate_filters(bp: dict[str, np.ndarray], L: int):
     raw = (sin1 @ bp["filt_w2"] + bp["filt_b2"]).reshape(L, N, D).transpose(1, 0, 2)
     t_frac = (np.arange(L, dtype=np.float64) / max(L, 1)).astype(dtype)[None, :, None]
     win = np.exp(-decay[:, None, :] * t_frac)
-    h = (raw * win).astype(dtype)
+    h = (raw * win).astype(dtype, copy=False)
     cache = (feats, s1, sin1, win, h, t_frac)
     return h, cache
 
@@ -434,11 +447,13 @@ def forward(
     cfg: HyenaConfig,
     want_cache: bool = False,
 ):
-    """Logits (B, L, V) for a batch of token ids.
+    """Logits (B, L, V), C-contiguous, for a batch of token ids.
 
-    With ``want_cache`` the arrays the reverse pass reads are returned as
-    well: ``(tokens, blocks, lnf, xf)``, with one flat tuple per block (see
-    the module docstring).
+    Each dense product flattens its (B, L, K) operand to one (B*L, K) GEMM
+    and shapes the result back: larger GEMM panels than one GEMM per batch
+    row, with the same bits. With ``want_cache`` the arrays the reverse
+    pass reads are returned as well: ``(tokens, blocks, lnf, xf)``, with
+    one flat tuple per block (see the module docstring).
     """
     tokens = np.asarray(tokens)
     B, L = tokens.shape
@@ -459,7 +474,7 @@ def forward(
         # x + hyena(norm1(x)): project to order + 1 streams, short conv,
         # then alternate long convolutions with gating by the next stream.
         a, ln1 = _layer_norm(x, bp["norm1_g"], bp["norm1_b"])
-        z = a @ bp["w_in"] + bp["b_in"]
+        z = _gemm(a, bp["w_in"]) + bp["b_in"]
         zc = short_conv(z, bp["short_kernels"])
         streams = [zc[:, :, n * D : (n + 1) * D] for n in range(cfg.order + 1)]
         h, filt = generate_filters(bp, L)
@@ -468,16 +483,16 @@ def forward(
         for n in range(cfg.order):
             convs.append(fft_causal_conv(zs[-1], h[n]))
             zs.append(streams[n + 1] * convs[-1])
-        x = x + (zs[-1] @ bp["w_out"] + bp["b_out"])
+        x = x + (_gemm(zs[-1], bp["w_out"]) + bp["b_out"])
         # x + mlp(norm2(x)), GELU through its normal CDF phi.
         c, ln2 = _layer_norm(x, bp["norm2_g"], bp["norm2_b"])
-        u1 = c @ bp["mlp_w1"] + bp["mlp_b1"]
+        u1 = _gemm(c, bp["mlp_w1"]) + bp["mlp_b1"]
         phi = _normal_cdf(u1)
-        x = x + ((u1 * phi) @ bp["mlp_w2"] + bp["mlp_b2"])
+        x = x + (_gemm(u1 * phi, bp["mlp_w2"]) + bp["mlp_b2"])
         if want_cache:
             blocks.append((ln1, z, streams, filt, convs, ln2, u1, phi))
     xf, lnf = _layer_norm(x, params["final_norm_g"], params["final_norm_b"])
-    logits = xf @ tok_emb.T
+    logits = _gemm(xf, tok_emb.T)
     if not want_cache:
         return logits
     return logits, (tokens, blocks, lnf, xf)
@@ -500,7 +515,7 @@ def _backward(
     # Tied projection: the embedding matrix collects gradient from the
     # output side here and from the input lookup at the end.
     dtok = dlogits.reshape(-1, V).T @ xf.reshape(-1, xf.shape[-1])  # (V, D), no bias
-    dxf = dlogits @ tok_emb
+    dxf = _gemm(dlogits, tok_emb)
     dx, grads["final_norm_g"], grads["final_norm_b"] = _layer_norm_backward(
         dxf, lnf, params["final_norm_g"]
     )
@@ -626,8 +641,11 @@ def loss_and_dlogits(logits: np.ndarray, sx: SoftmaxXent, lam: float, beta: floa
     softmax recomputed from ``sx.shift`` and ``sx.sum_e`` with the bits the
     features read; the block becomes x * 2 lam beta / (n V) plus them.
     Baseline mode is ``lam = 0``. Raises NumericalError if the loss is not
-    finite.
+    finite, and ValueError for logits that are not C-contiguous, which
+    ``reshape`` would copy, so the dlogits would be lost.
     """
+    if not logits.flags.c_contiguous:
+        raise ValueError("logits must be C-contiguous: they are overwritten with dlogits")
     V = logits.shape[-1]
     x = logits.reshape(-1, V)
     n = len(x)

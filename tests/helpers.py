@@ -13,9 +13,11 @@ back to tokens), ``teacher_predict`` (one teacher prediction),
 
 References keep the code the library replaced with faster or shorter
 versions: the student passes with GELU and its derivative each computed from
-scratch around ``hyena._normal_cdf`` and the gated long convolution as a
-function of its own, with its nested cache (``reference_forward``/``reference_backward`` and
-``reference_operator_forward``/``reference_operator_backward``), the
+scratch around ``hyena._normal_cdf``, the gated long convolution as a
+function of its own, with its nested cache, and every dense product as a
+stacked 3-D matmul (``reference_forward``/``reference_backward``,
+``reference_operator_forward``/``reference_operator_backward`` and
+``reference_linear_backward``), the
 per-position GRU with its ``np.outer`` BPTT
 (``gru_reference``/``gru_reference_grads``), the student initializer that
 spelled out every block array
@@ -149,6 +151,16 @@ def gelu_grad_reference(x: np.ndarray) -> np.ndarray:
     return hyena._normal_cdf(x) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
 
 
+# The references below multiply (B, L, K) activations as 3-D products on
+# purpose: NumPy's stacked matmul runs one GEMM per batch row, while the
+# library reshapes each dense product into one (B*L, K) GEMM. The bit-for-bit
+# tests compare the two, at shapes large enough for BLAS's blocked kernels.
+def reference_linear_backward(dy, x, w):
+    """(dx, dw, db) of y = x @ w + b, with dx as the stacked product dy @ w.T."""
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    return dy @ w.T, x.reshape(-1, x.shape[-1]).T @ dy2, dy2.sum(axis=0)
+
+
 def reference_operator_forward(a, bp):
     """(y, cache) of the gated long convolution, as its own function."""
     D = a.shape[2]
@@ -172,7 +184,7 @@ def reference_operator_backward(dy, cache, bp):
     a, z, streams, h, filt_cache, zs, convs = cache
     order = len(convs)
     g = {}
-    dcur, g["w_out"], g["b_out"] = hyena.linear_backward(dy, zs[-1], bp["w_out"])
+    dcur, g["w_out"], g["b_out"] = reference_linear_backward(dy, zs[-1], bp["w_out"])
     dstreams = [None] * (order + 1)
     dh = np.empty_like(h)
     for n in range(order - 1, -1, -1):
@@ -185,7 +197,7 @@ def reference_operator_backward(dy, cache, bp):
     )
     dzc = np.concatenate(dstreams, axis=2)
     dz, g["short_kernels"] = hyena._short_conv_backward(dzc, z, bp["short_kernels"])
-    da, g["w_in"], g["b_in"] = hyena.linear_backward(dz, a, bp["w_in"])
+    da, g["w_in"], g["b_in"] = reference_linear_backward(dz, a, bp["w_in"])
     return da, g
 
 
@@ -221,10 +233,10 @@ def reference_backward(dlogits, cache, params):
         bp = hyena.block_params(params, i)
         ln1_cache, op_cache, ln2_cache, c, u1, g1 = block_caches[i]
         p = f"block{i}."
-        dg1, grads[p + "mlp_w2"], grads[p + "mlp_b2"] = hyena.linear_backward(
+        dg1, grads[p + "mlp_w2"], grads[p + "mlp_b2"] = reference_linear_backward(
             dx, g1, bp["mlp_w2"]
         )
-        dc, grads[p + "mlp_w1"], grads[p + "mlp_b1"] = hyena.linear_backward(
+        dc, grads[p + "mlp_w1"], grads[p + "mlp_b1"] = reference_linear_backward(
             dg1 * gelu_grad_reference(u1), c, bp["mlp_w1"]
         )
         dln2, grads[p + "norm2_g"], grads[p + "norm2_b"] = hyena._layer_norm_backward(

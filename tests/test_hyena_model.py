@@ -181,6 +181,16 @@ class TestForward:
         with pytest.raises(ValueError, match="exceeds max_seq_len"):
             hyena.forward(np.zeros((1, 5), dtype=int), params, cfg)
 
+    def test_logits_are_c_contiguous(self):
+        # loss_and_dlogits overwrites the logits through a row view.
+        cfg = tiny_student_config(vocab_size=9, max_seq_len=8)
+        params = hyena.init_model(cfg, seed=6)
+        tokens = np.random.default_rng(3).integers(0, 9, (3, 8))
+        for logits in (hyena.forward(tokens, params, cfg),
+                       hyena.forward(tokens, params, cfg, want_cache=True)[0]):
+            assert logits.shape == (3, 8, 9)
+            assert logits.flags.c_contiguous
+
     def test_full_size_logit_shape(self):
         cfg = paper_student_config(vocab_size=10_000)
         params = hyena.init_model(cfg, seed=9)
@@ -265,6 +275,17 @@ class TestLosses:
         x = rng.standard_normal((2, 2, 3))
         assert l2(x.copy()) == pytest.approx((x ** 2).mean(), abs=0)
 
+    def test_non_contiguous_logits_rejected_untouched(self):
+        # A reshape of a transposed view is a copy: the dlogits written into
+        # it would be lost, and the logits read back as if they were dlogits.
+        rng = np.random.default_rng(7)
+        logits = rng.standard_normal((5, 3, 7)).transpose(1, 0, 2)
+        before = logits.copy()
+        sx = hyena.softmax_xent(logits, rng.integers(0, 7, (3, 5)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            hyena.loss_and_dlogits(logits, sx, 0.5, 0.01)
+        assert np.array_equal(logits, before)
+
 
 class TestStudentLoss:
     def _setup(self):
@@ -328,39 +349,57 @@ class TestStudentLoss:
             hyena._backward(logits, cache, params)
         assert len(cache[1]) == n
 
+    @staticmethod
+    def _assert_matches_reference(cfg, dtype, tokens, targets, monkeypatch, case):
+        params = hyena.init_model(cfg, seed=12, dtype=dtype)
+        loss, ce, l2, grads = student_loss_and_grads(tokens, targets, params, cfg, 0.4, 0.01)
+        ref_logits, ref_cache = reference_forward(tokens, params, cfg)
+        logits = hyena.forward(tokens, params, cfg)
+        assert np.array_equal(logits, ref_logits), case
+        sx = hyena.softmax_xent(ref_logits, targets)
+        with monkeypatch.context() as m:
+            m.setattr(hyena, "_backward", reference_backward)
+            *ref_losses, ref_grads = hyena.loss_and_grads_from_logits(
+                ref_logits, ref_cache, sx, params, 0.4, 0.01
+            )
+        assert [loss, ce, l2] == ref_losses, case
+        assert list(grads) == list(ref_grads), case
+        for k in grads:
+            assert grads[k].dtype == dtype, (case, k)
+            assert np.array_equal(grads[k], ref_grads[k]), (case, k)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cached_gelu_matches_reference_bit_for_bit(self, dtype, monkeypatch):
-        # The block cache keeps the normal CDF instead of GELU(u1), and each
-        # block's passes run inline; logits, loss and every gradient, in key
-        # order, must equal the references' from-scratch formulas exactly.
+        # The block cache keeps the normal CDF instead of GELU(u1), each
+        # block's passes run inline and each dense product is one 2-D GEMM;
+        # logits, loss and every gradient, in key order, must equal the
+        # references' from-scratch formulas and 3-D products exactly.
+        rng = np.random.default_rng(8)
+        tokens = rng.integers(0, 7, (3, 6))
+        targets = rng.integers(0, 7, (3, 6))
         for order in (1, 2, 3):
             for short_kernel in (1, 3, 5):
                 for n_blocks in (1, 3):
-                    case = f"order={order} k={short_kernel} blocks={n_blocks}"
                     cfg = tiny_student_config(dim=8, n_blocks=n_blocks, order=order,
                                               short_kernel=short_kernel)
-                    params = hyena.init_model(cfg, seed=12, dtype=dtype)
-                    rng = np.random.default_rng(8)
-                    tokens = rng.integers(0, 7, (3, 6))
-                    targets = rng.integers(0, 7, (3, 6))
-                    loss, ce, l2, grads = student_loss_and_grads(
-                        tokens, targets, params, cfg, 0.4, 0.01
+                    self._assert_matches_reference(
+                        cfg, dtype, tokens, targets, monkeypatch,
+                        f"order={order} k={short_kernel} blocks={n_blocks}",
                     )
-                    ref_logits, ref_cache = reference_forward(tokens, params, cfg)
-                    logits = hyena.forward(tokens, params, cfg)
-                    assert np.array_equal(logits, ref_logits), case
-                    sx = hyena.softmax_xent(ref_logits, targets)
-                    with monkeypatch.context() as m:
-                        m.setattr(hyena, "_backward", reference_backward)
-                        *ref_losses, ref_grads = hyena.loss_and_grads_from_logits(
-                            ref_logits, ref_cache, sx, params, 0.4, 0.01
-                        )
-                    assert [loss, ce, l2] == ref_losses, case
-                    assert list(grads) == list(ref_grads), case
-                    for k in grads:
-                        assert grads[k].dtype == dtype, (case, k)
-                        assert np.array_equal(grads[k], ref_grads[k]), (case, k)
+
+    @pytest.mark.parametrize("batch, seq_len, vocab", [(4, 64, 300), (32, 32, 66)],
+                             ids=["B4-L64-V300", "smoke-B32-L32-V66"])
+    def test_matches_reference_bit_for_bit_at_blas_shapes(self, batch, seq_len, vocab,
+                                                          monkeypatch):
+        # Shapes whose products take OpenBLAS's blocked kernels, where a
+        # (B*L, K) GEMM and B stacked (L, K) GEMMs could split the work
+        # differently; the second is the README smoke run's.
+        cfg = paper_student_config(vocab, dim=64, n_blocks=2, max_seq_len=seq_len)
+        rng = np.random.default_rng(9)
+        tokens = rng.integers(0, vocab, (batch, seq_len))
+        targets = rng.integers(0, vocab, (batch, seq_len))
+        self._assert_matches_reference(cfg, np.float32, tokens, targets, monkeypatch,
+                                       f"B={batch} L={seq_len} V={vocab}")
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("order", [2, 3])
