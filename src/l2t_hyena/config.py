@@ -12,16 +12,17 @@ same configuration.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import typing
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import dln, hyena, teacher
 from .errors import ConfigError
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     # run
     mode: str = "l2t"  # "l2t" or "baseline"
@@ -157,25 +158,34 @@ def validate_config(cfg: RunConfig) -> None:
         v = getattr(cfg, key)
         if not 0.0 <= v < 1.0:
             raise ConfigError(f"{key} must be in [0, 1), got {v}")
-    # The largest arrays the keys size, with max_vocab as V, at 8 bytes an
-    # element: parameters are drawn in float64 before the cast. Past NumPy's
-    # index range an allocation raises "array is too big", which is not a
-    # MemoryError; products of several keys can get there.
-    D, V, n, N = cfg.dim, cfg.max_vocab, cfg.batch_size * cfg.seq_len, cfg.order
-    F, P, S, H = cfg.filter_hidden, cfg.filter_pos_dim, cfg.dln_hidden, cfg.teacher_hidden
+    # Every parameter as the checkpoint names it, one student block standing
+    # for all, then the largest activations; V is max_vocab and an element 8
+    # bytes, as parameters are drawn in float64. Past NumPy's index range an
+    # allocation raises "array is too big", which is not a MemoryError.
+    student = model_config_from_run(dataclasses.replace(cfg, n_blocks=1), cfg.max_vocab)
+    sizes = {}
+    for prefix, shapes in (("student/", hyena.param_shapes(student)),
+                           ("dln/", dln.param_shapes(cfg.dln_hidden)),
+                           ("teacher/", teacher.param_shapes(cfg.dln_hidden,
+                                                             cfg.teacher_hidden))):
+        sizes.update((prefix + name, math.prod(shape)) for name, shape in shapes.items())
+    n, S = cfg.batch_size * cfg.seq_len, cfg.dln_hidden
+    sizes.update({"logits": n * cfg.max_vocab, "MLP activations": n * cfg.mlp_expansion * cfg.dim,
+                  "positional features": cfg.seq_len * cfg.filter_pos_dim,
+                  "replay memory": cfg.buffer_capacity * S,
+                  "teacher batch": cfg.teacher_k * (S + 1)})
     limit = int(np.iinfo(np.intp).max)
-    for name, size in (("tok_emb", V * D), ("logits", n * V),
-                       ("MLP activations", n * cfg.mlp_expansion * D),
-                       ("w_in", D * (N + 1) * D),
-                       ("short_kernels", (N + 1) * D * cfg.short_kernel),
-                       ("filt_w1", P * F), ("filt_w2", F * N * D),
-                       ("positional features", cfg.seq_len * P),
-                       ("replay memory", cfg.buffer_capacity * S),
-                       ("teacher w1", (S + 1) * H), ("teacher w2", H * H),
-                       ("teacher batch", cfg.teacher_k * (S + 1))):
+    for name, size in sizes.items():
         if 8 * size > limit:
             raise ConfigError(f"{name} would take {8 * size} bytes, past NumPy's "
                               f"limit of {limit}")
+
+
+def model_config_from_run(cfg: RunConfig, vocab_size: int) -> hyena.HyenaConfig:
+    """The student's shape: every ``HyenaConfig`` field ``RunConfig`` shares by name."""
+    shared = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(hyena.HyenaConfig)
+              if hasattr(cfg, f.name)}
+    return hyena.HyenaConfig(vocab_size=vocab_size, max_seq_len=cfg.seq_len, **shared)
 
 
 def resolve_config(file_values: dict | None = None, flag_values: dict | None = None) -> RunConfig:

@@ -67,21 +67,14 @@ def normalize_features(f: np.ndarray, state: FeatureNormState) -> np.ndarray:
     return out
 
 
-def init_dln(
-    seed: int,
-    hidden: int,
-    mlp_widths: tuple[int, ...] = (64, 64, 32),
-    dtype=np.float32,
-) -> dict[str, np.ndarray]:
-    """GRU (N_FEATURES -> hidden), then a ReLU MLP (hidden, *mlp_widths, 1) to one raw weight."""
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    for gate in ("z", "r", "h"):
-        params[f"gru.w_{gate}"] = hyena.glorot(rng, (N_FEATURES, hidden), dtype)
-        params[f"gru.u_{gate}"] = hyena.glorot(rng, (hidden, hidden), dtype)
-        params[f"gru.b_{gate}"] = np.zeros(hidden, dtype)
-    params.update(hyena.init_mlp(rng, (hidden, *mlp_widths, 1), dtype, "mlp."))
-    return params
+def param_shapes(hidden: int, mlp_widths=(64, 64, 32)) -> dict[str, tuple[int, ...]]:
+    """GRU (N_FEATURES -> hidden), then a ReLU MLP (hidden, *mlp_widths, 1), in order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for g in "zrh":
+        shapes.update({f"gru.w_{g}": (N_FEATURES, hidden), f"gru.u_{g}": (hidden, hidden),
+                       f"gru.b_{g}": (hidden,)})
+    shapes.update(hyena.mlp_shapes((hidden, *mlp_widths, 1), "mlp."))
+    return shapes
 
 
 def _gru_forward(f: np.ndarray, params: dict[str, np.ndarray]):

@@ -56,9 +56,9 @@ GEMM per batch row, slowest against a transposed weight, where one GEMM
 gets larger panels. A test pins its bits to those of the stacked
 products. Activations stay (B, L, .) between products.
 
-The dense-layer reverse pass ``linear_backward`` and the ReLU MLP helpers
-(``init_mlp``, ``mlp_forward``, ``mlp_backward``) also serve the DLN and
-the teacher.
+The dense-layer reverse pass ``linear_backward``, the ReLU MLP helpers
+(``mlp_shapes``, ``mlp_forward``, ``mlp_backward``) and ``init_dense``,
+which draws a shape table's arrays, also serve the DLN and the teacher.
 
 The long convolutions are FFT products computed with ``scipy.fft``, which
 transforms a float32 array in float32 and a float64 array in float64;
@@ -102,7 +102,7 @@ BLOCK = 1 << 16
 
 @dataclass
 class HyenaConfig:
-    """Student shape; ``trainer.model_config_from_run`` fills it from ``RunConfig``."""
+    """Student shape; ``config.model_config_from_run`` fills it from ``RunConfig``."""
 
     vocab_size: int
     dim: int
@@ -170,13 +170,20 @@ def linear_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
     return _gemm(dy, w.T), x.reshape(-1, x.shape[-1]).T @ dy2, dy2.sum(axis=0)
 
 
-def init_mlp(rng: np.random.Generator, widths, dtype, prefix: str = "") -> dict[str, np.ndarray]:
-    """Glorot ``{prefix}w{i}`` and zero ``{prefix}b{i}`` for i = 1..len(widths)-1."""
-    params: dict[str, np.ndarray] = {}
+def mlp_shapes(widths, prefix: str = "") -> dict[str, tuple[int, ...]]:
+    """``{prefix}w{i}`` (widths[i-1], widths[i]) and ``{prefix}b{i}``, i = 1..len(widths)-1."""
+    shapes: dict[str, tuple[int, ...]] = {}
     for i in range(1, len(widths)):
-        params[f"{prefix}w{i}"] = glorot(rng, (widths[i - 1], widths[i]), dtype)
-        params[f"{prefix}b{i}"] = np.zeros(widths[i], dtype)
-    return params
+        shapes[f"{prefix}w{i}"] = (widths[i - 1], widths[i])
+        shapes[f"{prefix}b{i}"] = (widths[i],)
+    return shapes
+
+
+def init_dense(seed: int, shapes: dict[str, tuple[int, ...]], dtype=np.float32):
+    """Glorot matrices and zero vectors for a shape table, drawn from ``seed`` in its order."""
+    rng = np.random.default_rng(seed)
+    return {name: glorot(rng, shape, dtype) if len(shape) == 2 else np.zeros(shape, dtype)
+            for name, shape in shapes.items()}
 
 
 def mlp_forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str = ""):

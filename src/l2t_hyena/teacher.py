@@ -6,8 +6,8 @@ vector and the weight it proposed with the student loss that actually
 resulted. Training draws rows with probability proportional to stored loss,
 fits the MLP prediction under Huber loss, and the trained predictor's
 sensitivity to the weight input is what the DLN descends. The predictor is a
-ReLU MLP built, run and differentiated by ``hyena.init_mlp``,
-``hyena.mlp_forward`` and ``hyena.mlp_backward``.
+ReLU MLP declared by ``param_shapes``, drawn by ``hyena.init_dense``, run by
+``hyena.mlp_forward`` and differentiated by ``hyena.mlp_backward``.
 """
 
 from __future__ import annotations
@@ -68,12 +68,9 @@ def sample_prioritized(mem: ReplayMemory, k: int, rng: np.random.Generator) -> n
     return rng.choice(mem.count, size=k, replace=True, p=weights / weights.sum())
 
 
-def init_teacher(
-    seed: int, summary_dim: int, hidden: int, dtype=np.float32
-) -> dict[str, np.ndarray]:
+def param_shapes(summary_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
     """3-layer ReLU MLP over [summary, weight] -> predicted student loss."""
-    rng = np.random.default_rng(seed)
-    return hyena.init_mlp(rng, (summary_dim + 1, hidden, hidden, 1), dtype)
+    return hyena.mlp_shapes((summary_dim + 1, hidden, hidden, 1))
 
 
 def huber(pred, target, delta: float):

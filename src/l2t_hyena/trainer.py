@@ -21,12 +21,12 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import checkpoint, corpus, dln, hyena, teacher
-from .config import RunConfig, echo_config, parse_config
+from .config import RunConfig, echo_config, model_config_from_run, parse_config
 from .errors import CheckpointError, DataError, NumericalError
 
 DECAY_FLOOR = 1e-6
@@ -195,13 +195,6 @@ def _component_seeds(seed: int) -> tuple[int, int, int, int]:
     return tuple(int(c.generate_state(1)[0]) for c in children)
 
 
-def model_config_from_run(run_cfg: RunConfig, vocab_size: int) -> hyena.HyenaConfig:
-    """The student's shape: every ``HyenaConfig`` field ``RunConfig`` shares by name."""
-    shared = {f.name: getattr(run_cfg, f.name) for f in fields(hyena.HyenaConfig)
-              if hasattr(run_cfg, f.name)}
-    return hyena.HyenaConfig(vocab_size=vocab_size, max_seq_len=run_cfg.seq_len, **shared)
-
-
 def init_train_state(
     run_cfg: RunConfig, vocab_size: int, batches_per_epoch: int
 ) -> TrainState:
@@ -209,10 +202,9 @@ def init_train_state(
     adam = (run_cfg.adam_beta1, run_cfg.adam_beta2, run_cfg.adam_eps)
     s_student, s_dln, s_teacher, s_sample = _component_seeds(run_cfg.seed)
     student = hyena.init_model(model_cfg, s_student)
-    dln_params = dln.init_dln(s_dln, hidden=run_cfg.dln_hidden)
-    teacher_params = teacher.init_teacher(
-        s_teacher, summary_dim=run_cfg.dln_hidden, hidden=run_cfg.teacher_hidden
-    )
+    dln_params = hyena.init_dense(s_dln, dln.param_shapes(run_cfg.dln_hidden))
+    teacher_params = hyena.init_dense(
+        s_teacher, teacher.param_shapes(run_cfg.dln_hidden, run_cfg.teacher_hidden))
     return TrainState(
         run_cfg=run_cfg,
         model_cfg=model_cfg,

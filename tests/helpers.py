@@ -21,10 +21,12 @@ stacked 3-D matmul (``reference_forward``/``reference_backward``,
 per-position GRU with its ``np.outer`` BPTT
 (``gru_reference``/``gru_reference_grads``), the student initializer that
 spelled out every block array
-(``reference_init_model``), and the ``build_vocab`` that evicted the tail to
-seat the specials (``reference_build_vocab``), the replay memory as a
-bounded deque of ``ReferenceExperience`` records with its push, sampler and
-teacher step (``reference_push_experience``, ``reference_sample_prioritized``,
+(``reference_init_model``), the DLN's and teacher's initializers with their
+own draw loops (``reference_init_dln``, ``reference_init_teacher``), and the
+``build_vocab`` that evicted the tail to seat the specials
+(``reference_build_vocab``), the replay memory as a bounded deque of
+``ReferenceExperience`` records with its push, sampler and teacher step
+(``reference_push_experience``, ``reference_sample_prioritized``,
 ``reference_teacher_step``), and the whole-array loss, norm and optimizer
 passes that the library now walks in blocks: the (B, L, V) softmax with its
 features and dlogits (``reference_softmax_xent``,
@@ -44,8 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from l2t_hyena import corpus, hyena, teacher, trainer
-from l2t_hyena.config import RunConfig
+from l2t_hyena import corpus, dln, hyena, teacher, trainer
+from l2t_hyena.config import RunConfig, model_config_from_run
 from l2t_hyena.errors import DataError, NumericalError
 
 
@@ -465,7 +467,7 @@ def overflowing_checkpoint_header() -> bytes:
 
 def paper_student_config(vocab_size: int, **overrides) -> hyena.HyenaConfig:
     """The student of the default ``RunConfig`` with ``overrides`` applied."""
-    cfg = trainer.model_config_from_run(RunConfig(), vocab_size)
+    cfg = model_config_from_run(RunConfig(), vocab_size)
     return dataclasses.replace(cfg, **overrides)
 
 
@@ -517,6 +519,32 @@ def reference_init_model(cfg: hyena.HyenaConfig, seed: int, dtype=np.float32):
     params["final_norm_g"] = np.ones(D, dtype)
     params["final_norm_b"] = np.zeros(D, dtype)
     return params
+
+
+def _reference_init_mlp(rng, widths, dtype, prefix=""):
+    params = {}
+    for i in range(1, len(widths)):
+        params[f"{prefix}w{i}"] = hyena.glorot(rng, (widths[i - 1], widths[i]), dtype)
+        params[f"{prefix}b{i}"] = np.zeros(widths[i], dtype)
+    return params
+
+
+def reference_init_dln(seed: int, hidden: int, mlp_widths=(64, 64, 32), dtype=np.float32):
+    """The DLN initializer with its per-gate loop, then the MLP's layers, drawn in order."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for gate in ("z", "r", "h"):
+        params[f"gru.w_{gate}"] = hyena.glorot(rng, (dln.N_FEATURES, hidden), dtype)
+        params[f"gru.u_{gate}"] = hyena.glorot(rng, (hidden, hidden), dtype)
+        params[f"gru.b_{gate}"] = np.zeros(hidden, dtype)
+    params.update(_reference_init_mlp(rng, (hidden, *mlp_widths, 1), dtype, "mlp."))
+    return params
+
+
+def reference_init_teacher(seed: int, summary_dim: int, hidden: int, dtype=np.float32):
+    """The teacher initializer: a (summary_dim + 1, hidden, hidden, 1) MLP's layers in order."""
+    rng = np.random.default_rng(seed)
+    return _reference_init_mlp(rng, (summary_dim + 1, hidden, hidden, 1), dtype)
 
 
 def reference_build_vocab(lines, max_size: int) -> list[str]:

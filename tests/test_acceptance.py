@@ -138,7 +138,7 @@ def test_gradient_checks():
     n_student = sum(p.size for p in params.values())
 
     # DLN: GRU and MLP together.
-    dparams = dln.init_dln(seed=7, hidden=4, mlp_widths=(6, 6, 4), dtype=np.float64)
+    dparams = hyena.init_dense(7, dln.param_shapes(4, (6, 6, 4)), np.float64)
     f = rng.standard_normal((3, 5))
     upstream = 1.7
     dgrads = dln.dln_grads(dln.dln_forward(f, dparams), dparams, upstream)
@@ -150,7 +150,7 @@ def test_gradient_checks():
     n_dln = sum(p.size for p in dparams.values())
 
     # Teacher MLP, plus its derivative w.r.t. the weight input.
-    tparams = teacher.init_teacher(seed=9, summary_dim=4, hidden=8, dtype=np.float64)
+    tparams = hyena.init_dense(9, teacher.param_shapes(4, 8), np.float64)
     mem = teacher.ReplayMemory(10, 4, np.float64)
     for _ in range(6):
         teacher.push_experience(

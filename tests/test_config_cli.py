@@ -183,9 +183,10 @@ class TestTrainCommand:
         assert err == f"config error: out of memory: {shown}\n"
 
     def test_out_of_memory_exits_config_in_new_process(self, tiny_flags, tmp_path):
-        # The child caps its address space, so the 4 GiB request fails at once
-        # instead of meeting a host that overcommits. A larger dim is rejected
-        # before any allocation, by validate_config's index-range check.
+        # The child caps its address space, so the first large request fails
+        # at once instead of meeting a host that overcommits. At dim 2**29
+        # block0.mlp_w1 would take 2**63 bytes, which validate_config rejects
+        # before any allocation.
         import resource
 
         cap = 3_000_000_000
@@ -193,7 +194,7 @@ class TestTrainCommand:
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-        proc = self._train_in_new_process(tiny_flags, tmp_path, "536870912", limit)
+        proc = self._train_in_new_process(tiny_flags, tmp_path, str(2 ** 28), limit)
         assert proc.returncode == ConfigError.exit_code, proc.stderr
         assert proc.stderr.startswith("config error: out of memory: Unable to allocate")
         assert "Traceback" not in proc.stderr
@@ -212,16 +213,18 @@ class TestTrainCommand:
         )
 
     @pytest.mark.parametrize("flag, value, array", [
-        ("--dim", 2 ** 62, "tok_emb"),
+        ("--dim", 2 ** 62, "student/tok_emb"),
         ("--max-vocab", 10 ** 16, "logits"),
-        ("--mlp-expansion", 2 ** 55, "MLP activations"),
-        ("--order", 2 ** 55, "w_in"),
+        ("--mlp-expansion", 2 ** 55, "student/block0.mlp_w1"),
+        ("--order", 2 ** 55, "student/block0.w_in"),
         ("--buffer-capacity", 2 ** 60, "replay memory"),
-        ("--order", 6 * 10 ** 15, "w_in"),  # 8-byte elements only: drawn in float64
-        ("--short-kernel", 2 ** 62 - 1, "short_kernels"),
-        ("--filter-hidden", 2 ** 62, "filt_w1"),
-        ("--filter-pos-dim", 2 ** 62 - 1, "filt_w1"),
-        ("--teacher-hidden", 2 ** 62, "teacher w1"),
+        ("--order", 6 * 10 ** 15, "student/block0.w_in"),  # 8 bytes: drawn in float64
+        ("--short-kernel", 2 ** 62 - 1, "student/block0.short_kernels"),
+        ("--filter-hidden", 2 ** 62, "student/block0.filt_w1"),
+        ("--filter-pos-dim", 2 ** 62 - 1, "student/block0.filt_w1"),
+        ("--dln-hidden", 2 ** 31, "dln/gru.u_z"),
+        ("--teacher-hidden", 2 ** 62, "teacher/w1"),
+        ("--teacher-hidden", 2 ** 31, "teacher/w2"),
         ("--teacher-k", 2 ** 62, "teacher batch"),
     ])
     def test_array_past_index_range_exits_config(self, tiny_flags, tmp_path, capsys,
@@ -239,7 +242,7 @@ class TestTrainCommand:
     def test_array_past_index_range_exits_config_in_new_process(self, tiny_flags, tmp_path):
         proc = self._train_in_new_process(tiny_flags, tmp_path, "4611686018427387904")
         assert proc.returncode == ConfigError.exit_code, proc.stderr
-        assert proc.stderr.startswith("config error: tok_emb would take ")
+        assert proc.stderr.startswith("config error: student/tok_emb would take ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     def test_resolved_config_reproduces_run_config(self, tiny_run):
@@ -351,7 +354,7 @@ class TestEvalCommand:
     def test_diverged_model_exits_numerical(self, tiny_flags, tmp_path):
         cfg = config.resolve_config(flag_values=tiny_flags())
         vocab = corpus.build_vocab(corpus.read_lines(cfg.train_path), cfg.max_vocab)
-        params = hyena.init_model(trainer.model_config_from_run(cfg, len(vocab)), seed=0)
+        params = hyena.init_model(config.model_config_from_run(cfg, len(vocab)), seed=0)
         params["tok_emb"] *= 1e5
         ckpt = _hand_built_run(tmp_path, cfg, vocab,
                                {"student/" + k: v for k, v in params.items()}, "diverged.l2th")
@@ -363,7 +366,7 @@ class TestEvalCommand:
     def test_nan_weight_exits_checkpoint(self, tiny_flags, tmp_path):
         cfg = config.resolve_config(flag_values=tiny_flags())
         vocab = corpus.build_vocab(corpus.read_lines(cfg.train_path), cfg.max_vocab)
-        params = hyena.init_model(trainer.model_config_from_run(cfg, len(vocab)), seed=0)
+        params = hyena.init_model(config.model_config_from_run(cfg, len(vocab)), seed=0)
         params["block0.w_out"][2, 3] = np.nan
         ckpt = _hand_built_run(tmp_path, cfg, vocab,
                                {"student/" + k: v for k, v in params.items()}, "nan.l2th")

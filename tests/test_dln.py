@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import finite_diff_failures, gru_reference, gru_reference_grads
+from helpers import (
+    finite_diff_failures,
+    gru_reference,
+    gru_reference_grads,
+    reference_init_dln,
+)
 
 from l2t_hyena import dln, hyena
 
@@ -119,9 +124,20 @@ class TestNormalizeFeatures:
         assert np.all(d1 < d0) and np.all(d2 < d1)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden, mlp_widths", [(32, (64, 64, 32)), (4, (6,))])
+def test_init_matches_per_gate_draws(hidden, mlp_widths, dtype):
+    # The shape table and init_dense draw what the per-gate loop drew, bit for bit.
+    params = hyena.init_dense(11, dln.param_shapes(hidden, mlp_widths), dtype)
+    ref = reference_init_dln(11, hidden, mlp_widths, dtype)
+    assert list(params) == list(ref)
+    for k in ref:
+        assert params[k].dtype == dtype and np.array_equal(params[k], ref[k]), k
+
+
 class TestDlnForward:
     def test_zeroed_final_layer_gives_half(self):
-        params = dln.init_dln(seed=1, hidden=32)
+        params = hyena.init_dense(1, dln.param_shapes(32))
         params["mlp.w4"][:] = 0.0
         params["mlp.b4"][:] = 0.0
         f = np.random.default_rng(7).standard_normal((4, 5)).astype(np.float32)
@@ -132,39 +148,39 @@ class TestDlnForward:
     def test_weight_strictly_in_unit_interval(self):
         rng = np.random.default_rng(8)
         for seed in range(10):
-            params = dln.init_dln(seed=seed, hidden=32)
+            params = hyena.init_dense(seed, dln.param_shapes(32))
             f = (rng.standard_normal((5, 5)) * rng.uniform(0.1, 20)).astype(np.float32)
             lam = dln.dln_forward(f, params).lam
             assert 0.0 < lam < 1.0
 
     def test_sequence_sensitivity(self):
-        params = dln.init_dln(seed=2, hidden=32, dtype=np.float64)
+        params = hyena.init_dense(2, dln.param_shapes(32), np.float64)
         row = np.random.default_rng(9).standard_normal((1, 5))
         s1 = dln.dln_forward(row, params).hs[-1]
         s2 = dln.dln_forward(np.vstack([row, row]), params).hs[-1]
         assert not np.allclose(s1, s2)
 
     def test_hidden_state_bounded(self):
-        params = dln.init_dln(seed=3, hidden=32, dtype=np.float64)
+        params = hyena.init_dense(3, dln.param_shapes(32), np.float64)
         f = np.random.default_rng(10).standard_normal((50, 5)) * 5.0
         summary = dln.dln_forward(f, params).hs[-1]
         assert np.all(np.abs(summary) < 1.0)
 
     def test_empty_sequence_rejected(self):
-        params = dln.init_dln(seed=4, hidden=32)
+        params = hyena.init_dense(4, dln.param_shapes(32))
         with pytest.raises(Exception):
             dln.dln_forward(np.zeros((0, 5)), params)
 
 
 class TestDlnGrads:
     def test_zero_upstream(self):
-        params = dln.init_dln(seed=5, hidden=32, dtype=np.float64)
+        params = hyena.init_dense(5, dln.param_shapes(32), np.float64)
         f = np.random.default_rng(11).standard_normal((3, 5))
         grads = dln.dln_grads(dln.dln_forward(f, params), params, 0.0)
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_runs_back_through_the_tape_only(self, monkeypatch):
-        params = dln.init_dln(seed=8, hidden=32, dtype=np.float64)
+        params = hyena.init_dense(8, dln.param_shapes(32), np.float64)
         f = np.random.default_rng(14).standard_normal((4, 5))
         tape = dln.dln_forward(f, params)
         expected = dln.dln_grads(tape, params, 0.9)
@@ -179,7 +195,7 @@ class TestDlnGrads:
             assert np.array_equal(grads[k], expected[k]), k
 
     def test_upstream_linearity(self):
-        params = dln.init_dln(seed=6, hidden=32, dtype=np.float64)
+        params = hyena.init_dense(6, dln.param_shapes(32), np.float64)
         f = np.random.default_rng(12).standard_normal((3, 5))
         tape = dln.dln_forward(f, params)
         g1 = dln.dln_grads(tape, params, 1.3)
@@ -192,8 +208,7 @@ class TestDlnGrads:
     @pytest.mark.parametrize("mlp_widths", [(6,), (6, 6, 4), (6, 6, 6, 4)],
                              ids=["6", "6-6-4", "6-6-6-4"])
     def test_finite_difference_agreement(self, mlp_widths):
-        params = dln.init_dln(seed=7, hidden=4, mlp_widths=mlp_widths,
-                              dtype=np.float64)
+        params = hyena.init_dense(7, dln.param_shapes(4, mlp_widths), np.float64)
         f = np.random.default_rng(13).standard_normal((3, 5))
         upstream = 1.7
         grads = dln.dln_grads(dln.dln_forward(f, params), params, upstream)
@@ -216,7 +231,7 @@ class TestGruOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("L", [1, 2, 33, 1024])
     def test_matches_per_position_reference(self, L, dtype):
-        params = dln.init_dln(seed=9, hidden=32, dtype=dtype)
+        params = hyena.init_dense(9, dln.param_shapes(32), dtype)
         f = np.random.default_rng(L).standard_normal((L, 5)).astype(dtype)
         upstream = 0.9
         tape = dln.dln_forward(f, params)

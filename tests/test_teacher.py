@@ -7,13 +7,14 @@ from scipy import stats
 from helpers import (
     ReferenceExperience,
     finite_diff_failures,
+    reference_init_teacher,
     reference_push_experience,
     reference_sample_prioritized,
     reference_teacher_step,
     teacher_predict,
 )
 
-from l2t_hyena import teacher
+from l2t_hyena import hyena, teacher
 from l2t_hyena.errors import NumericalError
 
 
@@ -136,7 +137,7 @@ def test_memory_matches_deque_reference(capacity, dtype):
     """Pushes, eviction, sampled rows and teacher steps equal the deque's, bit for bit."""
     dim, k = 6, 32
     rng = np.random.default_rng(capacity)
-    params = teacher.init_teacher(seed=1, summary_dim=dim, hidden=8, dtype=dtype)
+    params = hyena.init_dense(1, teacher.param_shapes(dim, 8), dtype)
     mem = teacher.ReplayMemory(capacity, dim, dtype)
     ref = deque(maxlen=capacity)
     n_push = capacity + capacity // 2 + 5
@@ -170,23 +171,31 @@ def test_memory_matches_deque_reference(capacity, dtype):
             assert np.array_equal(grads[name], ref_grads[name]), name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_matches_layer_by_layer_draws(dtype):
+    params = hyena.init_dense(4, teacher.param_shapes(6, 16), dtype)
+    ref = reference_init_teacher(4, 6, 16, dtype)
+    assert list(params) == list(ref)
+    for k in ref:
+        assert params[k].dtype == dtype and np.array_equal(params[k], ref[k]), k
+
+
 class TestPredict:
     def test_zero_weights_zero_output(self):
-        params = teacher.init_teacher(seed=0, summary_dim=4, hidden=8)
+        params = hyena.init_dense(0, teacher.param_shapes(4, 8))
         for v in params.values():
             v[:] = 0.0
         assert teacher_predict(np.ones(4), 0.7, params) == 0.0
 
     def test_bit_identical_repeat(self):
-        params = teacher.init_teacher(seed=1, summary_dim=4, hidden=8)
+        params = hyena.init_dense(1, teacher.param_shapes(4, 8))
         s = np.random.default_rng(2).standard_normal(4)
         assert teacher_predict(s, 0.3, params) == teacher_predict(
             s, 0.3, params
         )
 
     def test_lipschitz_in_lambda(self):
-        params = teacher.init_teacher(seed=3, summary_dim=4, hidden=8,
-                                      dtype=np.float64)
+        params = hyena.init_dense(3, teacher.param_shapes(4, 8), np.float64)
         lip = 1.0
         for w in ("w1", "w2", "w3"):
             lip *= np.linalg.svd(params[w], compute_uv=False)[0]
@@ -224,7 +233,7 @@ class TestHuber:
 
 class TestTeacherStep:
     def test_zero_teacher_loss_composition(self):
-        params = teacher.init_teacher(seed=0, summary_dim=4, hidden=8)
+        params = hyena.init_dense(0, teacher.param_shapes(4, 8))
         for v in params.values():
             v[:] = 0.0
         mem = _memory(5)
@@ -234,7 +243,7 @@ class TestTeacherStep:
         assert hub == pytest.approx(1.5, abs=1e-12)
 
     def test_deterministic_given_rng(self):
-        params = teacher.init_teacher(seed=1, summary_dim=4, hidden=8)
+        params = hyena.init_dense(1, teacher.param_shapes(4, 8))
         mem = _memory(5)
         for i in range(4):
             _push(mem, 1.0 + i, lam=float(i), seed=i)
@@ -245,8 +254,7 @@ class TestTeacherStep:
             assert np.array_equal(g1[k], g2[k])
 
     def test_finite_difference_agreement(self):
-        params = teacher.init_teacher(seed=2, summary_dim=4, hidden=8,
-                                      dtype=np.float64)
+        params = hyena.init_dense(2, teacher.param_shapes(4, 8), np.float64)
         mem = _memory(10)
         rng = np.random.default_rng(5)
         for i in range(6):
@@ -274,14 +282,13 @@ class TestTeacherStep:
 
 class TestDlnFeedback:
     def test_zero_teacher_gives_zero_feedback(self):
-        params = teacher.init_teacher(seed=0, summary_dim=4, hidden=8)
+        params = hyena.init_dense(0, teacher.param_shapes(4, 8))
         for v in params.values():
             v[:] = 0.0
         assert teacher.dln_feedback(np.ones(4), 0.5, params) == 0.0
 
     def test_matches_finite_difference(self):
-        params = teacher.init_teacher(seed=1, summary_dim=6, hidden=16,
-                                      dtype=np.float64)
+        params = hyena.init_dense(1, teacher.param_shapes(6, 16), np.float64)
         s = np.random.default_rng(2).standard_normal(6)
         lam = 0.4
         fb = teacher.dln_feedback(s, lam, params)
@@ -293,7 +300,7 @@ class TestDlnFeedback:
         assert abs(fb - fd) < 1e-6
 
     def test_bit_identical_with_frozen_teacher(self):
-        params = teacher.init_teacher(seed=3, summary_dim=4, hidden=8)
+        params = hyena.init_dense(3, teacher.param_shapes(4, 8))
         s = np.random.default_rng(4).standard_normal(4)
         assert teacher.dln_feedback(s, 0.3, params) == teacher.dln_feedback(
             s, 0.3, params
@@ -305,8 +312,7 @@ class TestDlnFeedback:
         from l2t_hyena import dln as dln_mod
 
         rng = np.random.default_rng(10)
-        params = teacher.init_teacher(seed=5, summary_dim=32, hidden=16,
-                                      dtype=np.float64)
+        params = hyena.init_dense(5, teacher.param_shapes(32, 16), np.float64)
         mem = _memory(200, dim=32)
         for _ in range(200):
             lam = float(rng.uniform(0.05, 0.95))
@@ -321,7 +327,7 @@ class TestDlnFeedback:
         slope = teacher.dln_feedback(s_probe, 0.5, params)
         assert slope > 0  # teacher learned: higher weight -> higher loss
 
-        dln_params = dln_mod.init_dln(seed=6, hidden=32, dtype=np.float64)
+        dln_params = hyena.init_dense(6, dln_mod.param_shapes(32), np.float64)
         f = rng.standard_normal((4, 5))
         tape = dln_mod.dln_forward(f, dln_params)
         lam0 = tape.lam

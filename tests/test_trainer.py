@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import os
@@ -8,7 +9,7 @@ import pytest
 
 from helpers import RUN_DIR_FILES, csv_column, paper_student_config, run_dir_files
 
-from l2t_hyena import config, corpus, dln, hyena, trainer
+from l2t_hyena import config, corpus, dln, hyena, teacher, trainer
 from l2t_hyena.errors import NumericalError
 
 
@@ -192,6 +193,33 @@ def test_each_component_gets_its_own_optimizer_settings(tiny_flags, tmp_path):
     assert state.buffer.loss.shape == (40,) and len(state.buffer) == 0
 
 
+def test_state_arrays_are_the_shape_tables(tiny_flags, tmp_path):
+    # validate_config prices these tables, so they must be what is allocated.
+    cfg = _tiny_run_config(tiny_flags, tmp_path, n_blocks=2)
+    state = trainer.init_train_state(cfg, vocab_size=50, batches_per_epoch=3)
+    tables = {"student/": hyena.param_shapes(state.model_cfg),
+              "dln/": dln.param_shapes(cfg.dln_hidden),
+              "teacher/": teacher.param_shapes(cfg.dln_hidden, cfg.teacher_hidden)}
+    expected = [(p + k, s) for p, t in tables.items() for k, s in t.items()]
+    arrays = trainer.archive_arrays(state)
+    assert [(k, a.shape) for k, a in arrays.items() if not k.startswith("norm/")] == expected
+
+
+def _state_checksum(state):
+    """Every array and counter a training step reads or writes."""
+    arrays = dict(trainer.archive_arrays(state))
+    for name in ("opt_student", "opt_dln", "opt_teacher"):
+        opt = getattr(state, name)
+        arrays.update((f"{name}/m/{k}", v) for k, v in opt.m.items())
+        arrays.update((f"{name}/v/{k}", v) for k, v in opt.v.items())
+        arrays[f"{name}/t"] = np.array(opt.t)
+    mem = state.buffer
+    arrays.update({"buffer/summary": mem.summary, "buffer/lam": mem.lam,
+                   "buffer/loss": mem.loss, "buffer/count": np.array(mem.count),
+                   "step": np.array(state.step)})
+    return _params_checksum(arrays), repr(state.sample_rng.bit_generator.state)
+
+
 class TestTrainStep:
     def _state_and_batch(self, tiny_flags, tmp_path, **overrides):
         cfg = _tiny_run_config(tiny_flags, tmp_path, **overrides)
@@ -258,6 +286,22 @@ class TestTrainStep:
         state.student["tok_emb"][0, 0] = np.nan
         with pytest.raises(NumericalError, match="step 17"):
             trainer.train_step(state, batches[0])
+
+    def test_deep_copy_trains_bit_identically_and_apart(self, tiny_flags, tmp_path):
+        # Benchmarks replay steps from deep copies of a warmed-up state.
+        state, batches = self._state_and_batch(tiny_flags, tmp_path,
+                                               activation_threshold=2)
+        for i in range(3):
+            trainer.train_step(state, batches[i % len(batches)])
+        before = _state_checksum(state)
+        twin = copy.deepcopy(state)
+        assert _state_checksum(twin) == before
+        later = [batches[i % len(batches)] for i in range(3, 7)]
+        twin_metrics = [trainer.train_step(twin, b) for b in later]
+        assert all(m["teacher_active"] for m in twin_metrics)
+        assert _state_checksum(state) == before
+        assert [trainer.train_step(state, b) for b in later] == twin_metrics
+        assert _state_checksum(state) == _state_checksum(twin) != before
 
 
 class TestTrainLoop:
