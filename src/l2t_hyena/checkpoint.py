@@ -79,13 +79,8 @@ def load_archive(path: str) -> dict[str, np.ndarray]:
         version = _read_u32(fh, "version")
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        while True:
-            head = fh.read(4)
-            if head == b"":
-                break
-            if len(head) != 4:
-                raise CheckpointError("truncated checkpoint while reading name length")
-            (name_len,) = struct.unpack("<I", head)
+        while fh.tell() < size:
+            name_len = _read_u32(fh, "name length")
             if name_len == 0 or name_len > _MAX_NAME_LEN:
                 raise CheckpointError(f"implausible name length {name_len}")
             try:

@@ -32,15 +32,15 @@ is one flat tuple, built in ``forward`` and unpacked in ``_backward``:
 
 ``ln1``/``ln2`` are the layer norms' ``(xhat, inv)``; ``z`` is the input
 projection before the short conv and ``streams`` the ``order + 1`` views
-of its output; ``filt`` is ``generate_filters``' cache, which holds the
-taps ``h``; ``convs`` are the long convolutions' outputs; ``u1`` is the
-MLP's pre-activation and ``phi`` its GELU's normal CDF. What one
-elementwise pass rebuilds bit for bit is not kept: ``_backward`` recomputes
-the layer norms' outputs ``a``/``c`` as ``g * xhat + b`` and the gated
-products ``zs`` (the long convolutions' inputs, then the gated output) as
-``streams[n + 1] * convs[n]``, as ``forward`` computed them. It pops each
-block's tuple off the cache, so a block's arrays are freed once its
-reverse pass ends, and a cache serves one reverse pass.
+of its output; ``filt`` is ``generate_filters``' cache: the taps ``h``,
+and ``t / L`` as a view of the features; ``convs`` are the long
+convolutions' outputs; ``u1`` is the MLP's pre-activation and ``phi`` its
+GELU's normal CDF. What one elementwise pass rebuilds bit for bit is not
+kept: ``_backward`` recomputes the layer norms' outputs ``a``/``c`` as
+``g * xhat + b`` and each gated product ``streams[n + 1] * convs[n]``
+where it is used, and writes the stream gradients in place into one
+(B, L, C) array. It pops each block's tuple off the cache, so a block's
+arrays are freed once its reverse pass ends; a cache serves one reverse pass.
 
 ``_normal_cdf`` computes ``phi``. In float64 it is SciPy's exact ``erf``,
 which the float64 gradient checks need. In float32 it is a rational ``erf``
@@ -139,14 +139,12 @@ def param_shapes(cfg: HyenaConfig) -> dict[str, tuple[int, ...]]:
         shapes.update({
             p + "w_in": (D, C), p + "b_in": (C,),
             p + "short_kernels": (C, k),
-            p + "filt_w1": (P, F), p + "filt_b1": (F,),
-            p + "filt_w2": (F, N * D), p + "filt_b2": (N * D,),
+            **mlp_shapes((P, F, N * D), p + "filt_"),
             p + "decay": (N, D),
             p + "w_out": (D, D), p + "b_out": (D,),
             p + "norm1_g": (D,), p + "norm1_b": (D,),
             p + "norm2_g": (D,), p + "norm2_b": (D,),
-            p + "mlp_w1": (D, E), p + "mlp_b1": (E,),
-            p + "mlp_w2": (E, D), p + "mlp_b2": (D,),
+            **mlp_shapes((D, E, D), p + "mlp_"),
         })
     shapes["final_norm_g"] = (D,)
     shapes["final_norm_b"] = (D,)
@@ -275,15 +273,14 @@ def generate_filters(bp: dict[str, np.ndarray], L: int):
     its arguments; repeated calls are bit-identical.
     """
     w1, decay = bp["filt_w1"], bp["decay"]
-    dtype = w1.dtype
     N, D = decay.shape
-    feats = positional_filter_features(L, w1.shape[0]).astype(dtype)
+    feats = positional_filter_features(L, w1.shape[0]).astype(w1.dtype)
     s1 = feats @ w1 + bp["filt_b1"]
     sin1 = np.sin(s1)
     raw = (sin1 @ bp["filt_w2"] + bp["filt_b2"]).reshape(L, N, D).transpose(1, 0, 2)
-    t_frac = (np.arange(L, dtype=np.float64) / max(L, 1)).astype(dtype)[None, :, None]
+    t_frac = feats[None, :, :1]  # column 0 holds t / L
     win = np.exp(-decay[:, None, :] * t_frac)
-    h = (raw * win).astype(dtype, copy=False)
+    h = raw * win
     cache = (feats, s1, sin1, win, h, t_frac)
     return h, cache
 
@@ -485,12 +482,12 @@ def forward(
         zc = short_conv(z, bp["short_kernels"])
         streams = [zc[:, :, n * D : (n + 1) * D] for n in range(cfg.order + 1)]
         h, filt = generate_filters(bp, L)
-        zs = [streams[0]]  # z^1 = v, then each gated conv output
+        gated = streams[0]  # z^1 = v, then each gated conv output
         convs = []
         for n in range(cfg.order):
-            convs.append(fft_causal_conv(zs[-1], h[n]))
-            zs.append(streams[n + 1] * convs[-1])
-        x = x + (_gemm(zs[-1], bp["w_out"]) + bp["b_out"])
+            convs.append(fft_causal_conv(gated, h[n]))
+            gated = streams[n + 1] * convs[-1]
+        x = x + (_gemm(gated, bp["w_out"]) + bp["b_out"])
         # x + mlp(norm2(x)), GELU through its normal CDF phi.
         c, ln2 = _layer_norm(x, bp["norm2_g"], bp["norm2_b"])
         u1 = _gemm(c, bp["mlp_w1"]) + bp["mlp_b1"]
@@ -535,7 +532,7 @@ def _backward(
         g: dict[str, np.ndarray] = {}  # this block's gradients, in clip_grad_norm's order
 
         # The MLP and norm2, then the operator and norm1, each in reverse;
-        # c, zs and a are rebuilt by forward's own expressions, bit for bit.
+        # c, the gated products and a are rebuilt by forward's own expressions.
         dg1, g["mlp_w2"], g["mlp_b2"] = linear_backward(dx, u1 * phi, bp["mlp_w2"])
         c = bp["norm2_g"] * ln2[0] + bp["norm2_b"]
         dc, g["mlp_w1"], g["mlp_b1"] = linear_backward(
@@ -544,22 +541,20 @@ def _backward(
         dln2, g["norm2_g"], g["norm2_b"] = _layer_norm_backward(dc, ln2, bp["norm2_g"])
         dx = dx + dln2
 
-        zs = [streams[0]]
-        for n in range(len(convs)):
-            zs.append(streams[n + 1] * convs[n])
-        dcur, g["w_out"], g["b_out"] = linear_backward(dx, zs[-1], bp["w_out"])
-        dstreams = [None] * len(streams)
+        N, D = len(convs), dx.shape[-1]
+        dcur, g["w_out"], g["b_out"] = linear_backward(dx, streams[N] * convs[N - 1], bp["w_out"])
+        # Each stream's gradient goes straight into its slice of dzc.
+        dzc = np.empty_like(z)
         dh = np.empty_like(h)
-        for n in range(len(convs) - 1, -1, -1):
-            dstreams[n + 1] = dcur * convs[n]
-            dcur, dh[n] = _fft_causal_conv_backward(dcur * streams[n + 1], zs[n], h[n])
-        dstreams[0] = dcur
+        for n in range(N - 1, -1, -1):
+            np.multiply(dcur, convs[n], out=dzc[:, :, (n + 1) * D : (n + 2) * D])
+            u = streams[n] * convs[n - 1] if n else streams[0]
+            dcur, dh[n] = _fft_causal_conv_backward(dcur * streams[n + 1], u, h[n])
+        dzc[:, :, :D] = dcur
         g["filt_w1"], g["filt_b1"], g["filt_w2"], g["filt_b2"], g["decay"] = (
             _generate_filters_backward(dh, filt, bp)
         )
-        dz, g["short_kernels"] = _short_conv_backward(
-            np.concatenate(dstreams, axis=2), z, bp["short_kernels"]
-        )
+        dz, g["short_kernels"] = _short_conv_backward(dzc, z, bp["short_kernels"])
         a = bp["norm1_g"] * ln1[0] + bp["norm1_b"]
         da, g["w_in"], g["b_in"] = linear_backward(dz, a, bp["w_in"])
         dln1, g["norm1_g"], g["norm1_b"] = _layer_norm_backward(da, ln1, bp["norm1_g"])

@@ -68,6 +68,17 @@ def test_truncated_archive(tmp_path):
             checkpoint.load_archive(bad)
 
 
+@pytest.mark.parametrize("stray", [1, 2, 3])
+def test_stray_bytes_after_last_array(tmp_path, stray):
+    # Fewer than four bytes where the next array's name length would start.
+    path = tmp_path / "a.l2th"
+    checkpoint.save_archive(_sample_arrays(), path)
+    path.write_bytes(path.read_bytes() + b"\x01" * stray)
+    with pytest.raises(CheckpointError,
+                       match="truncated checkpoint while reading name length"):
+        checkpoint.load_archive(path)
+
+
 def test_failed_write_leaves_previous_archive_intact(tmp_path):
     path = tmp_path / "a.l2th"
     checkpoint.save_archive(_sample_arrays(), path)

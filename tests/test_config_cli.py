@@ -398,6 +398,13 @@ class TestEvalCommand:
         rc = cli.main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "e")])
         assert rc == CheckpointError.exit_code
 
+    def test_stray_trailing_byte_exits_checkpoint(self, tiny_run, tmp_path, capsys):
+        bad = tmp_path / "stray.l2th"
+        bad.write_bytes((tiny_run.out / "best.l2th").read_bytes() + b"\x00")
+        rc = cli.main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "e")])
+        assert rc == CheckpointError.exit_code == 5
+        assert "while reading name length" in capsys.readouterr().err
+
     @pytest.mark.parametrize("is_dir", [False, True], ids=["missing", "directory"])
     def test_unreadable_checkpoint_exits_checkpoint(self, tmp_path, capsys, is_dir):
         # Nothing else is beside it: the checkpoint is read before the run's files.

@@ -418,7 +418,7 @@ class TestStudentLoss:
         D, N, e = cfg.dim, cfg.order, cfg.mlp_expansion
         P, F = cfg.filter_pos_dim, cfg.filter_hidden
         block = s * (B * L * D * (3 * N + 4 + 2 * e) + 2 * B * L + L * P
-                     + 2 * L * F + 2 * N * L * D + L)
+                     + 2 * L * F + 2 * N * L * D)
         rest = tokens.nbytes + s * (2 * B * L * D + B * L)
         assert cache_nbytes(cache) == cfg.n_blocks * block + rest
 
