@@ -14,12 +14,14 @@ C order):
 
 Arrays are written in sorted-name order, so save -> load -> save is
 byte-identical. Saving writes ``path + ".tmp"`` and renames it over ``path``,
-so a failed or killed write leaves the previous archive intact. Loading
-rejects any array that holds nan or inf.
+so a failed or killed write leaves the previous archive intact; a write that
+raises removes the ``.tmp`` file before re-raising. Loading rejects any array
+that holds nan or inf.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -38,20 +40,25 @@ _MAX_RANK = 32
 
 def save_archive(arrays: dict[str, np.ndarray], path: str) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        for name in sorted(arrays):
-            # np.asarray keeps rank-0 arrays rank 0 (ascontiguousarray does not).
-            arr = np.asarray(arrays[name], dtype="<f4", order="C")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(arr.data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            for name in sorted(arrays):
+                # np.asarray keeps rank-0 arrays rank 0 (ascontiguousarray does not).
+                arr = np.asarray(arrays[name], dtype="<f4", order="C")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", arr.ndim))
+                for dim in arr.shape:
+                    fh.write(struct.pack("<I", dim))
+                fh.write(arr.data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:

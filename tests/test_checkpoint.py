@@ -1,3 +1,5 @@
+import errno
+import io
 import struct
 
 import numpy as np
@@ -86,7 +88,23 @@ def test_failed_write_leaves_previous_archive_intact(tmp_path):
     # Sorted first, "a" is written before "z" fails to convert to float32.
     with pytest.raises(ValueError):
         checkpoint.save_archive({"a": np.ones(3, np.float32), "z": "not an array"}, path)
-    assert (tmp_path / "a.l2th.tmp").read_bytes()[:4] == b"L2TH"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.l2th"]
+    assert path.read_bytes() == before
+
+
+class _FullDisk(io.FileIO):
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_full_disk_leaves_no_tmp_file(tmp_path, monkeypatch):
+    path = tmp_path / "a.l2th"
+    checkpoint.save_archive(_sample_arrays(), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        checkpoint.save_archive(_sample_arrays(), path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.l2th"]
     assert path.read_bytes() == before
 
 

@@ -1,4 +1,4 @@
-"""Peak RSS and step times of full-size training steps, one process per mode.
+"""Peak RSS, step times and page faults of full-size training steps, one process per mode.
 
     python3 tools/full_size_step.py              # 2 steps per mode
     python3 tools/full_size_step.py --steps 4
@@ -13,10 +13,13 @@ mode's. A process sets up the run as ``train`` does (read, vocabulary,
 encode, batches, ``init_train_state``), then times ``--steps`` calls of
 ``trainer.train_step``. It prints one line per mode:
 
-    <mode> vocab <V> setup_rss_mb <MB> peak_rss_mb <MB> step_s <s> <s> ...
+    <mode> vocab <V> setup_rss_mb <MB> peak_rss_mb <MB> step_s <s> ... minflt <n> ...
 
-``setup_rss_mb`` is the peak RSS before the first step. Like
-``perfbench/run.py`` it pins one BLAS thread and a fixed string-hash seed.
+``setup_rss_mb`` is the peak RSS before the first step; ``minflt`` is each
+step's count of minor page faults (``ru_minflt`` before and after the call).
+At this size they come from the arrays of 32 MiB or more, which the heap
+maps and unmaps on every step. Like ``perfbench/run.py`` it pins one BLAS
+thread and a fixed string-hash seed.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def run_mode(mode: str, corpus_dir: str, steps: int) -> dict:
     import workloads
 
@@ -70,13 +77,14 @@ def run_mode(mode: str, corpus_dir: str, steps: int) -> dict:
                         cfg.batch_size, cfg.seq_len)
     state = trainer.init_train_state(cfg, len(vocab), len(batches))
     setup_rss = peak_rss_mb()
-    step_s = []
+    step_s, minflt = [], []
     for i in range(steps):
-        t0 = time.perf_counter()
+        f0, t0 = minor_faults(), time.perf_counter()
         trainer.train_step(state, batches[i % len(batches)])
         step_s.append(time.perf_counter() - t0)
+        minflt.append(minor_faults() - f0)
     return {"mode": mode, "vocab": len(vocab), "setup_rss_mb": setup_rss,
-            "peak_rss_mb": peak_rss_mb(), "step_s": step_s}
+            "peak_rss_mb": peak_rss_mb(), "step_s": step_s, "minflt": minflt}
 
 
 def main() -> int:
@@ -106,8 +114,9 @@ def main() -> int:
                 return 1
             r = json.loads(proc.stdout.splitlines()[-1])
             steps = " ".join(f"{s:.3f}" for s in r["step_s"])
+            faults = " ".join(str(n) for n in r["minflt"])
             print(f"{mode} vocab {r['vocab']} setup_rss_mb {r['setup_rss_mb']:.1f} "
-                  f"peak_rss_mb {r['peak_rss_mb']:.1f} step_s {steps}")
+                  f"peak_rss_mb {r['peak_rss_mb']:.1f} step_s {steps} minflt {faults}")
     return 0
 
 
