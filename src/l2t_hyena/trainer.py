@@ -315,13 +315,11 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
 
 
 def archive_arrays(state: TrainState) -> dict[str, np.ndarray]:
-    arrays = {}
-    for prefix, params in (("student/", state.student), ("dln/", state.dln_params),
-                           ("teacher/", state.teacher_params)):
-        arrays.update((prefix + k, v) for k, v in params.items())
-    arrays["norm/mean"] = state.norm_state.mean
-    arrays["norm/var"] = state.norm_state.var
-    return arrays
+    norm = {"mean": state.norm_state.mean, "var": state.norm_state.var}
+    return {prefix + k: v
+            for prefix, params in (("student/", state.student), ("dln/", state.dln_params),
+                                   ("teacher/", state.teacher_params), ("norm/", norm))
+            for k, v in params.items()}
 
 
 def _fmt(value) -> str:
@@ -438,26 +436,25 @@ def load_student(checkpoint_path: str) -> tuple[RunConfig, corpus.Vocab,
 
     The checkpoint is opened first (``CheckpointError``, exit 5), then the
     ``config_resolved.txt`` (``ConfigError``, exit 2) and ``vocab.txt``
-    (``DataError``, exit 3) that ``train`` wrote beside it. Each
-    ``student/`` array must have the shape the config and vocabulary imply.
+    (``DataError``, exit 3) that ``train`` wrote beside it. The ``student/``
+    arrays must be exactly those the config and vocabulary imply, each of
+    its implied shape; arrays under other prefixes are not read.
     """
     archive = checkpoint.load_archive(checkpoint_path)
     run_dir = os.path.dirname(checkpoint_path)
     run_cfg = parse_config(os.path.join(run_dir, CONFIG_FILE))
     vocab = corpus.load_vocab(os.path.join(run_dir, VOCAB_FILE))
     model_cfg = model_config_from_run(run_cfg, len(vocab))
-    params = {}
-    for name, shape in hyena.param_shapes(model_cfg).items():
-        key = "student/" + name
-        if key not in archive:
-            raise CheckpointError(f"checkpoint is missing array {key!r}")
+    shapes = {"student/" + k: v for k, v in hyena.param_shapes(model_cfg).items()}
+    key = min({k for k in archive if k.startswith("student/")} ^ shapes.keys(), default=None)
+    if key is not None:
+        what = "is missing" if key in shapes else "has unexpected"
+        raise CheckpointError(f"checkpoint {what} array {key!r}")
+    for key, shape in shapes.items():
         if archive[key].shape != shape:
-            raise CheckpointError(
-                f"shape mismatch for {key!r}: checkpoint {archive[key].shape}, "
-                f"config implies {shape}"
-            )
-        params[name] = archive[key]
-    return run_cfg, vocab, model_cfg, params
+            raise CheckpointError(f"shape mismatch for {key!r}: checkpoint "
+                                  f"{archive[key].shape}, config implies {shape}")
+    return run_cfg, vocab, model_cfg, {k.removeprefix("student/"): archive[k] for k in shapes}
 
 
 def load_summary(run_dir: str) -> dict:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -426,6 +427,23 @@ class TestEvalCommand:
         rc = cli.main(["eval", "--checkpoint", str(tmp_path / "best.l2th"),
                        "--out", str(tmp_path / "e")])
         assert rc == CheckpointError.exit_code
+
+    @pytest.mark.parametrize("archive_blocks, run_blocks, what", [
+        (2, 1, "has unexpected"), (1, 2, "is missing"),
+    ], ids=["extra-block", "missing-block"])
+    def test_block_count_mismatch_exits_checkpoint(self, tiny_flags, tmp_path, capsys,
+                                                   archive_blocks, run_blocks, what):
+        # Same dim and vocabulary: every array both runs declare has its shape.
+        cfg = config.resolve_config(flag_values=tiny_flags(n_blocks=run_blocks))
+        vocab = corpus.build_vocab(corpus.read_lines(cfg.train_path), cfg.max_vocab)
+        model_cfg = config.model_config_from_run(cfg, len(vocab))
+        params = hyena.init_model(dataclasses.replace(model_cfg, n_blocks=archive_blocks), seed=0)
+        ckpt = _hand_built_run(tmp_path, cfg, vocab,
+                               {"student/" + k: v for k, v in params.items()}, "blocks.l2th")
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")])
+        assert rc == CheckpointError.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith(f"checkpoint error: checkpoint {what} array 'student/block1.b_in'")
 
     def test_random_init_full_size_model_near_uniform(self, tmp_path):
         # Corpus containing every one of 9998 word types at least once, so the
