@@ -39,8 +39,14 @@ GELU's normal CDF. What one elementwise pass rebuilds bit for bit is not
 kept: ``_backward`` recomputes the layer norms' outputs ``a``/``c`` as
 ``g * xhat + b`` and each gated product ``streams[n + 1] * convs[n]``
 where it is used, and writes the stream gradients in place into one
-(B, L, C) array. It pops each block's tuple off the cache, so a block's
-arrays are freed once its reverse pass ends; a cache serves one reverse pass.
+(B, L, C) array. The cache also carries the logits, so the caller needs
+no reference of its own; ``loss_and_grads_from_logits`` pops them, and a
+cache serves one reverse pass. ``_backward`` releases each array right
+after its last reader: the dlogits once the tied head's two products have
+read them, then, as it pops each block's tuple, ``u1``, ``phi`` and
+norm2's arrays before the operator, the streams and convolution outputs
+after the long convolutions, ``z`` after the short conv and the rebuilt
+``a`` after ``w_in``. The residual gradient adds each branch's gradient in place.
 
 ``_normal_cdf`` computes ``phi``. In float64 it is SciPy's exact ``erf``,
 which the float64 gradient checks need. In float32 it is a rational ``erf``
@@ -81,6 +87,7 @@ F=filter_hidden, e=mlp_expansion:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -245,11 +252,14 @@ def init_model(cfg: HyenaConfig, seed: int, dtype=np.float32) -> dict[str, np.nd
 # primitives
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def positional_filter_features(L: int, pos_dim: int) -> np.ndarray:
     """(L, pos_dim) filter-network input: t/L plus sin/cos harmonics.
 
     Column 0 is t/L; columns (2j+1, 2j+2) are sin/cos of 2*pi*f_j*t/L with
     K = (pos_dim-1)/2 frequencies geometrically spaced from 1 to max(L/2, 1).
+    Built once per (L, pos_dim), for every block of every forward, and
+    returned read-only, since each caller gets the same array.
     """
     if pos_dim % 2 == 0 or pos_dim < 1:
         raise ValueError("pos_dim must be odd")
@@ -262,6 +272,7 @@ def positional_filter_features(L: int, pos_dim: int) -> np.ndarray:
         phase = 2.0 * np.pi * freqs[None, :] * t[:, None]
         out[:, 1::2] = np.sin(phase)
         out[:, 2::2] = np.cos(phase)
+    out.flags.writeable = False
     return out
 
 
@@ -338,19 +349,20 @@ def short_conv(u: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Depthwise causal convolution with per-channel kernels (C, k)."""
     if u.ndim != 3 or kernels.ndim != 2 or u.shape[2] != kernels.shape[0]:
         raise ValueError(f"short_conv shapes disagree: u {u.shape}, kernels {kernels.shape}")
-    y = kernels[:, 0] * u
-    for s in range(1, kernels.shape[1]):
-        y[:, s:, :] += kernels[:, s] * u[:, :-s, :]
+    taps = np.ascontiguousarray(kernels.T)  # tap s of each channel as a row, not a strided column
+    y = taps[0] * u
+    for s in range(1, len(taps)):
+        y[:, s:, :] += taps[s] * u[:, :-s, :]
     return y
 
 
 def _short_conv_backward(dy: np.ndarray, u: np.ndarray, kernels: np.ndarray):
-    k = kernels.shape[1]
-    du = kernels[:, 0] * dy
+    taps = np.ascontiguousarray(kernels.T)
+    du = taps[0] * dy
     dk = np.empty_like(kernels)
     dk[:, 0] = (dy * u).sum(axis=(0, 1))
-    for s in range(1, k):
-        du[:, :-s, :] += kernels[:, s] * dy[:, s:, :]
+    for s in range(1, len(taps)):
+        du[:, :-s, :] += taps[s] * dy[:, s:, :]
         dk[:, s] = (dy[:, s:, :] * u[:, :-s, :]).sum(axis=(0, 1))
     return du, dk
 
@@ -456,8 +468,8 @@ def forward(
     Each dense product flattens its (B, L, K) operand to one (B*L, K) GEMM
     and shapes the result back: larger GEMM panels than one GEMM per batch
     row, with the same bits. With ``want_cache`` the arrays the reverse
-    pass reads are returned as well: ``(tokens, blocks, lnf, xf)``, with
-    one flat tuple per block (see the module docstring).
+    pass reads are returned as well: ``[tokens, blocks, lnf, xf, logits]``,
+    with one flat tuple per block (see the module docstring).
     """
     tokens = np.asarray(tokens)
     B, L = tokens.shape
@@ -499,34 +511,33 @@ def forward(
     logits = _gemm(xf, tok_emb.T)
     if not want_cache:
         return logits
-    return logits, (tokens, blocks, lnf, xf)
+    return logits, [tokens, blocks, lnf, xf, logits]
 
 
 def _backward(
     dlogits: np.ndarray, cache, params: dict[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
+    # Each array is dropped after its last reader. The caller hands over the
+    # only reference to dlogits, so they go once dtok and dxf are taken.
     tokens, blocks, lnf, xf = cache
-    n_blocks = sum(1 for k in params if k.endswith(".w_in"))
-    if len(blocks) != n_blocks:
-        raise ValueError(
-            f"cache holds {len(blocks)} blocks for a {n_blocks}-block student; "
-            "a forward cache serves one reverse pass"
-        )
     tok_emb = params["tok_emb"]
     B, L, V = dlogits.shape
+    D = tok_emb.shape[1]
 
     grads: dict[str, np.ndarray] = {}
     # Tied projection: the embedding matrix collects gradient from the
     # output side here and from the input lookup at the end.
-    dtok = dlogits.reshape(-1, V).T @ xf.reshape(-1, xf.shape[-1])  # (V, D), no bias
+    dtok = dlogits.reshape(-1, V).T @ xf.reshape(-1, D)  # (V, D), no bias
     dxf = _gemm(dlogits, tok_emb)
+    del dlogits
     dx, grads["final_norm_g"], grads["final_norm_b"] = _layer_norm_backward(
         dxf, lnf, params["final_norm_g"]
     )
+    del dxf
 
     for i in range(len(blocks) - 1, -1, -1):
         bp = block_params(params, i)
-        # pop() frees the block's arrays once its reverse pass ends.
+        # pop() leaves the unpacked names as the only references to the block's arrays.
         ln1, z, streams, filt, convs, ln2, u1, phi = blocks.pop()
         h = filt[4]  # the taps, kept in generate_filters' cache
         g: dict[str, np.ndarray] = {}  # this block's gradients, in clip_grad_norm's order
@@ -539,9 +550,10 @@ def _backward(
             _gelu_backward(dg1, u1, phi), c, bp["mlp_w1"]
         )
         dln2, g["norm2_g"], g["norm2_b"] = _layer_norm_backward(dc, ln2, bp["norm2_g"])
-        dx = dx + dln2
+        dx += dln2
+        del u1, phi, c, dg1, dc, ln2, dln2
 
-        N, D = len(convs), dx.shape[-1]
+        N = len(convs)
         dcur, g["w_out"], g["b_out"] = linear_backward(dx, streams[N] * convs[N - 1], bp["w_out"])
         # Each stream's gradient goes straight into its slice of dzc.
         dzc = np.empty_like(z)
@@ -551,22 +563,37 @@ def _backward(
             u = streams[n] * convs[n - 1] if n else streams[0]
             dcur, dh[n] = _fft_causal_conv_backward(dcur * streams[n + 1], u, h[n])
         dzc[:, :, :D] = dcur
+        # u is streams[0] now, a view of the short conv's output.
+        del streams, convs, u, dcur
         g["filt_w1"], g["filt_b1"], g["filt_w2"], g["filt_b2"], g["decay"] = (
             _generate_filters_backward(dh, filt, bp)
         )
         dz, g["short_kernels"] = _short_conv_backward(dzc, z, bp["short_kernels"])
+        del dzc, z
         a = bp["norm1_g"] * ln1[0] + bp["norm1_b"]
         da, g["w_in"], g["b_in"] = linear_backward(dz, a, bp["w_in"])
+        del dz, a
         dln1, g["norm1_g"], g["norm1_b"] = _layer_norm_backward(da, ln1, bp["norm1_g"])
-        dx = dx + dln1
+        dx += dln1
+        del da, dln1
         grads.update((f"block{i}.{k}", v) for k, v in g.items())
 
-    np.add.at(dtok, tokens, dx)
+    _add_rows(dtok, tokens, dx)
     grads["tok_emb"] = dtok
     dpos = np.zeros_like(params["pos_emb"])
     dpos[:L] = dx.sum(axis=0)
     grads["pos_emb"] = dpos
     return grads
+
+
+def _add_rows(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(out, ids, rows)`` for a C-contiguous (V, D) ``out``, with its bits.
+
+    One scatter over flat element indices: each element receives the same
+    additions in the same order as in add.at's row form, which is 3-5x slower.
+    """
+    D = out.shape[1]
+    np.add.at(out.reshape(-1), (ids[..., None] * D + np.arange(D)).ravel(), rows.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +707,6 @@ def loss_and_dlogits(logits: np.ndarray, sx: SoftmaxXent, lam: float, beta: floa
 
 
 def loss_and_grads_from_logits(
-    logits: np.ndarray,
     cache,
     sx: SoftmaxXent,
     params: dict[str, np.ndarray],
@@ -689,9 +715,17 @@ def loss_and_grads_from_logits(
 ):
     """``loss_and_dlogits``, then the reverse pass from the dlogits.
 
-    Starts from a cached ``forward`` and its ``softmax_xent``; ``logits``
-    end as dlogits. Returns (loss, ce, l2, grads) with grads keyed exactly
-    like ``params``.
+    Starts from a cached ``forward`` and its ``softmax_xent``; the logits
+    the cache carries end as dlogits, which the reverse pass frees once it
+    has read them, if the caller holds no other reference. A cache serves
+    one reverse pass: this consumes it. Returns (loss, ce, l2, grads) with
+    grads keyed exactly like ``params``.
     """
-    loss, ce, l2 = loss_and_dlogits(logits, sx, lam, beta)
-    return loss, ce, l2, _backward(logits, cache, params)
+    n_blocks = sum(1 for k in params if k.endswith(".w_in"))
+    if len(cache) != 5 or len(cache[1]) != n_blocks:
+        raise ValueError(
+            f"not an unspent forward cache of a {n_blocks}-block student; "
+            "a forward cache serves one reverse pass"
+        )
+    loss, ce, l2 = loss_and_dlogits(cache[-1], sx, lam, beta)
+    return loss, ce, l2, _backward(cache.pop(), cache, params)

@@ -258,6 +258,8 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
                                       want_cache=True)
 
         sx = hyena.softmax_xent(logits, batch.targets, features=l2t)
+        # The cache carries the logits on; the reverse pass frees them.
+        del logits
         lam = 0.0
         if l2t:
             # The loss below needs the DLN's weight, and overwrites logits.
@@ -267,9 +269,9 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
             lam = tape.lam
 
         loss, ce, l2, sgrads = hyena.loss_and_grads_from_logits(
-            logits, cache, sx, state.student, lam, rc.beta,
+            cache, sx, state.student, lam, rc.beta,
         )
-        del logits, cache, sx
+        del cache, sx
         lr_student = _lr(state, rc.lr_student)
         snorm = _update(state, state.student, sgrads, state.opt_student, lr_student)
         _clamp_decay(state)

@@ -120,7 +120,7 @@ def student_loss_and_grads(tokens, targets, params, cfg, lam, beta):
     """(loss, ce, l2, grads) of ``hyena.loss_and_grads_from_logits`` from fresh tokens."""
     logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
     sx = hyena.softmax_xent(logits, targets)
-    return hyena.loss_and_grads_from_logits(logits, cache, sx, params, lam, beta)
+    return hyena.loss_and_grads_from_logits(cache, sx, params, lam, beta)
 
 
 def cache_nbytes(cache) -> int:

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ class TestOperator:
         params["tok_emb"][:] = 0.0
         params["pos_emb"][:] = 0.0
         tokens = np.zeros((2, 6), np.int64)
-        _, (_, blocks, _, _) = hyena.forward(tokens, params, cfg, want_cache=True)
+        _, (_, blocks, *_) = hyena.forward(tokens, params, cfg, want_cache=True)
         _, z, streams, _, convs, *_ = blocks[0]
         for y in [z, *streams, *convs]:
             assert np.abs(y).max() == 0.0
@@ -336,18 +337,47 @@ class TestStudentLoss:
         cfg, params, tokens, targets = self._setup()
         logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
         sx = hyena.softmax_xent(logits, targets)
-        hyena.loss_and_grads_from_logits(logits, cache, sx, params, 0.3, 0.01)
-        assert cache[1] == []
+        hyena.loss_and_grads_from_logits(cache, sx, params, 0.3, 0.01)
+        assert len(cache) == 4 and cache[1] == []
         with pytest.raises(ValueError, match="one reverse pass"):
-            hyena._backward(logits, cache, params)
+            hyena.loss_and_grads_from_logits(cache, sx, params, 0.3, 0.01)
 
         deep = tiny_student_config(n_blocks=cfg.n_blocks + 1)
         deep_params = hyena.init_model(deep, seed=10, dtype=np.float64)
         logits, cache = hyena.forward(tokens, deep_params, deep, want_cache=True)
+        kept = logits.copy()
         n = len(cache[1])
         with pytest.raises(ValueError, match="one reverse pass"):
-            hyena._backward(logits, cache, params)
+            hyena.loss_and_grads_from_logits(cache, sx, params, 0.3, 0.01)
         assert len(cache[1]) == n
+        assert np.array_equal(logits, kept)
+
+    def test_block_mlp_cache_freed_before_its_operator_pass(self, monkeypatch):
+        # Each block's u1 and phi are released after norm2's reverse pass, so
+        # none is alive while its own operator's reverse pass runs; blocks
+        # still waiting in the cache keep theirs.
+        cfg = tiny_student_config(dim=8, n_blocks=3, order=2)
+        params = hyena.init_model(cfg, seed=13)
+        rng = np.random.default_rng(14)
+        tokens = rng.integers(0, cfg.vocab_size, (2, 6))
+        targets = rng.integers(0, cfg.vocab_size, (2, 6))
+        logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
+        sx = hyena.softmax_xent(logits, targets)
+        del logits
+        refs = [(weakref.ref(b[6]), weakref.ref(b[7])) for b in cache[1]]
+        alive = []
+        conv_backward = hyena._fft_causal_conv_backward
+
+        def recording(*args):
+            alive.append([r() is not None for pair in refs for r in pair])
+            return conv_backward(*args)
+
+        monkeypatch.setattr(hyena, "_fft_causal_conv_backward", recording)
+        hyena.loss_and_grads_from_logits(cache, sx, params, 0.3, 0.01)
+        assert len(alive) == cfg.n_blocks * cfg.order
+        for call, flags in enumerate(alive):
+            block = cfg.n_blocks - 1 - call // cfg.order
+            assert flags == [True] * 2 * block + [False] * 2 * (cfg.n_blocks - block), call
 
     @staticmethod
     def _assert_matches_reference(cfg, dtype, tokens, targets, monkeypatch, case):
@@ -360,7 +390,7 @@ class TestStudentLoss:
         with monkeypatch.context() as m:
             m.setattr(hyena, "_backward", reference_backward)
             *ref_losses, ref_grads = hyena.loss_and_grads_from_logits(
-                ref_logits, ref_cache, sx, params, 0.4, 0.01
+                [*ref_cache, ref_logits], sx, params, 0.4, 0.01
             )
         assert [loss, ce, l2] == ref_losses, case
         assert list(grads) == list(ref_grads), case
@@ -406,7 +436,7 @@ class TestStudentLoss:
     def test_cache_nbytes_closed_form(self, order, dtype):
         # What forward keeps for the reverse pass, byte for byte: per block
         # the layer norms, z and its streams, the filter net, convs, u1 and
-        # phi; then the tokens, xf and the final norm.
+        # phi; then the tokens, xf, the final norm and the logits.
         cfg = tiny_student_config(vocab_size=11, dim=8, n_blocks=2, order=order,
                                   max_seq_len=10, filter_pos_dim=5, filter_hidden=6,
                                   mlp_expansion=3)
@@ -419,7 +449,7 @@ class TestStudentLoss:
         P, F = cfg.filter_pos_dim, cfg.filter_hidden
         block = s * (B * L * D * (3 * N + 4 + 2 * e) + 2 * B * L + L * P
                      + 2 * L * F + 2 * N * L * D)
-        rest = tokens.nbytes + s * (2 * B * L * D + B * L)
+        rest = tokens.nbytes + s * (2 * B * L * D + B * L + B * L * cfg.vocab_size)
         assert cache_nbytes(cache) == cfg.n_blocks * block + rest
 
 

@@ -28,6 +28,33 @@ class TestPositionalFeatures:
         with pytest.raises(ValueError):
             hyena.positional_filter_features(8, 4)
 
+    def test_built_once_and_read_only(self):
+        # Every block of every forward shares one array per (L, pos_dim).
+        f = hyena.positional_filter_features(32, 7)
+        assert hyena.positional_filter_features(32, 7) is f
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0, 0] = 1.0
+        hyena.positional_filter_features.cache_clear()
+        assert np.array_equal(hyena.positional_filter_features(32, 7), f)
+
+
+class TestEmbeddingScatter:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("V, D, ids_shape", [(5, 3, (2, 7)), (7, 8, (3, 6)),
+                                                 (300, 64, (4, 64)), (2, 16, (1, 40))])
+    def test_matches_row_scatter_bit_for_bit(self, V, D, ids_shape, dtype):
+        # Repeated ids add into one row several times, in position order.
+        rng = np.random.default_rng(V * D)
+        ids = rng.integers(0, V, ids_shape)
+        assert len(np.unique(ids)) < ids.size
+        rows = rng.standard_normal((*ids_shape, D)).astype(dtype)
+        out = rng.standard_normal((V, D)).astype(dtype)
+        expected = out.copy()
+        np.add.at(expected, ids, rows)
+        hyena._add_rows(out, ids, rows)
+        assert np.array_equal(out, expected)
+
 
 def _filter_args(rng, P=5, F=8, N=2, D=3, dtype=np.float64):
     return {

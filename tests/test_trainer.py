@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -269,6 +270,30 @@ class TestTrainStep:
         assert np.array_equal(state.norm_state.var, norm_before[1])
         assert _params_checksum(state.dln_params) == dln_before
         assert _params_checksum(state.teacher_params) == teacher_before
+
+    @pytest.mark.parametrize("mode", ["l2t", "baseline"])
+    def test_logits_freed_before_first_block_reverse_pass(self, tiny_flags, tmp_path,
+                                                          mode, monkeypatch):
+        # The (B, L, V) logits, overwritten with dlogits, are released once
+        # the tied head's reverse products have read them: train_step keeps
+        # no reference, and the cache hands them over.
+        state, batches = self._state_and_batch(tiny_flags, tmp_path, mode=mode)
+        refs, alive = [], []
+        forward, gelu_backward = hyena.forward, hyena._gelu_backward
+
+        def recording_forward(*args, **kwargs):
+            logits, cache = forward(*args, **kwargs)
+            refs.append(weakref.ref(logits))
+            return logits, cache
+
+        def recording_gelu_backward(*args):
+            alive.append(refs[-1]() is not None)
+            return gelu_backward(*args)
+
+        monkeypatch.setattr(hyena, "forward", recording_forward)
+        monkeypatch.setattr(hyena, "_gelu_backward", recording_gelu_backward)
+        trainer.train_step(state, batches[0])
+        assert alive == [False] * state.model_cfg.n_blocks
 
     def test_non_finite_teacher_gradient_raises(self, tiny_flags, tmp_path):
         state, batches = self._state_and_batch(tiny_flags, tmp_path,
