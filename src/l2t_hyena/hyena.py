@@ -41,12 +41,26 @@ kept: ``_backward`` recomputes the layer norms' outputs ``a``/``c`` as
 where it is used, and writes the stream gradients in place into one
 (B, L, C) array. The cache also carries the logits, so the caller needs
 no reference of its own; ``loss_and_grads_from_logits`` pops them, and a
-cache serves one reverse pass. ``_backward`` releases each array right
-after its last reader: the dlogits once the tied head's two products have
-read them, then, as it pops each block's tuple, ``u1``, ``phi`` and
-norm2's arrays before the operator, the streams and convolution outputs
-after the long convolutions, ``z`` after the short conv and the rebuilt
-``a`` after ``w_in``. The residual gradient adds each branch's gradient in place.
+cache serves one reverse pass.
+
+Every array, cached or not, dies at its last reader. ``forward`` drops
+each block's local names as they die: ``a`` after ``w_in``, the gated
+product and ``zc`` after ``w_out``, ``c`` after ``mlp_w1``, the rest at
+the block's end. ``_backward`` drops ``xf`` after the tied head's weight
+gradient, the dlogits once ``dxf`` is taken and the final norm's arrays
+after its reverse pass; the spent cache keeps the tokens and an empty
+block list. In each block ``mlp_w2``'s gradients read a ``u1 * phi``
+temporary, and ``phi``'s buffer takes ``dx @ mlp_w2.T`` once GELU' has
+read it; ``u1`` and ``phi`` go before ``mlp_w1``'s reverse pass, norm2's
+arrays before the operator, the streams and convolution outputs after the
+long convolutions, ``z`` after the short conv and the rebuilt ``a`` after
+``w_in``. The FFT reverse pass drops its inputs and spectra once
+transformed; the layer norm's reverse pass and the residual gradient work
+in place. So the reverse pass holds at most one (B, L, e*D) temporary
+beyond the cache. A step peaks at the end of ``forward`` (cache and
+logits) at ``long-ctx`` shapes and at the tied head's reverse products
+(cache, dlogits and the (V, D) embedding gradient) at ``paper-shape``
+shapes.
 
 ``_normal_cdf`` computes ``phi``. In float64 it is SciPy's exact ``erf``,
 which the float64 gradient checks need. In float32 it is a rational ``erf``
@@ -332,17 +346,19 @@ def fft_causal_conv(u: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _fft_causal_conv_backward(dy: np.ndarray, u: np.ndarray, h: np.ndarray):
     # du is correlation of dy with h, dh correlation of dy with u (summed
     # over batch); both are circular products with a conjugated spectrum.
+    # Each input and spectrum is dropped once read, which frees dy and u if
+    # the caller passed its only references; du is a view of its irfft.
     L = u.shape[1]
     nfft = _next_pow2(2 * L)
     dyf = fft.rfft(dy, n=nfft, axis=1)
-    hf = fft.rfft(h, n=nfft, axis=0)
+    del dy
     uf = fft.rfft(u, n=nfft, axis=1)
-    du = fft.irfft(dyf * np.conj(hf)[None], n=nfft, axis=1)[:, :L, :]
+    del u
+    # From 256 KiB NumPy elides the conj temporary: conj * dyf, not dyf * conj.
     dh = fft.irfft((dyf * np.conj(uf)).sum(axis=0), n=nfft, axis=0)[:L, :]
-    return (
-        np.ascontiguousarray(du, dtype=u.dtype),
-        np.ascontiguousarray(dh, dtype=h.dtype),
-    )
+    del uf
+    dyf *= np.conj(fft.rfft(h, n=nfft, axis=0))
+    return fft.irfft(dyf, n=nfft, axis=1)[:, :L, :], np.ascontiguousarray(dh, dtype=h.dtype)
 
 
 def short_conv(u: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -380,13 +396,14 @@ def _layer_norm_backward(dy: np.ndarray, cache, g: np.ndarray):
     xhat, inv = cache
     dg = (dy * xhat).sum(axis=(0, 1))
     db = dy.sum(axis=(0, 1))
+    # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place in dxhat.
     dxhat = dy * g
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    return dx, dg, db
+    m = dxhat.mean(axis=-1, keepdims=True)
+    mx = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dxhat -= m
+    dxhat -= xhat * mx
+    dxhat *= inv
+    return dxhat, dg, db
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -437,11 +454,12 @@ def _normal_cdf(u: np.ndarray) -> np.ndarray:
     return out.reshape(u.shape)
 
 
-def _gelu_backward(dg: np.ndarray, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """dg * GELU'(u), GELU' = phi + u * exp(-u^2 / 2) / sqrt(2 pi).
+def _gelu_backward(dy: np.ndarray, u: np.ndarray, phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(dy @ w.T) * GELU'(u), GELU' = phi + u * exp(-u^2 / 2) / sqrt(2 pi).
 
-    One buffer, in the order of that expression, so the bits are its own;
-    it is freed when the caller's product with it returns.
+    GELU' takes one buffer, in the order of that expression, so the bits are
+    its own. Once GELU' has read phi, ``dy @ w.T`` is written into phi's
+    buffer: the caller hands over phi, which ends as that product.
     """
     t = u * -0.5
     t *= u
@@ -449,7 +467,8 @@ def _gelu_backward(dg: np.ndarray, u: np.ndarray, phi: np.ndarray) -> np.ndarray
     t *= u
     t *= _INV_SQRT2PI
     t += phi
-    t *= dg
+    dg = np.matmul(dy.reshape(-1, dy.shape[-1]), w.T, out=phi.reshape(-1, w.shape[0]))
+    t *= dg.reshape(t.shape)
     return t
 
 
@@ -491,6 +510,7 @@ def forward(
         # then alternate long convolutions with gating by the next stream.
         a, ln1 = _layer_norm(x, bp["norm1_g"], bp["norm1_b"])
         z = _gemm(a, bp["w_in"]) + bp["b_in"]
+        del a
         zc = short_conv(z, bp["short_kernels"])
         streams = [zc[:, :, n * D : (n + 1) * D] for n in range(cfg.order + 1)]
         h, filt = generate_filters(bp, L)
@@ -500,14 +520,18 @@ def forward(
             convs.append(fft_causal_conv(gated, h[n]))
             gated = streams[n + 1] * convs[-1]
         x = x + (_gemm(gated, bp["w_out"]) + bp["b_out"])
+        del gated, zc
         # x + mlp(norm2(x)), GELU through its normal CDF phi.
         c, ln2 = _layer_norm(x, bp["norm2_g"], bp["norm2_b"])
         u1 = _gemm(c, bp["mlp_w1"]) + bp["mlp_b1"]
+        del c
         phi = _normal_cdf(u1)
         x = x + (_gemm(u1 * phi, bp["mlp_w2"]) + bp["mlp_b2"])
         if want_cache:
             blocks.append((ln1, z, streams, filt, convs, ln2, u1, phi))
+        del ln1, z, streams, h, filt, convs, ln2, u1, phi
     xf, lnf = _layer_norm(x, params["final_norm_g"], params["final_norm_b"])
+    del x
     logits = _gemm(xf, tok_emb.T)
     if not want_cache:
         return logits
@@ -519,7 +543,10 @@ def _backward(
 ) -> dict[str, np.ndarray]:
     # Each array is dropped after its last reader. The caller hands over the
     # only reference to dlogits, so they go once dtok and dxf are taken.
+    # The cache keeps its length and its emptied block list, so it reads
+    # as spent; its head arrays go with the names below.
     tokens, blocks, lnf, xf = cache
+    cache[2:] = [None, None]
     tok_emb = params["tok_emb"]
     B, L, V = dlogits.shape
     D = tok_emb.shape[1]
@@ -528,12 +555,13 @@ def _backward(
     # Tied projection: the embedding matrix collects gradient from the
     # output side here and from the input lookup at the end.
     dtok = dlogits.reshape(-1, V).T @ xf.reshape(-1, D)  # (V, D), no bias
+    del xf
     dxf = _gemm(dlogits, tok_emb)
     del dlogits
     dx, grads["final_norm_g"], grads["final_norm_b"] = _layer_norm_backward(
         dxf, lnf, params["final_norm_g"]
     )
-    del dxf
+    del dxf, lnf
 
     for i in range(len(blocks) - 1, -1, -1):
         bp = block_params(params, i)
@@ -544,14 +572,18 @@ def _backward(
 
         # The MLP and norm2, then the operator and norm1, each in reverse;
         # c, the gated products and a are rebuilt by forward's own expressions.
-        dg1, g["mlp_w2"], g["mlp_b2"] = linear_backward(dx, u1 * phi, bp["mlp_w2"])
+        # mlp_w2's gradients read a u1 * phi temporary; then phi's buffer takes dx @ w2.T.
+        dx2 = dx.reshape(-1, D)
+        g["mlp_w2"] = (u1 * phi).reshape(-1, u1.shape[-1]).T @ dx2
+        g["mlp_b2"] = dx2.sum(axis=0)
+        du1 = _gelu_backward(dx, u1, phi, bp["mlp_w2"])
+        del u1, phi
         c = bp["norm2_g"] * ln2[0] + bp["norm2_b"]
-        dc, g["mlp_w1"], g["mlp_b1"] = linear_backward(
-            _gelu_backward(dg1, u1, phi), c, bp["mlp_w1"]
-        )
+        dc, g["mlp_w1"], g["mlp_b1"] = linear_backward(du1, c, bp["mlp_w1"])
+        del du1, c
         dln2, g["norm2_g"], g["norm2_b"] = _layer_norm_backward(dc, ln2, bp["norm2_g"])
         dx += dln2
-        del u1, phi, c, dg1, dc, ln2, dln2
+        del dc, ln2, dln2
 
         N = len(convs)
         dcur, g["w_out"], g["b_out"] = linear_backward(dx, streams[N] * convs[N - 1], bp["w_out"])
@@ -560,11 +592,11 @@ def _backward(
         dh = np.empty_like(h)
         for n in range(N - 1, -1, -1):
             np.multiply(dcur, convs[n], out=dzc[:, :, (n + 1) * D : (n + 2) * D])
-            u = streams[n] * convs[n - 1] if n else streams[0]
-            dcur, dh[n] = _fft_causal_conv_backward(dcur * streams[n + 1], u, h[n])
+            dcur, dh[n] = _fft_causal_conv_backward(
+                dcur * streams[n + 1], streams[n] * convs[n - 1] if n else streams[0], h[n]
+            )
         dzc[:, :, :D] = dcur
-        # u is streams[0] now, a view of the short conv's output.
-        del streams, convs, u, dcur
+        del streams, convs, dcur
         g["filt_w1"], g["filt_b1"], g["filt_w2"], g["filt_b2"], g["decay"] = (
             _generate_filters_backward(dh, filt, bp)
         )

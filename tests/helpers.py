@@ -124,19 +124,21 @@ def student_loss_and_grads(tokens, targets, params, cfg, lam, beta):
 
 
 def cache_nbytes(cache) -> int:
-    """Summed ``nbytes`` of the distinct base buffers under a ``hyena.forward`` cache."""
-    bases: dict[int, np.ndarray] = {}
+    """Summed ``nbytes`` of the distinct base buffers under a ``hyena.forward`` cache.
 
-    def walk(obj):
+    Walks with a stack rather than a recursive closure: a closure would form
+    a reference cycle holding every base until the next garbage collection.
+    """
+    bases: dict[int, np.ndarray] = {}
+    stack = [cache]
+    while stack:
+        obj = stack.pop()
         if isinstance(obj, (tuple, list)):
-            for item in obj:
-                walk(item)
+            stack.extend(obj)
         elif isinstance(obj, np.ndarray):
             while isinstance(obj.base, np.ndarray):
                 obj = obj.base
             bases[id(obj)] = obj
-
-    walk(cache)
     return sum(a.nbytes for a in bases.values())
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -378,6 +379,54 @@ class TestStudentLoss:
         for call, flags in enumerate(alive):
             block = cfg.n_blocks - 1 - call // cfg.order
             assert flags == [True] * 2 * block + [False] * 2 * (cfg.n_blocks - block), call
+
+    def test_head_arrays_freed_before_first_block_reverse_pass(self, monkeypatch):
+        # xf and the final norm's xhat have no reader after the final norm's
+        # reverse pass; the spent cache keeps no reference to either.
+        cfg = tiny_student_config(dim=8, n_blocks=2)
+        params = hyena.init_model(cfg, seed=13)
+        rng = np.random.default_rng(15)
+        tokens = rng.integers(0, cfg.vocab_size, (2, 6))
+        targets = rng.integers(0, cfg.vocab_size, (2, 6))
+        logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
+        sx = hyena.softmax_xent(logits, targets)
+        del logits
+        refs = [weakref.ref(cache[3]), weakref.ref(cache[2][0])]  # xf, xhat
+        alive = []
+        gelu_backward = hyena._gelu_backward
+
+        def recording(*args):
+            alive.append([r() is not None for r in refs])
+            return gelu_backward(*args)
+
+        monkeypatch.setattr(hyena, "_gelu_backward", recording)
+        hyena.loss_and_grads_from_logits(cache, sx, params, 0.3, 0.01)
+        assert alive == [[False, False]] * cfg.n_blocks
+
+    def test_reverse_pass_peak_within_one_mlp_activation_of_cache(self):
+        # The reverse pass frees each cached array and each temporary at its
+        # last reader, so at its peak it holds at most one (B, L, e*D) array
+        # beyond the whole cache: e units of B*L*D. An order that keeps
+        # dx @ w2.T and u1 * phi alive together at the last block's MLP
+        # reads 9.2 units over at this shape.
+        B, L, D, V, e = 8, 256, 32, 64, 4
+        cfg = tiny_student_config(vocab_size=V, dim=D, n_blocks=2, max_seq_len=L,
+                                  mlp_expansion=e)
+        params = hyena.init_model(cfg, seed=3)
+        tracemalloc.start()
+        try:
+            tokens, targets = np.random.default_rng(4).integers(0, V, (2, B, L))
+            logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
+            sx = hyena.softmax_xent(logits, targets)
+            del logits
+            held = cache_nbytes(cache)
+            outside = tracemalloc.get_traced_memory()[0] - held
+            tracemalloc.reset_peak()
+            hyena.loss_and_grads_from_logits(cache, sx, params, 0.3, 0.01)
+            peak = tracemalloc.get_traced_memory()[1] - outside
+        finally:
+            tracemalloc.stop()
+        assert peak <= held + e * B * L * D * 4
 
     @staticmethod
     def _assert_matches_reference(cfg, dtype, tokens, targets, monkeypatch, case):

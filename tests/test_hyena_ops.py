@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft
 from scipy.special import erf
 
 from helpers import direct_causal_conv, direct_causal_conv_backward, direct_short_conv
@@ -150,6 +151,26 @@ class TestFftCausalConv:
         for out, ref in zip((y, du, dh), refs):
             assert out.dtype == dtype and out.shape == ref.shape
             assert np.abs(out - ref).max() / np.abs(ref).max() <= tol
+
+    @pytest.mark.parametrize("shape", [(2, 16, 8), (4, 64, 256)])
+    def test_backward_bits_on_both_sides_of_temporary_elision(self, shape):
+        # From 256 KiB NumPy evaluates dyf * np.conj(uf) as conj * dyf in the
+        # conj temporary, and a complex64 product is not bit-commutative. The
+        # spectra here are 2 KiB and 520 KiB; du and dh keep the bits of
+        # these expressions on both sides of that size.
+        rng = np.random.default_rng(shape[2])
+        dy, u = rng.standard_normal((2, *shape)).astype(np.float32)
+        h = rng.standard_normal(shape[1:]).astype(np.float32)
+        L, nfft = shape[1], 2 * shape[1]
+        dyf = fft.rfft(dy, n=nfft, axis=1)
+        hf = fft.rfft(h, n=nfft, axis=0)
+        uf = fft.rfft(u, n=nfft, axis=1)
+        ref_du = fft.irfft(dyf * np.conj(hf)[None], n=nfft, axis=1)[:, :L, :]
+        ref_dh = fft.irfft((dyf * np.conj(uf)).sum(axis=0), n=nfft, axis=0)[:L, :]
+        du, dh = hyena._fft_causal_conv_backward(dy.copy(), u.copy(), h)
+        for out, ref in ((du, ref_du), (dh, ref_dh)):
+            assert out.dtype == np.float32 and out.shape == ref.shape
+            assert np.array_equal(out, ref)
 
 
 def _cdf_grid():
