@@ -43,47 +43,11 @@ where it is used, and writes the stream gradients in place into one
 no reference of its own; ``loss_and_grads_from_logits`` pops them, and a
 cache serves one reverse pass.
 
-Every array, cached or not, dies at its last reader. ``forward`` drops
-each block's local names as they die: ``a`` after ``w_in``, the gated
-product and ``zc`` after ``w_out``, ``c`` after ``mlp_w1``, the rest at
-the block's end. ``_backward`` drops ``xf`` after the tied head's weight
-gradient, the dlogits once ``dxf`` is taken and the final norm's arrays
-after its reverse pass; the spent cache keeps the tokens and an empty
-block list. In each block ``mlp_w2``'s gradients read a ``u1 * phi``
-temporary, and ``phi``'s buffer takes ``dx @ mlp_w2.T`` once GELU' has
-read it; ``u1`` and ``phi`` go before ``mlp_w1``'s reverse pass, norm2's
-arrays before the operator, the streams and convolution outputs after the
-long convolutions, ``z`` after the short conv and the rebuilt ``a`` after
-``w_in``. The FFT reverse pass drops its inputs and spectra once
-transformed; the layer norm's reverse pass and the residual gradient work
-in place. So the reverse pass holds at most one (B, L, e*D) temporary
-beyond the cache. A step peaks at the end of ``forward`` (cache and
-logits) at ``long-ctx`` shapes and at the tied head's reverse products
-(cache, dlogits and the (V, D) embedding gradient) at ``paper-shape``
-shapes.
-
-``_normal_cdf`` computes ``phi``. In float64 it is SciPy's exact ``erf``,
-which the float64 gradient checks need. In float32 it is a rational ``erf``
-in NumPy, walked in ``BLOCK``-sized slices: SciPy's float32 ``erf`` widens
-each element to double and calls a scalar routine, about 5x slower at
-(4, 1024, 256).
-
-Every dense product of the student, in both passes (``w_in``, ``w_out``,
-``mlp_w1``, ``mlp_w2``, the tied head and its reverse, and
-``linear_backward``'s ``dy @ w.T``), is one 2-D GEMM over all ``B*L`` rows
-(``_gemm``): NumPy's stacked matmul of a (B, L, K) operand runs one small
-GEMM per batch row, slowest against a transposed weight, where one GEMM
-gets larger panels. A test pins its bits to those of the stacked
-products. Activations stay (B, L, .) between products.
-
-The dense-layer reverse pass ``linear_backward``, the ReLU MLP helpers
-(``mlp_shapes``, ``mlp_forward``, ``mlp_backward``) and ``init_dense``,
-which draws a shape table's arrays, also serve the DLN and the teacher.
-
-The long convolutions are FFT products computed with ``scipy.fft``, which
-transforms a float32 array in float32 and a float64 array in float64;
-NumPy's ``rfft`` computes float32 input in float64 and rounds back, which
-takes 2.4-3x as long at L=1024.
+Every array, cached or not, is dropped at its last reader, so the reverse
+pass holds at most one (B, L, e*D) temporary beyond the cache; the tests
+pin the order with weak references. The dense-layer reverse pass
+``linear_backward``, the ReLU MLP helpers (``mlp_shapes``, ``mlp_forward``,
+``mlp_backward``) and ``init_dense`` also serve the DLN and the teacher.
 
 Parameter count (``param_count`` in ``tests/helpers.py``) with V=vocab,
 D=dim, L=max_seq_len, N=order, k=short_kernel, P=filter_pos_dim,
@@ -108,7 +72,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import fft
-from scipy.special import erf
 
 from .errors import DataError, NumericalError
 
@@ -354,8 +317,9 @@ def _fft_causal_conv_backward(dy: np.ndarray, u: np.ndarray, h: np.ndarray):
     del dy
     uf = fft.rfft(u, n=nfft, axis=1)
     del u
-    # From 256 KiB NumPy elides the conj temporary: conj * dyf, not dyf * conj.
-    dh = fft.irfft((dyf * np.conj(uf)).sum(axis=0), n=nfft, axis=0)[:L, :]
+    np.conj(uf, out=uf)
+    uf *= dyf
+    dh = fft.irfft(uf.sum(axis=0), n=nfft, axis=0)[:L, :]
     del uf
     dyf *= np.conj(fft.rfft(h, n=nfft, axis=0))
     return fft.irfft(dyf, n=nfft, axis=1)[:, :L, :], np.ascontiguousarray(dh, dtype=h.dtype)
@@ -428,13 +392,14 @@ def _horner(x2: np.ndarray, coeffs, out: np.ndarray) -> None:
 def _normal_cdf(u: np.ndarray) -> np.ndarray:
     """Phi(u) = 0.5 * (1 + erf(u / sqrt 2)), the GELU's gate.
 
-    float32 takes the rational ``erf`` above through two ``BLOCK``-sized
-    scratch buffers and clips Phi to [0, 1]; within 2.3e-7 of the exact Phi.
-    Its +, *, / and clip are each correctly rounded under IEEE 754, so its
-    bits do not depend on the CPU's SIMD level.
+    Both precisions take the rational ``erf`` above through two
+    ``BLOCK``-sized scratch buffers and clip Phi to [0, 1]: within 2.3e-7 of
+    the exact Phi in float32 and 3.2e-8 in float64, so a float64 run differs
+    from a float32 one by rounding alone. SciPy's float32 ``erf`` widens each
+    element to double and calls a scalar routine, about 5x slower. The +, *,
+    / and clip are each correctly rounded under IEEE 754, so the bits do not
+    depend on the CPU's SIMD level.
     """
-    if u.dtype != np.float32:
-        return 0.5 * (1.0 + erf(u * _INV_SQRT2))
     flat = u.reshape(-1)
     out = np.empty_like(flat)
     x2, p = np.empty((2, min(flat.size, BLOCK)), u.dtype)

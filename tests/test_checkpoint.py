@@ -129,6 +129,17 @@ def test_dims_larger_than_file(tmp_path):
         checkpoint.load_archive(path)
 
 
+def test_duplicate_array_name_rejected(tmp_path):
+    # The same record twice: magic and version, then "x" and "x" again.
+    path = tmp_path / "a.l2th"
+    checkpoint.save_archive({"x": np.ones(2, np.float32)}, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob + blob[8:])
+    with pytest.raises(CheckpointError, match="duplicate array 'x'") as exc:
+        checkpoint.load_archive(path)
+    assert exc.value.exit_code == 5
+
+
 def test_empty_array_with_oversized_dims(tmp_path):
     # Zero bytes of data pass the size check, but numpy cannot shape them.
     path = tmp_path / "a.l2th"

@@ -52,17 +52,21 @@ class TestConfigParsing:
             config.parse_config(str(path))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigError, match="wd_student"):
-            config.resolve_config(flag_values={"wd_student": -1.0})
-        with pytest.raises(ConfigError, match="mode"):
-            config.resolve_config(flag_values={"mode": "banana"})
-        with pytest.raises(ConfigError, match="short_kernel"):
-            config.resolve_config(flag_values={"short_kernel": 4})
-        with pytest.raises(ConfigError, match="warmup_epochs"):
-            config.resolve_config(flag_values={"epochs": 2, "warmup_epochs": 2})
-        with pytest.raises(ConfigError, match="activation_threshold"):
-            config.resolve_config(flag_values={"buffer_capacity": 10,
-                                               "activation_threshold": 11})
+        for flags, message in [
+            ({"wd_student": -1.0}, "wd_student"),
+            ({"mode": "banana"}, "mode"),
+            ({"short_kernel": 4}, "short_kernel"),
+            ({"epochs": 2, "warmup_epochs": 2}, "warmup_epochs"),
+            ({"buffer_capacity": 10, "activation_threshold": 11}, "activation_threshold"),
+            ({"max_vocab": 2}, "max_vocab must be >= 3, got 2"),
+            ({"filter_pos_dim": 4}, "filter_pos_dim must be odd, got 4"),
+            ({"adam_beta1": 1.0}, r"adam_beta1 must be in \[0, 1\), got 1.0"),
+            ({"adam_beta2": -0.1}, r"adam_beta2 must be in \[0, 1\), got -0.1"),
+            ({"no_such_key": 1}, "unknown config key 'no_such_key'"),
+        ]:
+            with pytest.raises(ConfigError, match=message) as exc:
+                config.resolve_config(flag_values=flags)
+            assert exc.value.exit_code == 2
         cfg = config.resolve_config(flag_values={"buffer_capacity": 10,
                                                  "activation_threshold": 10})
         assert cfg.activation_threshold == cfg.buffer_capacity
@@ -525,6 +529,18 @@ class TestCompareCommand:
         report = json.loads((tmp_path / "compare.json").read_text())
         assert report["deltas"]["time_ratio"] is None
         assert "training time ratio (l2t/baseline): n/a" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ['{"best": ', '{"final": {"train_loss": 3.0}}'],
+                             ids=["not-json", "no-best"])
+    def test_malformed_metrics_is_a_data_error(self, tmp_path, capsys, text):
+        base, l2t = tmp_path / "base", tmp_path / "l2t"
+        self._fake_run(l2t, 50.0, 3.9, 2, 3.0, 10.0)
+        base.mkdir()
+        (base / "metrics.json").write_text(text)
+        rc = cli.main(["compare", str(base), str(l2t), "--out", str(tmp_path)])
+        assert rc == 3
+        assert f"malformed metrics.json in {str(base)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "compare.json").exists()
 
     @pytest.mark.parametrize("ppl, train_loss", [
         (50.0, 0.0), (50.0, -1.0), (0.0, 3.0), (float("nan"), 3.0), (50.0, float("inf")),

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -500,6 +503,36 @@ class TestStudentLoss:
                      + 2 * L * F + 2 * N * L * D)
         rest = tokens.nbytes + s * (2 * B * L * D + B * L + B * L * cfg.vocab_size)
         assert cache_nbytes(cache) == cfg.n_blocks * block + rest
+
+
+# The tied head's dxf = dlogits @ tok_emb has the vocabulary as its inner
+# dimension; past K = 4096 OpenBLAS splits such a float32 product differently
+# on 1 and 2 threads (ROADMAP item 11).
+_GEMM_CHILD = """
+import hashlib
+import numpy as np
+from l2t_hyena import hyena
+rng = np.random.default_rng(11)
+x = rng.standard_normal((1, 64, 9847)).astype(np.float32)
+w = rng.standard_normal((9847, 16)).astype(np.float32)
+print(hashlib.sha256(hyena._gemm(x, w).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")
+@pytest.mark.xfail(strict=False, reason="ROADMAP item 11: a float32 GEMM with K > 4096 "
+                   "changes its bits with the BLAS thread count")
+def test_gemm_bits_do_not_depend_on_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(hyena.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _GEMM_CHILD], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 class TestWeightTying:
