@@ -20,21 +20,12 @@ each run's summary through ``trainer.load_summary``. ``eval`` and
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 
 from . import config, corpus, trainer
 from .errors import ConfigError, DataError, L2THyenaError
 
 EXIT_OK = 0
-
-
-def _write_json(out_dir: str, name: str, doc: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def cmd_train(args) -> int:
@@ -58,9 +49,9 @@ def cmd_eval(args) -> int:
     )
     val_loss, val_ppl = trainer.evaluate(params, model_cfg, val_batches)
     print(f"val_loss {val_loss:.6f} val_ppl {val_ppl:.4f}")
-    _write_json(args.out, "eval.json", {"checkpoint": args.checkpoint,
-                                        "valid_path": valid_path,
-                                        "val_loss": val_loss, "val_ppl": val_ppl})
+    trainer.write_json(args.out, "eval.json", {"checkpoint": args.checkpoint,
+                                               "valid_path": valid_path,
+                                               "val_loss": val_loss, "val_ppl": val_ppl})
     return EXIT_OK
 
 
@@ -101,7 +92,7 @@ def cmd_compare(args) -> int:
     )
     ratio = deltas["time_ratio"]
     print(f"training time ratio (l2t/baseline): {'n/a' if ratio is None else f'{ratio:.4g}'}")
-    _write_json(args.out, "compare.json", {"baseline": base, "l2t": l2t, "deltas": deltas})
+    trainer.write_json(args.out, "compare.json", {"baseline": base, "l2t": l2t, "deltas": deltas})
     return EXIT_OK
 
 

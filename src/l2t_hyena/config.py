@@ -92,13 +92,13 @@ def parse_value(key: str, text: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Read a flat key-value file into a typed override dict."""
+    """Read a flat key-value file, each key at most once, into a typed override dict."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}")
-    values = {}
+    values, seen = {}, {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -107,6 +107,9 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key: value', got {line!r}")
         key, _, raw = stripped.partition(":")
         key = key.strip()
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         values[key] = parse_value(key, raw)
     return values
 

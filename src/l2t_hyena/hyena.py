@@ -25,23 +25,27 @@ cross-entropy, target probability and E_p[z], which the DLN reads), and
 logit, then overwrites it with its dlogits.
 
 ``forward`` runs each block's operations in order and ``_backward`` runs
-them in reverse, in one loop each. What a block keeps for its reverse pass
-is one flat tuple, built in ``forward`` and unpacked in ``_backward``:
+them in reverse, in one loop each. ``forward(..., want_cache=True)``
+returns the cache alone, ``[tokens, blocks, lnf, logits]``, so the logits
+have one owner from the moment they exist: the caller reads them as
+``cache[-1]``, ``loss_and_grads_from_logits`` turns them into dlogits in
+place, and ``_backward`` empties the list in one ``clear()``, so a spent
+cache is ``[]`` and serves no second reverse pass. What a block keeps is
+one flat tuple, built in ``forward`` and unpacked in ``_backward``:
 
     (ln1, z, streams, filt, convs, ln2, u1, phi)
 
-``ln1``/``ln2`` are the layer norms' ``(xhat, inv)``; ``z`` is the input
-projection before the short conv and ``streams`` the ``order + 1`` views
-of its output; ``filt`` is ``generate_filters``' cache: the taps ``h``,
-and ``t / L`` as a view of the features; ``convs`` are the long
+``ln1``/``ln2``/``lnf`` are the layer norms' ``(xhat, inv)``; ``z`` is the
+input projection before the short conv and ``streams`` the ``order + 1``
+views of its output; ``filt`` is ``generate_filters``' cache: the taps
+``h``, and ``t / L`` as a view of the features; ``convs`` are the long
 convolutions' outputs; ``u1`` is the MLP's pre-activation and ``phi`` its
-GELU's normal CDF. What one elementwise pass rebuilds bit for bit is not
-kept: ``_backward`` recomputes the layer norms' outputs ``a``/``c`` as
-``g * xhat + b`` and each gated product ``streams[n + 1] * convs[n]``
-where it is used, and writes the stream gradients in place into one
-(B, L, C) array. The cache also carries the logits, so the caller needs
-no reference of its own; ``loss_and_grads_from_logits`` pops them, and a
-cache serves one reverse pass.
+GELU's normal CDF. What one elementwise pass rebuilds bit for bit is
+rebuilt, not kept ("Training Deep Nets with Sublinear Memory Cost", Chen
+et al., 2016): ``_backward`` recomputes every layer norm's output (``a``,
+``c`` and the final ``xf``) as ``g * xhat + b`` and each gated product
+``streams[n + 1] * convs[n]`` where it is used, and writes the stream
+gradients in place into one (B, L, C) array.
 
 Every array, cached or not, is dropped at its last reader, so the reverse
 pass holds at most one (B, L, e*D) temporary beyond the cache; the tests
@@ -451,9 +455,9 @@ def forward(
 
     Each dense product flattens its (B, L, K) operand to one (B*L, K) GEMM
     and shapes the result back: larger GEMM panels than one GEMM per batch
-    row, with the same bits. With ``want_cache`` the arrays the reverse
-    pass reads are returned as well: ``[tokens, blocks, lnf, xf, logits]``,
-    with one flat tuple per block (see the module docstring).
+    row, with the same bits. With ``want_cache`` it returns instead the
+    cache the reverse pass reads, ``[tokens, blocks, lnf, logits]``, with
+    one flat tuple per block (see the module docstring).
     """
     tokens = np.asarray(tokens)
     B, L = tokens.shape
@@ -498,20 +502,14 @@ def forward(
     xf, lnf = _layer_norm(x, params["final_norm_g"], params["final_norm_b"])
     del x
     logits = _gemm(xf, tok_emb.T)
-    if not want_cache:
-        return logits
-    return logits, [tokens, blocks, lnf, xf, logits]
+    return [tokens, blocks, lnf, logits] if want_cache else logits
 
 
-def _backward(
-    dlogits: np.ndarray, cache, params: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    # Each array is dropped after its last reader. The caller hands over the
-    # only reference to dlogits, so they go once dtok and dxf are taken.
-    # The cache keeps its length and its emptied block list, so it reads
-    # as spent; its head arrays go with the names below.
-    tokens, blocks, lnf, xf = cache
-    cache[2:] = [None, None]
+def _backward(cache, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    # The names below take over the cache's arrays, the dlogits among them,
+    # and each is dropped after its last reader.
+    tokens, blocks, lnf, dlogits = cache
+    cache.clear()
     tok_emb = params["tok_emb"]
     B, L, V = dlogits.shape
     D = tok_emb.shape[1]
@@ -519,6 +517,7 @@ def _backward(
     grads: dict[str, np.ndarray] = {}
     # Tied projection: the embedding matrix collects gradient from the
     # output side here and from the input lookup at the end.
+    xf = params["final_norm_g"] * lnf[0] + params["final_norm_b"]
     dtok = dlogits.reshape(-1, V).T @ xf.reshape(-1, D)  # (V, D), no bias
     del xf
     dxf = _gemm(dlogits, tok_emb)
@@ -712,17 +711,17 @@ def loss_and_grads_from_logits(
 ):
     """``loss_and_dlogits``, then the reverse pass from the dlogits.
 
-    Starts from a cached ``forward`` and its ``softmax_xent``; the logits
+    Starts from a ``forward`` cache and its ``softmax_xent``; the logits
     the cache carries end as dlogits, which the reverse pass frees once it
     has read them, if the caller holds no other reference. A cache serves
-    one reverse pass: this consumes it. Returns (loss, ce, l2, grads) with
+    one reverse pass: this empties it. Returns (loss, ce, l2, grads) with
     grads keyed exactly like ``params``.
     """
     n_blocks = sum(1 for k in params if k.endswith(".w_in"))
-    if len(cache) != 5 or len(cache[1]) != n_blocks:
+    if len(cache) != 4 or len(cache[1]) != n_blocks:
         raise ValueError(
             f"not an unspent forward cache of a {n_blocks}-block student; "
             "a forward cache serves one reverse pass"
         )
     loss, ce, l2 = loss_and_dlogits(cache[-1], sx, lam, beta)
-    return loss, ce, l2, _backward(cache.pop(), cache, params)
+    return loss, ce, l2, _backward(cache, params)

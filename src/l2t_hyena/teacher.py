@@ -74,10 +74,9 @@ def param_shapes(summary_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
 
 
 def huber(pred, target, delta: float):
-    """0.5 d^2 inside |d| <= delta, linear with matched slope outside."""
+    """0.5 d^2 inside |d| <= delta, linear with matched slope outside; float64, elementwise."""
     d = np.abs(np.asarray(pred, dtype=np.float64) - target)
-    out = np.where(d <= delta, 0.5 * d * d, delta * (d - 0.5 * delta))
-    return float(out) if out.ndim == 0 else out
+    return np.where(d <= delta, 0.5 * d * d, delta * (d - 0.5 * delta))
 
 
 def teacher_step(

@@ -254,12 +254,10 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
     rc = state.run_cfg
     l2t = rc.mode == "l2t"
     try:
-        logits, cache = hyena.forward(batch.inputs, state.student, state.model_cfg,
-                                      want_cache=True)
-
-        sx = hyena.softmax_xent(logits, batch.targets, features=l2t)
-        # The cache carries the logits on; the reverse pass frees them.
-        del logits
+        # The cache owns the logits, its last entry; the reverse pass frees them.
+        cache = hyena.forward(batch.inputs, state.student, state.model_cfg,
+                              want_cache=True)
+        sx = hyena.softmax_xent(cache[-1], batch.targets, features=l2t)
         lam = 0.0
         if l2t:
             # The loss below needs the DLN's weight, and overwrites logits.
@@ -271,7 +269,6 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
         loss, ce, l2, sgrads = hyena.loss_and_grads_from_logits(
             cache, sx, state.student, lam, rc.beta,
         )
-        del cache, sx
         lr_student = _lr(state, rc.lr_student)
         snorm = _update(state, state.student, sgrads, state.opt_student, lr_student)
         _clamp_decay(state)
@@ -333,6 +330,14 @@ def _append_rows(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         for row in rows:
             fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+
+
+def write_json(out_dir: str, name: str, doc: dict) -> None:
+    """``doc`` as indented JSON and a newline, in ``out_dir``, which it creates if needed."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def train(run_cfg: RunConfig) -> dict:
@@ -426,9 +431,7 @@ def train(run_cfg: RunConfig) -> dict:
         # serialized form.
         "notes": {"replay_buffer_checkpointed": False},
     }
-    with open(path(SUMMARY_FILE), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(run_cfg.out_dir, SUMMARY_FILE, summary)
     return summary
 
 

@@ -118,8 +118,8 @@ def finite_diff_failures(params, grads, loss_fn, eps=1e-6, abs_tol=1e-4, rel_tol
 
 def student_loss_and_grads(tokens, targets, params, cfg, lam, beta):
     """(loss, ce, l2, grads) of ``hyena.loss_and_grads_from_logits`` from fresh tokens."""
-    logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
-    sx = hyena.softmax_xent(logits, targets)
+    cache = hyena.forward(tokens, params, cfg, want_cache=True)
+    sx = hyena.softmax_xent(cache[-1], targets)
     return hyena.loss_and_grads_from_logits(cache, sx, params, lam, beta)
 
 
@@ -206,7 +206,7 @@ def reference_operator_backward(dy, cache, bp):
 
 
 def reference_forward(tokens, params, cfg):
-    """(logits, cache) of ``hyena.forward``; the cache keeps each block's GELU output."""
+    """Logits and the cache ``reference_backward`` reads; it keeps each block's GELU output."""
     L = tokens.shape[1]
     x = params["tok_emb"][tokens] + params["pos_emb"][:L]
     block_caches = []

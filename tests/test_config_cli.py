@@ -90,6 +90,17 @@ class TestConfigParsing:
         path.write_text("# a comment\n\nepochs: 3\n")
         assert config.parse_config(str(path)).epochs == 3
 
+    def test_repeated_key_exits_config(self, tmp_path, capsys):
+        # A second line for a key is refused, not silently kept over the first.
+        cfg_path = tmp_path / "twice.cfg"
+        cfg_path.write_text("lr_student: 1e-3\nepochs: 4\n\nlr_student: 5e-4\n")
+        with pytest.raises(ConfigError, match=r"twice.cfg:4: key 'lr_student' already set on "
+                                              r"line 1"):
+            config.parse_config(str(cfg_path))
+        rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+        assert rc == ConfigError.exit_code
+        assert "'lr_student' already set on line 1" in capsys.readouterr().err
+
     def test_non_utf8_file_exits_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "latin1.cfg"
         cfg_path.write_bytes(b"dim: 8\n\xff\n")

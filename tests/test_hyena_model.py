@@ -100,7 +100,7 @@ class TestOperator:
         params["tok_emb"][:] = 0.0
         params["pos_emb"][:] = 0.0
         tokens = np.zeros((2, 6), np.int64)
-        _, (_, blocks, *_) = hyena.forward(tokens, params, cfg, want_cache=True)
+        _, blocks, *_ = hyena.forward(tokens, params, cfg, want_cache=True)
         _, z, streams, _, convs, *_ = blocks[0]
         for y in [z, *streams, *convs]:
             assert np.abs(y).max() == 0.0
@@ -192,7 +192,7 @@ class TestForward:
         params = hyena.init_model(cfg, seed=6)
         tokens = np.random.default_rng(3).integers(0, 9, (3, 8))
         for logits in (hyena.forward(tokens, params, cfg),
-                       hyena.forward(tokens, params, cfg, want_cache=True)[0]):
+                       hyena.forward(tokens, params, cfg, want_cache=True)[-1]):
             assert logits.shape == (3, 8, 9)
             assert logits.flags.c_contiguous
 
@@ -335,25 +335,24 @@ class TestStudentLoss:
             student_loss_and_grads(tokens, targets, params, cfg, 0.3, 0.01)
 
     def test_cache_serves_one_reverse_pass(self):
-        # The reverse pass consumes the cache's blocks; a second pass over
-        # it, or a cache of another depth, is refused rather than skipping
-        # blocks.
+        # The reverse pass empties the cache; a second pass over it, or a
+        # cache of another depth, is refused rather than skipping blocks.
         cfg, params, tokens, targets = self._setup()
-        logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
-        sx = hyena.softmax_xent(logits, targets)
+        cache = hyena.forward(tokens, params, cfg, want_cache=True)
+        sx = hyena.softmax_xent(cache[-1], targets)
         hyena.loss_and_grads_from_logits(cache, sx, params, 0.3, 0.01)
-        assert len(cache) == 4 and cache[1] == []
+        assert cache == []
         with pytest.raises(ValueError, match="one reverse pass"):
             hyena.loss_and_grads_from_logits(cache, sx, params, 0.3, 0.01)
 
         deep = tiny_student_config(n_blocks=cfg.n_blocks + 1)
         deep_params = hyena.init_model(deep, seed=10, dtype=np.float64)
-        logits, cache = hyena.forward(tokens, deep_params, deep, want_cache=True)
-        kept = logits.copy()
+        cache = hyena.forward(tokens, deep_params, deep, want_cache=True)
+        logits, kept = cache[-1], cache[-1].copy()
         n = len(cache[1])
         with pytest.raises(ValueError, match="one reverse pass"):
             hyena.loss_and_grads_from_logits(cache, sx, params, 0.3, 0.01)
-        assert len(cache[1]) == n
+        assert len(cache) == 4 and len(cache[1]) == n and cache[-1] is logits
         assert np.array_equal(logits, kept)
 
     def test_block_mlp_cache_freed_before_its_operator_pass(self, monkeypatch):
@@ -365,9 +364,8 @@ class TestStudentLoss:
         rng = np.random.default_rng(14)
         tokens = rng.integers(0, cfg.vocab_size, (2, 6))
         targets = rng.integers(0, cfg.vocab_size, (2, 6))
-        logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
-        sx = hyena.softmax_xent(logits, targets)
-        del logits
+        cache = hyena.forward(tokens, params, cfg, want_cache=True)
+        sx = hyena.softmax_xent(cache[-1], targets)
         refs = [(weakref.ref(b[6]), weakref.ref(b[7])) for b in cache[1]]
         alive = []
         conv_backward = hyena._fft_causal_conv_backward
@@ -384,17 +382,17 @@ class TestStudentLoss:
             assert flags == [True] * 2 * block + [False] * 2 * (cfg.n_blocks - block), call
 
     def test_head_arrays_freed_before_first_block_reverse_pass(self, monkeypatch):
-        # xf and the final norm's xhat have no reader after the final norm's
-        # reverse pass; the spent cache keeps no reference to either.
+        # The dlogits and the final norm's xhat have no reader after the
+        # final norm's reverse pass; the spent cache keeps no reference to
+        # either.
         cfg = tiny_student_config(dim=8, n_blocks=2)
         params = hyena.init_model(cfg, seed=13)
         rng = np.random.default_rng(15)
         tokens = rng.integers(0, cfg.vocab_size, (2, 6))
         targets = rng.integers(0, cfg.vocab_size, (2, 6))
-        logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
-        sx = hyena.softmax_xent(logits, targets)
-        del logits
-        refs = [weakref.ref(cache[3]), weakref.ref(cache[2][0])]  # xf, xhat
+        cache = hyena.forward(tokens, params, cfg, want_cache=True)
+        sx = hyena.softmax_xent(cache[-1], targets)
+        refs = [weakref.ref(cache[3]), weakref.ref(cache[2][0])]  # logits, xhat
         alive = []
         gelu_backward = hyena._gelu_backward
 
@@ -419,9 +417,8 @@ class TestStudentLoss:
         tracemalloc.start()
         try:
             tokens, targets = np.random.default_rng(4).integers(0, V, (2, B, L))
-            logits, cache = hyena.forward(tokens, params, cfg, want_cache=True)
-            sx = hyena.softmax_xent(logits, targets)
-            del logits
+            cache = hyena.forward(tokens, params, cfg, want_cache=True)
+            sx = hyena.softmax_xent(cache[-1], targets)
             held = cache_nbytes(cache)
             outside = tracemalloc.get_traced_memory()[0] - held
             tracemalloc.reset_peak()
@@ -432,18 +429,15 @@ class TestStudentLoss:
         assert peak <= held + e * B * L * D * 4
 
     @staticmethod
-    def _assert_matches_reference(cfg, dtype, tokens, targets, monkeypatch, case):
+    def _assert_matches_reference(cfg, dtype, tokens, targets, case):
         params = hyena.init_model(cfg, seed=12, dtype=dtype)
         loss, ce, l2, grads = student_loss_and_grads(tokens, targets, params, cfg, 0.4, 0.01)
         ref_logits, ref_cache = reference_forward(tokens, params, cfg)
         logits = hyena.forward(tokens, params, cfg)
         assert np.array_equal(logits, ref_logits), case
         sx = hyena.softmax_xent(ref_logits, targets)
-        with monkeypatch.context() as m:
-            m.setattr(hyena, "_backward", reference_backward)
-            *ref_losses, ref_grads = hyena.loss_and_grads_from_logits(
-                [*ref_cache, ref_logits], sx, params, 0.4, 0.01
-            )
+        ref_losses = list(hyena.loss_and_dlogits(ref_logits, sx, 0.4, 0.01))
+        ref_grads = reference_backward(ref_logits, ref_cache, params)
         assert [loss, ce, l2] == ref_losses, case
         assert list(grads) == list(ref_grads), case
         for k in grads:
@@ -451,7 +445,7 @@ class TestStudentLoss:
             assert np.array_equal(grads[k], ref_grads[k]), (case, k)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_cached_gelu_matches_reference_bit_for_bit(self, dtype, monkeypatch):
+    def test_cached_gelu_matches_reference_bit_for_bit(self, dtype):
         # The block cache keeps the normal CDF instead of GELU(u1), each
         # block's passes run inline and each dense product is one 2-D GEMM;
         # logits, loss and every gradient, in key order, must equal the
@@ -465,14 +459,13 @@ class TestStudentLoss:
                     cfg = tiny_student_config(dim=8, n_blocks=n_blocks, order=order,
                                               short_kernel=short_kernel)
                     self._assert_matches_reference(
-                        cfg, dtype, tokens, targets, monkeypatch,
+                        cfg, dtype, tokens, targets,
                         f"order={order} k={short_kernel} blocks={n_blocks}",
                     )
 
     @pytest.mark.parametrize("batch, seq_len, vocab", [(4, 64, 300), (32, 32, 66)],
                              ids=["B4-L64-V300", "smoke-B32-L32-V66"])
-    def test_matches_reference_bit_for_bit_at_blas_shapes(self, batch, seq_len, vocab,
-                                                          monkeypatch):
+    def test_matches_reference_bit_for_bit_at_blas_shapes(self, batch, seq_len, vocab):
         # Shapes whose products take OpenBLAS's blocked kernels, where a
         # (B*L, K) GEMM and B stacked (L, K) GEMMs could split the work
         # differently; the second is the README smoke run's.
@@ -480,7 +473,7 @@ class TestStudentLoss:
         rng = np.random.default_rng(9)
         tokens = rng.integers(0, vocab, (batch, seq_len))
         targets = rng.integers(0, vocab, (batch, seq_len))
-        self._assert_matches_reference(cfg, np.float32, tokens, targets, monkeypatch,
+        self._assert_matches_reference(cfg, np.float32, tokens, targets,
                                        f"B={batch} L={seq_len} V={vocab}")
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -488,20 +481,20 @@ class TestStudentLoss:
     def test_cache_nbytes_closed_form(self, order, dtype):
         # What forward keeps for the reverse pass, byte for byte: per block
         # the layer norms, z and its streams, the filter net, convs, u1 and
-        # phi; then the tokens, xf, the final norm and the logits.
+        # phi; then the tokens, the final norm and the logits.
         cfg = tiny_student_config(vocab_size=11, dim=8, n_blocks=2, order=order,
                                   max_seq_len=10, filter_pos_dim=5, filter_hidden=6,
                                   mlp_expansion=3)
         params = hyena.init_model(cfg, seed=5, dtype=dtype)
         B, L = 3, 10
         tokens = np.random.default_rng(6).integers(0, 11, (B, L))
-        _, cache = hyena.forward(tokens, params, cfg, want_cache=True)
+        cache = hyena.forward(tokens, params, cfg, want_cache=True)
         s = np.dtype(dtype).itemsize
         D, N, e = cfg.dim, cfg.order, cfg.mlp_expansion
         P, F = cfg.filter_pos_dim, cfg.filter_hidden
         block = s * (B * L * D * (3 * N + 4 + 2 * e) + 2 * B * L + L * P
                      + 2 * L * F + 2 * N * L * D)
-        rest = tokens.nbytes + s * (2 * B * L * D + B * L + B * L * cfg.vocab_size)
+        rest = tokens.nbytes + s * (B * L * D + B * L + B * L * cfg.vocab_size)
         assert cache_nbytes(cache) == cfg.n_blocks * block + rest
 
 
