@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from . import hyena
 
@@ -88,7 +87,7 @@ def _gru_forward(f: np.ndarray, params: dict[str, np.ndarray]):
     z, r = np.hsplit(zr, 2)
     for t in range(L):
         h = hs[t]
-        expit(a_zr[t] + h @ u_zr, out=zr[t])
+        hyena._expit(a_zr[t] + h @ u_zr, out=zr[t])
         np.tanh(a_n[t] + (r[t] * h) @ u_h, out=n[t])
         hs[t + 1] = (1.0 - z[t]) * h + z[t] * n[t]
     return hs, z, r, n
@@ -117,7 +116,7 @@ def dln_forward(f_norm: np.ndarray, params: dict[str, np.ndarray]) -> DLNTape:
         raise ValueError(f"feature sequence must be (L, n_features), got {f_norm.shape}")
     hs, z, r, n = _gru_forward(f_norm, params)
     acts = hyena.mlp_forward(hs[-1], params, "mlp.")
-    return DLNTape(float(expit(float(acts[-1][0]))), f_norm, hs, z, r, n, acts)
+    return DLNTape(float(hyena._expit(float(acts[-1][0]))), f_norm, hs, z, r, n, acts)
 
 
 def dln_grads(

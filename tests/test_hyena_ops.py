@@ -152,6 +152,23 @@ class TestFftCausalConv:
             assert out.dtype == dtype and out.shape == ref.shape
             assert np.abs(out - ref).max() / np.abs(ref).max() <= tol
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 16, 8), (4, 64, 256), (4, 1024, 64)])
+    def test_forward_bits_match_public_scipy_fft(self, shape, dtype):
+        # hyena calls SciPy's compiled pocketfft without scipy.fft's Python
+        # layer; the padding, norm codes and thread count must give scipy.fft's
+        # bits. (4, 1024, 64) is the long-context benchmark's convolution.
+        rng = np.random.default_rng(shape[1])
+        u = rng.standard_normal(shape).astype(dtype)
+        h = rng.standard_normal(shape[1:]).astype(dtype)
+        L, nfft = shape[1], 2 * shape[1]
+        uf = fft.rfft(u, n=nfft, axis=1)
+        hf = fft.rfft(h, n=nfft, axis=0)
+        ref = fft.irfft(uf * hf[None], n=nfft, axis=1)[:, :L, :]
+        y = hyena.fft_causal_conv(u, h)
+        assert y.dtype == dtype and y.shape == ref.shape
+        assert np.array_equal(y, ref)
+
     @pytest.mark.parametrize("shape", [(2, 16, 8), (4, 64, 256)])
     def test_backward_bits_on_both_sides_of_temporary_elision(self, shape):
         # A complex64 product is not bit-commutative, and from 256 KiB NumPy
