@@ -94,7 +94,7 @@ def parse_value(key: str, text: str):
 def parse_config_file(path: str) -> dict:
     """Read a flat key-value file, each key at most once, into a typed override dict."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading BOM
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}")

@@ -50,7 +50,7 @@ class TokenBatch:
 
 def read_lines(path: str) -> list[str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading BOM
             return fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path!r} is not UTF-8 text: {exc}")

@@ -248,11 +248,15 @@ def _clamp_decay(state: TrainState) -> None:
 def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
     """One optimizer step for the student (and, in l2t mode, the rest).
 
-    Returns the step's scalar metrics. A non-finite loss or gradient raises
+    Returns the step's record, built after the updates: the ``STEP_COLUMNS``
+    (step, loss, ce, l2, lambda, grad_norm_student), and ``lr_student``,
+    ``teacher_huber`` (0.0 unless ``teacher_active``) and ``teacher_active``,
+    which ``train``'s epoch row reads. A non-finite loss or gradient raises
     NumericalError tagged with the step index.
     """
     rc = state.run_cfg
     l2t = rc.mode == "l2t"
+    huber_loss, active = 0.0, False
     try:
         # The cache owns the logits, its last entry; the reverse pass frees them.
         cache = hyena.forward(batch.inputs, state.student, state.model_cfg,
@@ -273,42 +277,34 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
         snorm = _update(state, state.student, sgrads, state.opt_student, lr_student)
         _clamp_decay(state)
 
-        metrics = {
-            "step": state.step,
-            "loss": loss,
-            "ce": ce,
-            "l2": l2,
-            "lambda": lam,
-            "grad_norm_student": snorm,
-            "grad_norm_teacher": 0.0,
-            "grad_norm_dln": 0.0,
-            "lr_student": lr_student,
-            "lr_teacher": _lr(state, rc.lr_teacher),
-            "lr_dln": _lr(state, rc.lr_dln),
-            "teacher_huber": 0.0,
-            "teacher_active": False,
-        }
-
         if l2t:
             teacher.push_experience(state.buffer, tape.hs[-1], lam, loss)
-            if len(state.buffer) >= rc.activation_threshold:
+            active = len(state.buffer) >= rc.activation_threshold
+            if active:
                 tgrads, huber_loss = teacher.teacher_step(
                     state.buffer, state.teacher_params, rc.teacher_k,
                     state.sample_rng, rc.huber_delta,
                 )
-                metrics["grad_norm_teacher"] = _update(
-                    state, state.teacher_params, tgrads, state.opt_teacher,
-                    metrics["lr_teacher"])
+                _update(state, state.teacher_params, tgrads, state.opt_teacher,
+                        _lr(state, rc.lr_teacher))
 
                 upstream = teacher.dln_feedback(tape.hs[-1], lam, state.teacher_params)
                 dgrads = dln.dln_grads(tape, state.dln_params, upstream)
-                metrics["grad_norm_dln"] = _update(
-                    state, state.dln_params, dgrads, state.opt_dln, metrics["lr_dln"])
-                metrics["teacher_huber"] = huber_loss
-                metrics["teacher_active"] = True
+                _update(state, state.dln_params, dgrads, state.opt_dln, _lr(state, rc.lr_dln))
     except NumericalError as exc:
         raise NumericalError(f"step {state.step}: {exc}") from None
 
+    metrics = {
+        "step": state.step,
+        "loss": loss,
+        "ce": ce,
+        "l2": l2,
+        "lambda": lam,
+        "grad_norm_student": snorm,
+        "lr_student": lr_student,
+        "teacher_huber": huber_loss,
+        "teacher_active": active,
+    }
     state.step += 1
     return metrics
 

@@ -45,6 +45,11 @@ class TestConfigParsing:
         cfg = config.parse_config(str(path))
         assert cfg.epochs == 4 and cfg.batch_size == 8
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes("\ufeffepochs: 4\n".encode("utf-8"))
+        assert config.parse_config(str(path)).epochs == 4
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("no_such_key: 3\n")

@@ -161,6 +161,14 @@ def test_load_vocab_rejects_unusable_file(tmp_path, blob, match):
     assert str(path) in str(info.value)
 
 
+def test_read_lines_drops_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "train.txt"
+    path.write_bytes("\ufeffa b a\nb a\n".encode("utf-8"))
+    lines = corpus.read_lines(str(path))
+    assert lines == ["a b a", "b a"]
+    assert corpus.build_vocab(lines, 10).id_to_token == ["a", "<eos>", "b", "<unk>"]
+
+
 def test_oov_rate():
     vocab = corpus.build_vocab(["a b"], max_size=10)
     assert corpus.oov_rate(["a b"], vocab) == 0.0

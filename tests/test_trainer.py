@@ -271,6 +271,31 @@ class TestTrainStep:
         assert _params_checksum(state.dln_params) == dln_before
         assert _params_checksum(state.teacher_params) == teacher_before
 
+    def test_record_holds_the_fields_its_readers_read(self, tiny_flags, tmp_path,
+                                                      monkeypatch):
+        # The step columns, and the epoch row's lr_student, teacher_huber and
+        # teacher_active; the teacher's and DLN's rates only on their updates.
+        keys = {*trainer.STEP_COLUMNS, "lr_student", "teacher_huber", "teacher_active"}
+        rates, lr = [], trainer._lr
+
+        def recording_lr(state, lr_max):
+            rates.append(lr_max)
+            return lr(state, lr_max)
+
+        monkeypatch.setattr(trainer, "_lr", recording_lr)
+        for mode, active in (("baseline", [False, False]), ("l2t", [False, True])):
+            state, batches = self._state_and_batch(tiny_flags, tmp_path, mode=mode,
+                                                   activation_threshold=2)
+            rc = state.run_cfg
+            for i, want in enumerate(active):
+                rates.clear()
+                m = trainer.train_step(state, batches[i])
+                assert set(m) == keys and m["step"] == i
+                assert m["teacher_active"] is want
+                assert (m["teacher_huber"] > 0.0) is want
+                updated = (rc.lr_teacher, rc.lr_dln) if want else ()
+                assert rates == [rc.lr_student, *updated]
+
     @pytest.mark.parametrize("mode", ["l2t", "baseline"])
     def test_logits_freed_before_first_block_reverse_pass(self, tiny_flags, tmp_path,
                                                           mode, monkeypatch):
