@@ -20,6 +20,7 @@ each run's summary through ``trainer.load_summary``. ``eval`` and
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import config, corpus, trainer
@@ -29,12 +30,9 @@ EXIT_OK = 0
 
 
 def cmd_train(args) -> int:
-    flag_values = {}
-    for key in config.FIELD_TYPES:
-        raw = getattr(args, key)
-        if raw is not None:
-            flag_values[key] = raw if isinstance(raw, bool) else config.parse_value(key, raw)
-    cfg = config.parse_config(args.config, flag_values)
+    flag_values = {key: getattr(args, key) for key in config.FIELD_TYPES
+                   if getattr(args, key) is not None}
+    cfg = config.resolve_config(args.config, flag_values)
     best = trainer.train(cfg)["best"]
     print(f"best epoch {best['epoch']}: val_ppl {best['val_ppl']:.4f} -> {cfg.out_dir}")
     return EXIT_OK
@@ -108,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         if typ is bool:
             t.add_argument(flag, dest=key, action="store_true", default=None)
         else:
-            t.add_argument(flag, dest=key, default=None, metavar=typ.__name__.upper())
+            t.add_argument(flag, dest=key, default=None, metavar=typ.__name__.upper(),
+                           type=functools.partial(config.parse_value, key))
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint with its training run's config")
@@ -126,8 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # A flag's type is config.parse_value, whose ConfigError argparse passes on.
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (L2THyenaError, OSError, MemoryError) as exc:
         if isinstance(exc, MemoryError):  # arrays sized by the config do not fit

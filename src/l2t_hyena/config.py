@@ -2,8 +2,9 @@
 
 File grammar: one ``key: value`` per line; blank lines and lines starting
 with ``#`` are ignored; keys and values are whitespace-trimmed. Booleans
-are ``true``/``false``. Unknown keys are rejected. Command-line flags
-override file values, which override the built-in defaults.
+are ``true``/``false``. Unknown keys are rejected. ``resolve_config`` is
+the one resolver: command-line flags, each typed by ``parse_value`` as its
+file line is, override file values, which override the built-in defaults.
 
 ``echo_config`` renders a resolved config back into this grammar with
 full-precision floats, so re-parsing the echoed file reproduces the exact
@@ -114,16 +115,6 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _positive(cfg, key):
-    if getattr(cfg, key) <= 0:
-        raise ConfigError(f"{key} must be > 0, got {getattr(cfg, key)}")
-
-
-def _non_negative(cfg, key):
-    if getattr(cfg, key) < 0:
-        raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
-
-
 def validate_config(cfg: RunConfig) -> None:
     for key, typ in FIELD_TYPES.items():
         # nan passes every range check below; inf passes most of them.
@@ -134,11 +125,14 @@ def validate_config(cfg: RunConfig) -> None:
     for key in ("batch_size", "seq_len", "epochs", "dim", "n_blocks", "order",
                 "filter_hidden", "mlp_expansion", "dln_hidden", "teacher_hidden",
                 "buffer_capacity", "teacher_k", "activation_threshold",
-                "huber_delta", "clip_norm", "decay_fastest",
-                "lr_student", "lr_teacher", "lr_dln", "adam_eps"):
-        _positive(cfg, key)
-    for key in ("wd_student", "wd_teacher", "wd_dln", "beta", "warmup_epochs", "seed"):
-        _non_negative(cfg, key)
+                "huber_delta", "clip_norm", "decay_fastest", "adam_eps"):
+        if getattr(cfg, key) <= 0:
+            raise ConfigError(f"{key} must be > 0, got {getattr(cfg, key)}")
+    # A learning rate of 0 freezes its component: AdamW subtracts 0 * (...).
+    for key in ("lr_student", "lr_teacher", "lr_dln", "wd_student", "wd_teacher",
+                "wd_dln", "beta", "warmup_epochs", "seed"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
     if cfg.max_vocab < 3:
         raise ConfigError(f"max_vocab must be >= 3, got {cfg.max_vocab}")
     if cfg.short_kernel < 1 or cfg.short_kernel % 2 == 0:
@@ -191,10 +185,10 @@ def model_config_from_run(cfg: RunConfig, vocab_size: int) -> hyena.HyenaConfig:
     return hyena.HyenaConfig(vocab_size=vocab_size, max_seq_len=cfg.seq_len, **shared)
 
 
-def resolve_config(file_values: dict | None = None, flag_values: dict | None = None) -> RunConfig:
-    """defaults <- config file <- command-line flags, then validate."""
+def resolve_config(path: str | None = None, flag_values: dict | None = None) -> RunConfig:
+    """defaults <- the config file at ``path`` <- typed flag values, then validate."""
     cfg = RunConfig()
-    for source in (file_values or {}, flag_values or {}):
+    for source in (parse_config_file(path) if path else {}, flag_values or {}):
         for key, value in source.items():
             if key not in FIELD_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -203,11 +197,6 @@ def resolve_config(file_values: dict | None = None, flag_values: dict | None = N
         cfg.out_dir = f"runs/{cfg.mode}"
     validate_config(cfg)
     return cfg
-
-
-def parse_config(path: str | None = None, flag_values: dict | None = None) -> RunConfig:
-    file_values = parse_config_file(path) if path else None
-    return resolve_config(file_values, flag_values)
 
 
 def _render(value) -> str:

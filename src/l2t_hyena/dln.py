@@ -2,9 +2,10 @@
 
 Five per-position statistics are read off the student's softmax: the
 per-position terms that ``hyena.softmax_xent`` keeps (sum of exponentials,
-p[target], log-sum-exp, E_p[z] and cross-entropy; the (B, L, V) softmax
-itself is never stored), averaged over the batch so each training step
-yields one (L, 5) sequence; max p is 1 / sum_e, as the row max has z = 0.
+p[target], E_p[z] and cross-entropy; the (B, L, V) softmax itself is never
+stored), averaged over the batch so each training step yields one (L, 5)
+sequence; max p is 1 / sum_e, as the row max has z = 0, and the
+log-sum-exp is log(sum_e).
 They are z-scored against running moments, summarized by a GRU whose input
 projections and weight gradients are whole-sequence products (only the
 hidden-state recurrence runs per position), and mapped through a 4-layer
@@ -51,8 +52,8 @@ def extract_features(sx: hyena.SoftmaxXent) -> np.ndarray:
     """Batch-averaged (L, 5) difficulty statistics of the student's softmax."""
     conf = 1.0 / sx.sum_e  # max p, exp(0) / sum_e
     margin = conf - sx.pt
-    # H = lse - E_p[z]; avoids p*log(p) underflow for saturated rows.
-    entropy = (sx.lse - sx.mean_z) / math.log(sx.vocab)
+    # H = log(sum_e) - E_p[z]; avoids p*log(p) underflow for saturated rows.
+    entropy = (np.log(sx.sum_e) - sx.mean_z) / math.log(sx.vocab)
     feats = np.stack([conf, sx.pt, margin, entropy, sx.ce], axis=-1)  # (B, L, 5)
     return feats.mean(axis=0)
 

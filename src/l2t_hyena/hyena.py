@@ -19,8 +19,8 @@ order ``param_shapes`` declares once; it is also the checkpoint schema. All
 gradients are computed analytically by the ``loss_and_grads_from_logits``
 reverse pass; no autograd. The logits are the step's only (B, L, V) array,
 and two walks over their row blocks read them: ``softmax_xent`` keeps
-per-position terms only (row max, sum of exponentials, log-sum-exp,
-cross-entropy, target probability and E_p[z], which the DLN reads), and
+per-position terms only (row max, sum of exponentials, cross-entropy,
+target probability and E_p[z], which the DLN reads), and
 ``loss_and_dlogits`` squares each block for the regularizer's mean squared
 logit, then overwrites it with its dlogits.
 
@@ -643,9 +643,8 @@ class SoftmaxXent(NamedTuple):
     """
 
     shift: np.ndarray    # row max of the logits
-    sum_e: np.ndarray    # sum of exp(z)
-    lse: np.ndarray      # log(sum_e), the log-sum-exp of z
-    ce: np.ndarray       # cross-entropy lse - z[target]
+    sum_e: np.ndarray    # sum of exp(z); log(sum_e) is the log-sum-exp of z
+    ce: np.ndarray       # cross-entropy log(sum_e) - z[target]
     pt: np.ndarray       # p[target]
     targets: np.ndarray  # target ids
     mean_z: np.ndarray   # E_p[z], the row sum of p * z
@@ -683,8 +682,8 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray,
             pb /= sum_e[a:b, None]
             pb *= zb
             pb.sum(axis=-1, out=mean_z[a:b])
-    lse = np.log(sum_e)
-    terms = (shift, sum_e, lse, lse - zt, np.exp(zt) / sum_e, t, mean_z if features else None)
+    terms = (shift, sum_e, np.log(sum_e) - zt, np.exp(zt) / sum_e, t,
+             mean_z if features else None)
     return SoftmaxXent(*(a if a is None else a.reshape(targets.shape) for a in terms), V)
 
 
@@ -712,7 +711,6 @@ def loss_and_dlogits(logits: np.ndarray, sx: SoftmaxXent, lam: float, beta: floa
     x = logits.reshape(-1, V)
     n = len(x)
     shift, sum_e, t = sx.shift.reshape(-1), sx.sum_e.reshape(-1), sx.targets.reshape(-1)
-    pt_minus_1 = (sx.pt - 1.0).reshape(-1)
     lam_beta = float(lam) * float(beta)
     rows = max(1, BLOCK // V)
     z = np.empty((min(rows, n), V), x.dtype)
@@ -727,7 +725,7 @@ def loss_and_dlogits(logits: np.ndarray, sx: SoftmaxXent, lam: float, beta: floa
         np.subtract(xb, shift[a:b, None], out=zb)
         np.exp(zb, out=zb)
         zb /= sum_e[a:b, None]
-        zb[ar[:k], t[a:b]] = pt_minus_1[a:b]
+        zb[ar[:k], t[a:b]] -= 1.0
         zb /= n
         xb *= 2.0 * lam_beta / (n * V)
         xb += zb

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint, corpus, dln, hyena, teacher
-from .config import RunConfig, echo_config, model_config_from_run, parse_config
+from .config import RunConfig, echo_config, model_config_from_run, resolve_config
 from .errors import CheckpointError, DataError, NumericalError
 
 DECAY_FLOOR = 1e-6
@@ -443,7 +443,7 @@ def load_student(checkpoint_path: str) -> tuple[RunConfig, corpus.Vocab,
     """
     archive = checkpoint.load_archive(checkpoint_path)
     run_dir = os.path.dirname(checkpoint_path)
-    run_cfg = parse_config(os.path.join(run_dir, CONFIG_FILE))
+    run_cfg = resolve_config(os.path.join(run_dir, CONFIG_FILE))
     vocab = corpus.load_vocab(os.path.join(run_dir, VOCAB_FILE))
     model_cfg = model_config_from_run(run_cfg, len(vocab))
     shapes = {"student/" + k: v for k, v in hyena.param_shapes(model_cfg).items()}

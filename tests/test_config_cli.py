@@ -24,7 +24,7 @@ class TestConfigParsing:
     def test_builtin_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
         path.write_text("")
-        cfg = config.parse_config(str(path), {"mode": "l2t"})
+        cfg = config.resolve_config(str(path), {"mode": "l2t"})
         assert cfg.lr_student == 2e-4 and cfg.wd_student == 0.15
         assert cfg.lr_teacher == 2e-6 and cfg.wd_teacher == 0.01
         assert cfg.lr_dln == 5e-7 and cfg.wd_dln == 0.01
@@ -36,25 +36,25 @@ class TestConfigParsing:
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("epochs: 10\nwarmup_epochs: 1\n")
-        cfg = config.parse_config(str(path), {"epochs": 2})
+        cfg = config.resolve_config(str(path), {"epochs": 2})
         assert cfg.epochs == 2
 
     def test_file_overrides_default(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("epochs: 4\nbatch_size: 8\n")
-        cfg = config.parse_config(str(path))
+        cfg = config.resolve_config(str(path))
         assert cfg.epochs == 4 and cfg.batch_size == 8
 
     def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_bytes("\ufeffepochs: 4\n".encode("utf-8"))
-        assert config.parse_config(str(path)).epochs == 4
+        assert config.resolve_config(str(path)).epochs == 4
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("no_such_key: 3\n")
         with pytest.raises(ConfigError, match="no_such_key"):
-            config.parse_config(str(path))
+            config.resolve_config(str(path))
 
     def test_out_of_range_rejected(self):
         for flags, message in [
@@ -88,12 +88,12 @@ class TestConfigParsing:
         path = tmp_path / "c.cfg"
         path.write_text("epochs: often\n")
         with pytest.raises(ConfigError, match="epochs"):
-            config.parse_config(str(path))
+            config.resolve_config(str(path))
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# a comment\n\nepochs: 3\n")
-        assert config.parse_config(str(path)).epochs == 3
+        assert config.resolve_config(str(path)).epochs == 3
 
     def test_repeated_key_exits_config(self, tmp_path, capsys):
         # A second line for a key is refused, not silently kept over the first.
@@ -101,7 +101,7 @@ class TestConfigParsing:
         cfg_path.write_text("lr_student: 1e-3\nepochs: 4\n\nlr_student: 5e-4\n")
         with pytest.raises(ConfigError, match=r"twice.cfg:4: key 'lr_student' already set on "
                                               r"line 1"):
-            config.parse_config(str(cfg_path))
+            config.resolve_config(str(cfg_path))
         rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
         assert rc == ConfigError.exit_code
         assert "'lr_student' already set on line 1" in capsys.readouterr().err
@@ -120,8 +120,34 @@ class TestConfigParsing:
         })
         path = tmp_path / "echo.cfg"
         path.write_text(config.echo_config(cfg))
-        cfg2 = config.parse_config(str(path))
+        cfg2 = config.resolve_config(str(path))
         assert cfg == cfg2
+
+    def test_every_flag_parses_as_its_file_line(self, tiny_flags, tmp_path, monkeypatch):
+        # Every key at a value other than its default, given once as the
+        # echoed file and once as the train flags argparse types.
+        cfg = config.resolve_config(flag_values=tiny_flags(
+            mode="baseline", out_dir=str(tmp_path / "o"), order=3, short_kernel=5,
+            mlp_expansion=2, decay_fastest=0.1, decay_slowest=20.5, dln_hidden=12,
+            teacher_hidden=24, buffer_capacity=40, huber_delta=0.75, beta=0.02,
+            lr_student=1.5e-4, wd_student=0.1, lr_teacher=3e-6, wd_teacher=0.02,
+            lr_dln=0.0, wd_dln=0.03, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-7,
+            clip_norm=0.5))
+        default = config.RunConfig()
+        assert len(config.FIELD_TYPES) == 37
+        assert [k for k in config.FIELD_TYPES if getattr(cfg, k) == getattr(default, k)] == []
+        path = tmp_path / "tiny.cfg"
+        path.write_text(config.echo_config(cfg))
+        argv = ["train"]
+        for line in path.read_text().splitlines():
+            key, _, value = line.partition(": ")
+            flag = "--" + key.replace("_", "-")
+            argv += [flag] if config.FIELD_TYPES[key] is bool else [flag, value]
+        resolved = []
+        monkeypatch.setattr(trainer, "train", lambda run_cfg: resolved.append(run_cfg) or
+                            {"best": {"epoch": 0, "val_ppl": 1.0}})
+        assert cli.main(argv) == 0
+        assert resolved == [config.resolve_config(str(path))] == [cfg]
 
 
 class TestTrainCommand:
@@ -173,6 +199,21 @@ class TestTrainCommand:
             "--epochs", "many", "--out-dir", str(tmp_path / "o"),
         ])
         assert rc == ConfigError.exit_code
+
+    @pytest.mark.parametrize("flags", [["--epochs", "many"], ["--epochs", "many", "--epochs", "3"]],
+                             ids=["once", "repeated"])
+    def test_bad_flag_value_exits_config_in_new_process(self, flags):
+        # argparse calls config.parse_value on each occurrence of the flag; its
+        # ConfigError is reported as a bad file value is, with no usage text
+        # or traceback, even when a later occurrence parses.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "l2t_hyena", "train", *flags],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == ConfigError.exit_code
+        assert proc.stderr == "config error: bad value 'many' for key 'epochs' (expected int)\n"
+        assert proc.stdout == ""
 
     def test_nan_clip_norm_exits_config(self, tiny_flags, tmp_path, capsys):
         # `total > nan` is never true: a nan clip norm would switch clipping off.
@@ -268,8 +309,8 @@ class TestTrainCommand:
 
     def test_resolved_config_reproduces_run_config(self, tiny_run):
         cfg_path, out = tiny_run.cfg_path, tiny_run.out
-        echoed = config.parse_config(str(out / "config_resolved.txt"))
-        direct = config.parse_config(str(cfg_path), {"out_dir": str(out)})
+        echoed = config.resolve_config(str(out / "config_resolved.txt"))
+        direct = config.resolve_config(str(cfg_path), {"out_dir": str(out)})
         assert echoed == direct
 
 

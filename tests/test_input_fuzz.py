@@ -67,7 +67,7 @@ _config_line = st.tuples(
     st.lists(_config_line, max_size=8).map(lambda ls: "\n".join(ls).encode("utf-8")),
 ))
 def test_parse_config_any_bytes(fuzz_file, blob):
-    _only_package_errors(config.parse_config, fuzz_file, blob)
+    _only_package_errors(config.resolve_config, fuzz_file, blob)
 
 
 @_FUZZ

@@ -11,7 +11,7 @@ import pytest
 from helpers import RUN_DIR_FILES, csv_column, paper_student_config, run_dir_files
 
 from l2t_hyena import config, corpus, dln, hyena, teacher, trainer
-from l2t_hyena.errors import NumericalError
+from l2t_hyena.errors import ConfigError, NumericalError
 
 
 def _params_checksum(params):
@@ -254,6 +254,22 @@ class TestTrainStep:
         assert m["teacher_active"]
         assert _params_checksum(state.dln_params) != dln_before
         assert _params_checksum(state.teacher_params) != teacher_before
+
+    def test_zero_dln_rate_freezes_the_dln(self, tiny_flags, tmp_path):
+        # AdamW subtracts 0 * (...): every DLN array keeps its bits, while the
+        # teacher trains and lambda still moves with the features.
+        state, batches = self._state_and_batch(tiny_flags, tmp_path, lr_dln=0.0,
+                                               activation_threshold=2)
+        dln_before = _params_checksum(state.dln_params)
+        teacher_before = _params_checksum(state.teacher_params)
+        records = [trainer.train_step(state, b) for b in batches[:6]]
+        assert [m["teacher_active"] for m in records] == [False] + [True] * 5
+        assert state.opt_dln.t == 5
+        assert _params_checksum(state.dln_params) == dln_before
+        assert _params_checksum(state.teacher_params) != teacher_before
+        assert len({m["lambda"] for m in records}) == 6
+        with pytest.raises(ConfigError, match="lr_dln must be >= 0, got -1e-30"):
+            _tiny_run_config(tiny_flags, tmp_path, lr_dln=-1e-30)
 
     def test_baseline_skips_adaptive_components(self, tiny_flags, tmp_path):
         state, batches = self._state_and_batch(tiny_flags, tmp_path,
