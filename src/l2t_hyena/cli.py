@@ -94,9 +94,22 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse reads an argument that starts with '-' as an option unless it
+    # matches ^-\d+$|^-\d*\.\d+$ (Python 3.11), so `--beta -1e-3` would fail as
+    # "expected one argument". Glued to the argument after it, `--beta=-1e-3`,
+    # a value flag takes that argument whatever it is; subparsers glue too.
+    def parse_known_args(self, args=None, namespace=None):
+        flags = {s for a in self._actions if a.nargs is None for s in a.option_strings}
+        glued, rest = [], list(sys.argv[1:] if args is None else args)
+        while rest and rest[0] != "--":
+            arg = rest.pop(0)
+            glued.append(f"{arg}={rest.pop(0)}" if arg in flags and rest else arg)
+        return super().parse_known_args(glued + rest, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="l2t-hyena",
-                                description="Adaptive-loss language model trainer")
+    p = _Parser(prog="l2t-hyena", description="Adaptive-loss language model trainer")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train a model and export metrics")

@@ -169,7 +169,7 @@ def validate_config(cfg: RunConfig) -> None:
     n, S = cfg.batch_size * cfg.seq_len, cfg.dln_hidden
     sizes.update({"logits": n * cfg.max_vocab, "MLP activations": n * cfg.mlp_expansion * cfg.dim,
                   "positional features": cfg.seq_len * cfg.filter_pos_dim,
-                  "replay memory": cfg.buffer_capacity * S,
+                  "replay memory": cfg.buffer_capacity * (S + 2),
                   "teacher batch": cfg.teacher_k * (S + 1)})
     limit = int(np.iinfo(np.intp).max)
     for name, size in sizes.items():

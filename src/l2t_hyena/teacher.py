@@ -1,18 +1,17 @@
 """Memory-augmented teacher: replay memory plus a loss-predicting MLP.
 
 The memory, ``ReplayMemory``, keeps the latest ``buffer_capacity``
-experiences as three arrays, oldest row first: each row pairs a DLN summary
-vector and the weight it proposed with the student loss that actually
-resulted. Training draws rows with probability proportional to stored loss,
-fits the MLP prediction under Huber loss, and the trained predictor's
-sensitivity to the weight input is what the DLN descends. The predictor is a
-ReLU MLP declared by ``param_shapes``, drawn by ``hyena.init_dense``, run by
-``hyena.mlp_forward`` and differentiated by ``hyena.mlp_backward``.
+experiences as rows of one float64 table, oldest first: each row
+``[summary | lam | loss]`` pairs a DLN summary vector and the weight it
+proposed with the student loss that actually resulted. Training draws rows
+with probability proportional to stored loss, fits the MLP prediction under
+Huber loss, and the trained predictor's sensitivity to the weight input is
+what the DLN descends. The predictor is a ReLU MLP declared by
+``param_shapes``, drawn by ``hyena.init_dense``, run by ``hyena.mlp_forward``
+and differentiated by ``hyena.mlp_backward``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,16 +22,10 @@ PRIORITY_FLOOR = 1e-6
 
 
 class ReplayMemory:
-    """Rows ``[:count]`` of ``summary``, ``lam`` and ``loss``, oldest first.
+    """``rows[:count]``, oldest first: float64 ``[summary | lam | loss]`` rows."""
 
-    ``summary`` is (capacity, summary_dim) in the DLN summary's dtype; the
-    weight and loss columns are float64. Only this module reads the arrays.
-    """
-
-    def __init__(self, capacity: int, summary_dim: int, dtype=np.float32):
-        self.summary = np.zeros((capacity, summary_dim), dtype)
-        self.lam = np.zeros(capacity)
-        self.loss = np.zeros(capacity)
+    def __init__(self, capacity: int, summary_dim: int):
+        self.rows = np.zeros((capacity, summary_dim + 2))
         self.count = 0
 
     def __len__(self) -> int:
@@ -40,31 +33,25 @@ class ReplayMemory:
 
 
 def push_experience(mem: ReplayMemory, summary: np.ndarray, lam: float,
-                    loss: float) -> None:
-    """Append a row, evicting the oldest when full. Rejects non-finite data."""
-    if (
-        not np.all(np.isfinite(summary))
-        or not math.isfinite(lam)
-        or not math.isfinite(loss)
-        or loss < 0.0
-    ):
+                    loss: float) -> np.ndarray:
+    """Append a finite row, evicting the oldest when full; return its ``[summary | lam]``."""
+    row = np.append(summary, (lam, loss))
+    if not np.all(np.isfinite(row)) or loss < 0.0:
         raise NumericalError(f"rejected experience (lambda {lam}, loss {loss})")
-    row = mem.count
-    if row == len(mem.loss):
+    if mem.count == len(mem.rows):
         # Shift rather than wrap, so that rows [:count] stay oldest first.
-        for a in (mem.summary, mem.lam, mem.loss):
-            a[:-1] = a[1:]
-        row -= 1
+        mem.rows[:-1] = mem.rows[1:]
     else:
         mem.count += 1
-    mem.summary[row], mem.lam[row], mem.loss[row] = summary, lam, loss
+    mem.rows[mem.count - 1] = row
+    return row[:-1]
 
 
 def sample_prioritized(mem: ReplayMemory, k: int, rng: np.random.Generator) -> np.ndarray:
     """k row indices drawn with replacement, P(i) proportional to max(loss_i, floor)."""
     if mem.count == 0:
         raise ValueError("cannot sample from an empty memory buffer")
-    weights = np.maximum(mem.loss[:mem.count], PRIORITY_FLOOR)
+    weights = np.maximum(mem.rows[:mem.count, -1], PRIORITY_FLOOR)
     return rng.choice(mem.count, size=k, replace=True, p=weights / weights.sum())
 
 
@@ -87,10 +74,10 @@ def teacher_step(
     delta: float,
 ):
     """One prioritized minibatch: mean Huber loss and its exact gradients."""
-    rows = sample_prioritized(mem, k, rng)
+    idx = sample_prioritized(mem, k, rng)
     dtype = params["w1"].dtype
-    x = np.column_stack([mem.summary[rows], mem.lam[rows]]).astype(dtype)
-    targets = mem.loss[rows].astype(dtype)
+    x = mem.rows[idx, :-1].astype(dtype)
+    targets = mem.rows[idx, -1].astype(dtype)
 
     acts = hyena.mlp_forward(x, params)
     pred = acts[-1][:, 0]
@@ -103,14 +90,12 @@ def teacher_step(
     return grads, loss
 
 
-def dln_feedback(
-    summary: np.ndarray, lam: float, params: dict[str, np.ndarray]
-) -> float:
-    """d(predicted loss)/d(weight) at (summary, lam), teacher held fixed.
+def dln_feedback(x: np.ndarray, params: dict[str, np.ndarray]) -> float:
+    """d(predicted loss)/d(weight) at input row ``x = [summary | lam]``, teacher fixed.
 
     This scalar is the upstream derivative handed to ``dln.dln_grads``: the
     DLN then moves its weight downhill on the teacher's predicted loss.
     """
-    x = np.concatenate([summary, [lam]]).astype(params["w1"].dtype)
+    x = x.astype(params["w1"].dtype)
     dx, _ = hyena.mlp_backward(np.ones(1, x.dtype), hyena.mlp_forward(x, params), params)
     return float(dx[-1])

@@ -278,7 +278,7 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
         _clamp_decay(state)
 
         if l2t:
-            teacher.push_experience(state.buffer, tape.hs[-1], lam, loss)
+            teacher_input = teacher.push_experience(state.buffer, tape.hs[-1], lam, loss)
             active = len(state.buffer) >= rc.activation_threshold
             if active:
                 tgrads, huber_loss = teacher.teacher_step(
@@ -288,7 +288,7 @@ def train_step(state: TrainState, batch: corpus.TokenBatch) -> dict:
                 _update(state, state.teacher_params, tgrads, state.opt_teacher,
                         _lr(state, rc.lr_teacher))
 
-                upstream = teacher.dln_feedback(tape.hs[-1], lam, state.teacher_params)
+                upstream = teacher.dln_feedback(teacher_input, state.teacher_params)
                 dgrads = dln.dln_grads(tape, state.dln_params, upstream)
                 _update(state, state.dln_params, dgrads, state.opt_dln, _lr(state, rc.lr_dln))
     except NumericalError as exc:

@@ -151,7 +151,7 @@ def test_gradient_checks():
 
     # Teacher MLP, plus its derivative w.r.t. the weight input.
     tparams = hyena.init_dense(9, teacher.param_shapes(4, 8), np.float64)
-    mem = teacher.ReplayMemory(10, 4, np.float64)
+    mem = teacher.ReplayMemory(10, 4)
     for _ in range(6):
         teacher.push_experience(
             mem,
@@ -166,8 +166,8 @@ def test_gradient_checks():
         rows = teacher.sample_prioritized(mem, 5, np.random.default_rng(42))
         return float(np.mean([
             teacher.huber(
-                teacher_predict(mem.summary[r], mem.lam[r], tparams),
-                mem.loss[r], 1.0,
+                teacher_predict(mem.rows[r, :-2], mem.rows[r, -2], tparams),
+                mem.rows[r, -1], 1.0,
             )
             for r in rows
         ]))
@@ -177,7 +177,7 @@ def test_gradient_checks():
 
     s = rng.standard_normal(4)
     lam0 = 0.45
-    fb = teacher.dln_feedback(s, lam0, tparams)
+    fb = teacher.dln_feedback(np.append(s, lam0), tparams)
     h = 1e-7
     fd = (teacher_predict(s, lam0 + h, tparams)
           - teacher_predict(s, lam0 - h, tparams)) / (2 * h)
@@ -238,14 +238,14 @@ def test_prioritized_sampling():
     for step, loss in enumerate((1.0, 3.0)):
         teacher.push_experience(mem, np.zeros(4), float(step), loss)
     rows = teacher.sample_prioritized(mem, 100_000, np.random.default_rng(123))
-    rate = float(np.mean(mem.lam[rows] == 1.0))
+    rate = float(np.mean(mem.rows[rows, -2] == 1.0))
     rate_ok = abs(rate - 0.75) <= 0.01
 
     mem = teacher.ReplayMemory(16, 4)
     for step in range(10):
         teacher.push_experience(mem, np.zeros(4), float(step), 2.0)
     rows = teacher.sample_prioritized(mem, 100_000, np.random.default_rng(7))
-    counts = np.bincount(mem.lam[rows].astype(int), minlength=10)
+    counts = np.bincount(mem.rows[rows, -2].astype(int), minlength=10)
     pvalue = float(stats.chisquare(counts).pvalue)
     chi_ok = pvalue > 0.001
 
@@ -253,7 +253,7 @@ def test_prioritized_sampling():
     mem = teacher.ReplayMemory(3, 2)
     for i in range(10):
         teacher.push_experience(mem, np.zeros(2), float(i), 1.0)
-        fifo_ok &= mem.lam[:len(mem)].tolist() == list(range(max(0, i - 2), i + 1))
+        fifo_ok &= mem.rows[:len(mem), -2].tolist() == list(range(max(0, i - 2), i + 1))
 
     _report(
         "prioritized-sampling",

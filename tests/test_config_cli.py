@@ -150,6 +150,9 @@ class TestConfigParsing:
         assert resolved == [config.resolve_config(str(path))] == [cfg]
 
 
+BAD_EPOCHS = "bad value 'many' for key 'epochs' (expected int)"
+
+
 class TestTrainCommand:
     def test_smoke_train_outputs(self, tiny_run):
         out = tiny_run.out
@@ -200,19 +203,23 @@ class TestTrainCommand:
         ])
         assert rc == ConfigError.exit_code
 
-    @pytest.mark.parametrize("flags", [["--epochs", "many"], ["--epochs", "many", "--epochs", "3"]],
-                             ids=["once", "repeated"])
-    def test_bad_flag_value_exits_config_in_new_process(self, flags):
+    @pytest.mark.parametrize("flags, message", [
+        (["--epochs", "many"], BAD_EPOCHS),
+        (["--epochs", "many", "--epochs", "3"], BAD_EPOCHS),
+        (["--beta", "-1e-3"], "beta must be >= 0, got -0.001"),
+    ], ids=["once", "repeated", "negative"])
+    def test_bad_flag_value_exits_config_in_new_process(self, flags, message):
         # argparse calls config.parse_value on each occurrence of the flag; its
         # ConfigError is reported as a bad file value is, with no usage text
-        # or traceback, even when a later occurrence parses.
+        # or traceback, even when a later occurrence parses. A value that
+        # starts with '-' is the flag's value, not an option.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "l2t_hyena", "train", *flags],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == ConfigError.exit_code
-        assert proc.stderr == "config error: bad value 'many' for key 'epochs' (expected int)\n"
+        assert proc.stderr == f"config error: {message}\n"
         assert proc.stdout == ""
 
     def test_nan_clip_norm_exits_config(self, tiny_flags, tmp_path, capsys):

@@ -19,17 +19,17 @@ from l2t_hyena.errors import NumericalError
 
 
 def _memory(capacity, dim=4):
-    return teacher.ReplayMemory(capacity, dim, np.float64)
+    return teacher.ReplayMemory(capacity, dim)
 
 
 def _push(mem, loss, lam=0.5, seed=0):
     """One experience; rows are told apart by their ``lam``."""
-    summary = np.random.default_rng(seed).standard_normal(mem.summary.shape[1])
+    summary = np.random.default_rng(seed).standard_normal(mem.rows.shape[1] - 2)
     teacher.push_experience(mem, summary, lam, loss)
 
 
 def _lams(mem):
-    return mem.lam[:len(mem)].tolist()
+    return mem.rows[:len(mem), -2].tolist()
 
 
 class TestBuffer:
@@ -54,7 +54,7 @@ class TestBuffer:
             assert len(mem) <= 3
             # The summary and loss columns move with their row.
             for row, j in enumerate(expected):
-                assert np.array_equal(mem.summary[row],
+                assert np.array_equal(mem.rows[row, :-2],
                                       np.random.default_rng(j).standard_normal(4))
 
     def test_non_finite_rejected(self):
@@ -75,12 +75,11 @@ class TestBuffer:
         mem = _memory(3)
         for i in range(3):
             _push(mem, 1.0 + i, lam=float(i), seed=i)
-        before = [a.copy() for a in (mem.summary, mem.lam, mem.loss)]
+        before = mem.rows.copy()
         with pytest.raises(NumericalError, match="rejected experience"):
             _push(mem, 1.0, lam=float("nan"))
         assert len(mem) == 3
-        for a, b in zip((mem.summary, mem.lam, mem.loss), before):
-            assert np.array_equal(a, b)
+        assert np.array_equal(mem.rows, before)
 
 
 class TestPrioritizedSampling:
@@ -90,7 +89,7 @@ class TestPrioritizedSampling:
         _push(mem, 3.0, lam=1.0)
         rng = np.random.default_rng(123)
         rows = teacher.sample_prioritized(mem, 100_000, rng)
-        rate = np.mean(mem.lam[rows] == 1.0)
+        rate = np.mean(mem.rows[rows, -2] == 1.0)
         assert abs(rate - 0.75) < 0.01
 
     def test_uniform_when_losses_equal(self):
@@ -99,7 +98,7 @@ class TestPrioritizedSampling:
             _push(mem, 2.0, lam=float(i))
         rng = np.random.default_rng(7)
         rows = teacher.sample_prioritized(mem, 100_000, rng)
-        counts = np.bincount(mem.lam[rows].astype(int), minlength=10)
+        counts = np.bincount(mem.rows[rows, -2].astype(int), minlength=10)
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_single_experience_always_returned(self):
@@ -107,7 +106,7 @@ class TestPrioritizedSampling:
         _push(mem, 0.5, lam=9.0)
         rng = np.random.default_rng(8)
         rows = teacher.sample_prioritized(mem, 50, rng)
-        assert all(mem.lam[rows] == 9.0)
+        assert all(mem.rows[rows, -2] == 9.0)
 
     def test_zero_loss_uses_floor(self):
         mem = _memory(10)
@@ -115,7 +114,7 @@ class TestPrioritizedSampling:
         _push(mem, 0.0, lam=1.0)
         rng = np.random.default_rng(9)
         rows = teacher.sample_prioritized(mem, 1000, rng)
-        picked = set(mem.lam[rows].tolist())
+        picked = set(mem.rows[rows, -2].tolist())
         assert picked == {0.0, 1.0}
 
     def test_empty_buffer(self):
@@ -128,7 +127,7 @@ class TestPrioritizedSampling:
             _push(mem, float(i + 1), lam=float(i))
         d1 = teacher.sample_prioritized(mem, 20, np.random.default_rng(5))
         d2 = teacher.sample_prioritized(mem, 20, np.random.default_rng(5))
-        assert mem.lam[d1].tolist() == mem.lam[d2].tolist()
+        assert mem.rows[d1, -2].tolist() == mem.rows[d2, -2].tolist()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -138,7 +137,7 @@ def test_memory_matches_deque_reference(capacity, dtype):
     dim, k = 6, 32
     rng = np.random.default_rng(capacity)
     params = hyena.init_dense(1, teacher.param_shapes(dim, 8), dtype)
-    mem = teacher.ReplayMemory(capacity, dim, dtype)
+    mem = teacher.ReplayMemory(capacity, dim)
     ref = deque(maxlen=capacity)
     n_push = capacity + capacity // 2 + 5
     for i in range(n_push):
@@ -151,15 +150,15 @@ def test_memory_matches_deque_reference(capacity, dtype):
         if i % 7 and i != n_push - 1:
             continue
         items = list(ref)
-        assert np.array_equal(mem.summary[:len(mem)], np.stack([e.summary for e in items]))
-        assert mem.lam[:len(mem)].tolist() == [e.lam_used for e in items]
-        assert mem.loss[:len(mem)].tolist() == [e.student_loss for e in items]
+        assert np.array_equal(mem.rows[:len(mem), :-2], np.stack([e.summary for e in items]))
+        assert mem.rows[:len(mem), -2].tolist() == [e.lam_used for e in items]
+        assert mem.rows[:len(mem), -1].tolist() == [e.student_loss for e in items]
 
         rows = teacher.sample_prioritized(mem, k, np.random.default_rng(i))
         draws = reference_sample_prioritized(ref, k, np.random.default_rng(i))
-        assert np.array_equal(mem.summary[rows], np.stack([e.summary for e in draws]))
-        assert mem.lam[rows].tolist() == [e.lam_used for e in draws]
-        assert mem.loss[rows].tolist() == [e.student_loss for e in draws]
+        assert np.array_equal(mem.rows[rows, :-2], np.stack([e.summary for e in draws]))
+        assert mem.rows[rows, -2].tolist() == [e.lam_used for e in draws]
+        assert mem.rows[rows, -1].tolist() == [e.student_loss for e in draws]
 
         grads, hub = teacher.teacher_step(mem, params, k, np.random.default_rng(i), 1.0)
         ref_grads, ref_hub = reference_teacher_step(ref, params, k,
@@ -269,10 +268,10 @@ class TestTeacherStep:
 
         def objective():
             rows = teacher.sample_prioritized(mem, 5, np.random.default_rng(42))
-            preds = [teacher_predict(mem.summary[r], mem.lam[r], params)
+            preds = [teacher_predict(mem.rows[r, :-2], mem.rows[r, -2], params)
                      for r in rows]
             return float(
-                np.mean([teacher.huber(p, mem.loss[r], 1.0)
+                np.mean([teacher.huber(p, mem.rows[r, -1], 1.0)
                          for p, r in zip(preds, rows)])
             )
 
@@ -285,13 +284,13 @@ class TestDlnFeedback:
         params = hyena.init_dense(0, teacher.param_shapes(4, 8))
         for v in params.values():
             v[:] = 0.0
-        assert teacher.dln_feedback(np.ones(4), 0.5, params) == 0.0
+        assert teacher.dln_feedback(np.append(np.ones(4), 0.5), params) == 0.0
 
     def test_matches_finite_difference(self):
         params = hyena.init_dense(1, teacher.param_shapes(6, 16), np.float64)
         s = np.random.default_rng(2).standard_normal(6)
         lam = 0.4
-        fb = teacher.dln_feedback(s, lam, params)
+        fb = teacher.dln_feedback(np.append(s, lam), params)
         h = 1e-7
         fd = (
             teacher_predict(s, lam + h, params)
@@ -302,8 +301,8 @@ class TestDlnFeedback:
     def test_bit_identical_with_frozen_teacher(self):
         params = hyena.init_dense(3, teacher.param_shapes(4, 8))
         s = np.random.default_rng(4).standard_normal(4)
-        assert teacher.dln_feedback(s, 0.3, params) == teacher.dln_feedback(
-            s, 0.3, params
+        assert teacher.dln_feedback(np.append(s, 0.3), params) == teacher.dln_feedback(
+            np.append(s, 0.3), params
         )
 
     def test_monotone_teacher_drives_weight_down(self):
@@ -324,14 +323,14 @@ class TestDlnFeedback:
                 params[k] -= 0.05 * grads[k]
 
         s_probe = rng.standard_normal(32) * 0.1
-        slope = teacher.dln_feedback(s_probe, 0.5, params)
+        slope = teacher.dln_feedback(np.append(s_probe, 0.5), params)
         assert slope > 0  # teacher learned: higher weight -> higher loss
 
         dln_params = hyena.init_dense(6, dln_mod.param_shapes(32), np.float64)
         f = rng.standard_normal((4, 5))
         tape = dln_mod.dln_forward(f, dln_params)
         lam0 = tape.lam
-        upstream = teacher.dln_feedback(tape.hs[-1], lam0, params)
+        upstream = teacher.dln_feedback(np.append(tape.hs[-1], lam0), params)
         grads = dln_mod.dln_grads(tape, dln_params, upstream)
         for k in dln_params:
             dln_params[k] -= 1e-2 * grads[k]

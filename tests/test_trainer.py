@@ -191,7 +191,7 @@ def test_each_component_gets_its_own_optimizer_settings(tiny_flags, tmp_path):
         assert (opt.beta1, opt.beta2, opt.eps) == (0.8, 0.95, 1e-6)
         assert opt.t == 0
         assert set(opt.m) == set(opt.v) == set(params)
-    assert state.buffer.loss.shape == (40,) and len(state.buffer) == 0
+    assert state.buffer.rows.shape == (40, cfg.dln_hidden + 2) and len(state.buffer) == 0
 
 
 def test_state_arrays_are_the_shape_tables(tiny_flags, tmp_path):
@@ -216,8 +216,7 @@ def _state_checksum(state):
         arrays.update((f"{name}/v/{k}", v) for k, v in opt.v.items())
         arrays[f"{name}/t"] = np.array(opt.t)
     mem = state.buffer
-    arrays.update({"buffer/summary": mem.summary, "buffer/lam": mem.lam,
-                   "buffer/loss": mem.loss, "buffer/count": np.array(mem.count),
+    arrays.update({"buffer/rows": mem.rows, "buffer/count": np.array(mem.count),
                    "step": np.array(state.step)})
     return _params_checksum(arrays), repr(state.sample_rng.bit_generator.state)
 
@@ -270,6 +269,15 @@ class TestTrainStep:
         assert len({m["lambda"] for m in records}) == 6
         with pytest.raises(ConfigError, match="lr_dln must be >= 0, got -1e-30"):
             _tiny_run_config(tiny_flags, tmp_path, lr_dln=-1e-30)
+
+    def test_decay_is_clamped_to_its_floor(self, tiny_flags, tmp_path):
+        # A decay rate the update leaves non-positive is raised to DECAY_FLOOR.
+        state, batches = self._state_and_batch(tiny_flags, tmp_path)
+        state.student["block0.decay"][0, 0] = -1.0
+        trainer.train_step(state, batches[0])
+        assert state.student["block0.decay"][0, 0] == trainer.DECAY_FLOOR
+        for i in range(state.model_cfg.n_blocks):
+            assert np.all(state.student[f"block{i}.decay"] >= trainer.DECAY_FLOOR)
 
     def test_baseline_skips_adaptive_components(self, tiny_flags, tmp_path):
         state, batches = self._state_and_batch(tiny_flags, tmp_path,
@@ -389,7 +397,6 @@ class TestTrainStep:
 
         for d in float_dicts(shadow):
             d.update((k, v.astype(np.float64)) for k, v in d.items())
-        shadow.buffer.summary = shadow.buffer.summary.astype(np.float64)
         # Measured: at most 1.6e-7 relative in loss and 1.1e-7 in lambda.
         for batch in batches:
             m32, m64 = trainer.train_step(state, batch), trainer.train_step(shadow, batch)
@@ -398,7 +405,6 @@ class TestTrainStep:
         assert m64["teacher_active"]
         for st, dtype in ((state, np.float32), (shadow, np.float64)):
             assert all(a.dtype == dtype for d in float_dicts(st) for a in d.values())
-            assert st.buffer.summary.dtype == dtype
 
 
 class TestTrainLoop:
